@@ -71,28 +71,23 @@ def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
     vertices = [home]
     depths = [0]
     index = {home: 0}
-    frontier = [home]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for l in alphabet:
-                t = O.normal_form(v + Word((l,)))
-                if t not in index:
-                    if max_vertices is not None and \
-                            len(vertices) >= max_vertices:
-                        raise ResourceCapError(
-                            f"ball exceeded the vertex budget {max_vertices} "
-                            f"at radius {depth}", "max_vertices", max_vertices)
-                    index[t] = len(vertices)
-                    vertices.append(t)
-                    depths.append(depth)
-                    nxt.append(t)
-        frontier = nxt
     edges = []
+    # vertices grows while it is scanned, so this is the BFS queue; the last
+    # layer only records edges back into the ball
     for i, v in enumerate(vertices):
+        depth = depths[i] + 1
         for l in alphabet:
             t = O.normal_form(v + Word((l,)))
             j = index.get(t)
+            if j is None and depth <= radius:
+                if max_vertices is not None and \
+                        len(vertices) >= max_vertices:
+                    raise ResourceCapError(
+                        f"ball exceeded the vertex budget {max_vertices} "
+                        f"at radius {depth}", "max_vertices", max_vertices)
+                j = index[t] = len(vertices)
+                vertices.append(t)
+                depths.append(depth)
             if j is not None:
                 edges.append((i, l, j))
     return BallGraph(vertices=tuple(vertices), depths=tuple(depths),

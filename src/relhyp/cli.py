@@ -262,8 +262,7 @@ def _cmd_dehn_profile(args) -> str:
 def _cmd_window_lp(args) -> str:
     P, O = _load_presentation(args)
     scan = growth_scan(P, O, relator_indicator_family(), args.radii,
-                       rho=args.peripheral_bound, exact=args.exact,
-                       threads=args.threads)
+                       rho=args.peripheral_bound, exact=args.exact)
     lines = _csv_head(args, {"slope": _num(float(scan.slope)),
                              "verdict": scan.verdict,
                              "exact": _bool(scan.exact)})
@@ -403,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated window widths, e.g. 4,8,16")
     p.add_argument("--peripheral-bound", type=int, default=1)
     p.add_argument("--exact", action="store_true",
-                   help="rational simplex instead of floating point")
-    p.add_argument("--threads", type=int,
-                   help="overrides RELHYP_THREADS")
+                   help="rational optimum, certified by an exact "
+                        "primal/dual check, instead of floating point")
     p.set_defaults(func=_cmd_window_lp)
 
     p = subs.add_parser("flare", help="corridor separation check")

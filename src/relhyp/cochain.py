@@ -13,10 +13,8 @@ constrain those interior cells.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-import os
 
 import numpy as np
 from scipy.optimize import linprog
@@ -456,7 +454,11 @@ class Infeasible:
 
 def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     """Minimize the sup norm of a relative 1-cochain m with (delta m) = z on
-    every interior relator 2-cell of the window."""
+    every interior relator 2-cell of the window.
+
+    HiGHS solves the program in floating point.  With exact=True the answer
+    is a rational Primitive or Infeasible only when an exact certificate
+    checks (see _certified); otherwise LpSolverError is raised."""
     if z.dim != 2:
         raise ValueError("target must be a 2-cochain")
     if not z.is_relative:
@@ -474,8 +476,6 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
             row[var_idx[b]] = row.get(var_idx[b], 0) + s
         rows.append(row)
         rhs.append(z.get(f))
-    if exact:
-        return _exact_lp(variables, rows, rhs, faces)
     n = len(variables)
     A_eq = np.zeros((len(rows), n + 1))
     for i, row in enumerate(rows):
@@ -496,6 +496,9 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
                   b_eq=b_eq if len(rows) else None,
                   bounds=[(None, None)] * n + [(0, None)],
                   method="highs")
+    if exact:
+        return _certified(variables, rows, [Fraction(v) for v in rhs], faces,
+                          res, A_eq, b_eq)
     if res.status == 2:
         return Infeasible(witness=tuple(faces))
     if res.status != 0:
@@ -505,130 +508,63 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     return Primitive(m=m, norm=float(res.x[n]), exact=False)
 
 
-def _pivot(T, obj, basis, r, col):
-    piv = T[r][col]
-    T[r] = [v / piv for v in T[r]]
-    row_r = T[r]
-    for i in range(len(T)):
-        if i != r and T[i][col]:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], row_r)]
-    if obj[col]:
-        f = obj[col]
-        obj[:] = [a - f * b for a, b in zip(obj, row_r)]
-    basis[r] = col
+# denominator bounds tried, smallest first, when reading a HiGHS solution
+# back as rationals; the certificate checks decide which one is right.  m and
+# y are rounded at one bound together: a coarse bound can turn m alone into
+# another primitive of larger norm, which no rounding of y then matches
+_DENOMINATOR_LADDER = (1, 2, 4, 8, 16, 64, 256, 1024, 10 ** 6)
 
 
-def _simplex_iterate(T, obj, basis, cols):
-    """Bland's rule: smallest eligible entering column, smallest basis index
-    on ratio ties.  Terminates on exact arithmetic."""
-    while True:
-        enter = next((j for j in cols if obj[j] < 0), None)
-        if enter is None:
-            return "optimal"
-        best = None
-        for i, row in enumerate(T):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            return "unbounded"
-        _pivot(T, obj, basis, best[1], enter)
+def _rounded(values, bound: int) -> list:
+    return [Fraction(float(v)).limit_denominator(bound) for v in values]
 
 
-def _exact_simplex(A, b, c):
-    """min c . x  subject to  A x = b, x >= 0, everything Fraction.
-
-    Returns ("optimal", x, value), ("infeasible", None, None) or
-    ("unbounded", None, None)."""
-    m = len(A)
-    n = len(c)
-    T = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        T.append(row + [Fraction(0)] * m + [bi])
-        T[i][n + i] = Fraction(1)
-    basis = list(range(n, n + m))
-    obj = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        obj = [a - bv for a, bv in zip(obj, T[i])]
-    for i in range(m):
-        obj[n + i] = Fraction(0)
-    if _simplex_iterate(T, obj, basis, range(n)) != "optimal" or -obj[-1] > 0:
-        return "infeasible", None, None
-    # drive leftover artificials out of the basis, dropping redundant rows
-    for r in range(len(T) - 1, -1, -1):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if T[r][j] != 0), None)
-            if col is None:
-                del T[r]
-                del basis[r]
-            else:
-                _pivot(T, obj, basis, r, col)
-    obj2 = [Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
-    for r in range(len(T)):
-        if obj2[basis[r]]:
-            f = obj2[basis[r]]
-            obj2 = [a - f * bv for a, bv in zip(obj2, T[r])]
-    status = _simplex_iterate(T, obj2, basis, range(n))
-    if status != "optimal":
-        return status, None, None
-    x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
-        x[j] = T[r][-1]
-    return "optimal", x, -obj2[-1]
+def _apply(rows, m) -> list:
+    """B m, for B given as one {column: coefficient} dict per row."""
+    return [sum(s * m[j] for j, s in row.items()) for row in rows]
 
 
-def _exact_lp(variables, rows, rhs, faces):
-    """Exact rational solve of the same program, in standard form with the
-    split m_j = p_j - q_j and one slack per absolute-value inequality."""
-    n = len(variables)
-    if not rows:
-        return Primitive(m=Cochain(1, {}), norm=Fraction(0), exact=True)
-    t_col = 2 * n
-    ncols = 2 * n + 1 + 2 * n
-    A = []
-    b = []
-    for row, val in zip(rows, rhs):
-        r = [Fraction(0)] * ncols
+def _apply_transpose(rows, y, n: int) -> list:
+    out = [0] * n
+    for row, yi in zip(rows, y):
         for j, s in row.items():
-            r[j] = Fraction(s)
-            r[n + j] = Fraction(-s)
-        A.append(r)
-        b.append(Fraction(val))
-    for j in range(n):
-        r1 = [Fraction(0)] * ncols
-        r1[j], r1[n + j], r1[t_col] = Fraction(1), Fraction(-1), Fraction(-1)
-        r1[t_col + 1 + 2 * j] = Fraction(1)
-        r2 = [Fraction(0)] * ncols
-        r2[j], r2[n + j], r2[t_col] = Fraction(-1), Fraction(1), Fraction(-1)
-        r2[t_col + 2 + 2 * j] = Fraction(1)
-        A += [r1, r2]
-        b += [Fraction(0), Fraction(0)]
-    c = [Fraction(0)] * ncols
-    c[t_col] = Fraction(1)
-    status, x, value = _exact_simplex(A, b, c)
-    if status == "infeasible":
-        return Infeasible(witness=tuple(faces))
-    if status != "optimal":
-        raise LpSolverError(f"exact solver reported {status}")
-    m_vals = {}
-    for j, var in enumerate(variables):
-        v = x[j] - x[n + j]
-        if v:
-            m_vals[var] = v
-    for row, val in zip(rows, rhs):
-        got = sum(s * m_vals.get(variables[j], Fraction(0))
-                  for j, s in row.items())
-        if got != Fraction(val):
-            raise LpSolverError("exact solution failed verification")
-    return Primitive(m=Cochain(1, m_vals), norm=value, exact=True)
+            out[j] += s * yi
+    return out
+
+
+def _dot(a, b):
+    return sum(u * v for u, v in zip(a, b))
+
+
+def _certified(variables, rows, z, faces, res, A_eq, b_eq):
+    """Exact verdict from the HiGHS run, or LpSolverError.
+
+    An optimum counts once rational m and equality duals y satisfy B m = z,
+    ||B^T y||_1 <= 1 and <z, y> = max |m_j|: weak duality,
+    <z, y> = <m', B^T y> <= ||m'||_inf for every primitive m', proves m
+    optimal, and y is the isoperimetric witness for its norm.  Infeasibility
+    counts once some y has B^T y = 0 and <z, y> != 0 (Farkas), read from the
+    least-squares residual z - B m, which is orthogonal to the columns of B.
+    """
+    n = len(variables)
+    if res.status == 0:
+        for bound in _DENOMINATOR_LADDER:
+            m = _rounded(res.x[:n], bound)
+            y = _rounded(res.eqlin.marginals, bound)
+            norm = max(map(abs, m), default=Fraction(0))
+            if _apply(rows, m) == z and _dot(z, y) == norm and \
+                    sum(map(abs, _apply_transpose(rows, y, n))) <= 1:
+                return Primitive(m=Cochain(1, _clean(dict(zip(variables, m)))),
+                                 norm=norm, exact=True)
+    elif res.status == 2:
+        B = A_eq[:, :n]
+        residual = b_eq - B @ np.linalg.lstsq(B, b_eq, rcond=None)[0]
+        for bound in _DENOMINATOR_LADDER:
+            y = _rounded(residual, bound)
+            if _dot(z, y) != 0 and not any(_apply_transpose(rows, y, n)):
+                return Infeasible(witness=tuple(faces))
+    raise LpSolverError(f"no exact certificate for the solver result "
+                        f"(status {res.status}: {res.message})")
 
 
 # ---------------------------------------------------------------------------
@@ -643,36 +579,19 @@ class GrowthScan:
     exact: bool
 
 
-def _thread_count(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("RELHYP_THREADS", "").strip()
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def growth_scan(P: RelativePresentation, O, z_builder, widths, rho: int = 1,
-                exact: bool = False, threads: int | None = None) -> GrowthScan:
+                exact: bool = False) -> GrowthScan:
     """Optimal primitive norms across windows of the given widths (window
     width w means ball radius w // 2)."""
     widths = list(widths)
-
-    def solve(width: int):
+    norms = []
+    for width in widths:
         W = build_window(P, O, radius=width // 2, rho=rho)
         cert = min_linf_primitive(W, z_builder(W), exact=exact)
         if isinstance(cert, Infeasible):
             raise LpSolverError(
                 f"no primitive exists on the window of width {width}")
-        return cert.norm
-
-    workers = min(_thread_count(threads), max(1, len(widths)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            norms = list(pool.map(solve, widths))
-    else:
-        norms = [solve(w) for w in widths]
+        norms.append(cert.norm)
     rows = tuple(zip(widths, norms))
     floats = [float(v) for v in norms]
     if len(set(widths)) >= 2:

@@ -27,6 +27,7 @@ from .presentation import (
     XLetter,
     decode_word,
     encode_word,
+    exact_number,
     free_reduce,
 )
 
@@ -342,12 +343,6 @@ class SeparationReport:
         return self.verdict == "separated"
 
 
-def _exact_factor(factor):
-    if isinstance(factor, (int, Fraction)):
-        return Fraction(factor)
-    return Fraction(str(factor))
-
-
 def check_separated(P: RelativePresentation, O, action: FreeAction,
                     g_sample, factor, N: int, M: int,
                     w_radius: int | None = None) -> SeparationReport:
@@ -359,7 +354,7 @@ def check_separated(P: RelativePresentation, O, action: FreeAction,
         raise ValueError("need factor > 1, N >= 1, M >= 1")
     if w_radius is None:
         w_radius = N
-    lam = _exact_factor(factor)
+    lam = exact_number(factor)
     sphere = fn_sphere(action.basis, N)
     pairs = [(s, t) for i, s in enumerate(sphere) for t in sphere[i + 1:]
              if s[0] != t[0]]
@@ -406,7 +401,7 @@ def side_retention_report(P: RelativePresentation, O, action: FreeAction,
     """For each tree direction reaching distance N, the minimal ratio
     entry(prefix)/entry(base) along the way — at least one direction should
     stay above 1/factor when the flare inequality holds."""
-    lam = _exact_factor(factor)
+    lam = exact_number(factor)
     corridor = build_corridor(P, O, action, g, N)
     base = corridor.entries[()]
     out = {}

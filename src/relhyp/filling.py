@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .presentation import (
     RelativePresentation,
     Word,
     XLetter,
+    exact_number,
     free_reduce,
     letter_count,
     letter_key,
@@ -575,16 +577,15 @@ def check_asymptotic_dominance(f: DehnProfile, g: DehnProfile, C: float,
     f's entries).  Raises ValueError when g does not cover an index."""
     if ns is None:
         ns = sorted(f.entries)
+    Cx, Kx, Lx = map(exact_number, (C, K, L))
     failures = []
     for n in ns:
-        m = int(np.ceil(C * n + K))
-        if m < 1:
-            m = 1
+        m = max(1, math.ceil(Cx * n + Kx))
         if m not in g.entries:
             raise ValueError(
                 f"dominance index {m} outside the covered range of g")
         lhs = f.entries[n].max_area
-        rhs = g.entries[m].max_area + L * n
+        rhs = g.entries[m].max_area + Lx * n
         if lhs > rhs:
             failures.append((n, lhs, rhs))
     return DominanceReport(holds=not failures, constants=(C, K, L),

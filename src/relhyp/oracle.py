@@ -155,10 +155,44 @@ def _check_relators(P: RelativePresentation, oracle):
 
 
 # ---------------------------------------------------------------------------
+# oracles defined by their normal forms
+
+
+class NormalFormOracle:
+    """Queries answered from canonical words alone: subclasses provide
+    normal_form, which sends equal group elements to the same word."""
+
+    def element_key(self, w: Word):
+        return self.normal_form(w)
+
+    def equal(self, a: Word, b: Word) -> bool:
+        return self.normal_form(a + self.P.inverse_word(b)).is_empty
+
+    def is_trivial(self, w: Word) -> bool:
+        return self.normal_form(w).is_empty
+
+    def in_peripheral(self, w: Word, lam: int) -> bool:
+        # certificate-style approximation: a canonical form that is a single
+        # syllable of this label proves membership; anything else is treated
+        # as outside (exact for free-product normal forms, where membership
+        # is exactly that shape)
+        nf = self.normal_form(w)
+        if nf.is_empty:
+            return True
+        return len(nf) == 1 and isinstance(nf[0], HLetter) and nf[0].lam == lam
+
+    def coset_key(self, w: Word, lam: int):
+        nf = self.normal_form(w)
+        if nf.letters and isinstance(nf[-1], HLetter) and nf[-1].lam == lam:
+            nf = Word(nf.letters[:-1])
+        return nf
+
+
+# ---------------------------------------------------------------------------
 # free product oracle
 
 
-class FreeProductOracle:
+class FreeProductOracle(NormalFormOracle):
     """Exact oracle for the ambient free product (no relators allowed)."""
 
     kind = "free_product"
@@ -172,27 +206,6 @@ class FreeProductOracle:
 
     def normal_form(self, w: Word) -> Word:
         return free_reduce(self.P, w)
-
-    def element_key(self, w: Word):
-        return self.normal_form(w)
-
-    def equal(self, a: Word, b: Word) -> bool:
-        return self.normal_form(a + self.P.inverse_word(b)).is_empty
-
-    def is_trivial(self, w: Word) -> bool:
-        return self.normal_form(w).is_empty
-
-    def in_peripheral(self, w: Word, lam: int) -> bool:
-        nf = self.normal_form(w)
-        if nf.is_empty:
-            return True
-        return len(nf) == 1 and isinstance(nf[0], HLetter) and nf[0].lam == lam
-
-    def coset_key(self, w: Word, lam: int):
-        nf = self.normal_form(w)
-        if nf.letters and isinstance(nf[-1], HLetter) and nf[-1].lam == lam:
-            nf = Word(nf.letters[:-1])
-        return nf
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +623,7 @@ class FiniteQuotientOracle:
 # plugin oracle
 
 
-class PluginOracle:
+class PluginOracle(NormalFormOracle):
     """Normal forms computed by an external executable.
 
     Protocol: one request per line, a JSON array of letter objects in the
@@ -674,30 +687,6 @@ class PluginOracle:
         except (json.JSONDecodeError, ParseError) as exc:
             raise OracleInvalidError(f"bad plugin reply: {exc}") from None
         self._cache[key] = nf
-        return nf
-
-    def element_key(self, w: Word):
-        return self.normal_form(w)
-
-    def equal(self, a: Word, b: Word) -> bool:
-        return self.normal_form(a + self.P.inverse_word(b)).is_empty
-
-    def is_trivial(self, w: Word) -> bool:
-        return self.normal_form(w).is_empty
-
-    def in_peripheral(self, w: Word, lam: int) -> bool:
-        # certificate-style approximation: a canonical form that is a single
-        # syllable of this label proves membership; anything else is treated
-        # as outside
-        nf = self.normal_form(w)
-        if nf.is_empty:
-            return True
-        return len(nf) == 1 and isinstance(nf[0], HLetter) and nf[0].lam == lam
-
-    def coset_key(self, w: Word, lam: int):
-        nf = self.normal_form(w)
-        if nf.letters and isinstance(nf[-1], HLetter) and nf[-1].lam == lam:
-            nf = Word(nf.letters[:-1])
         return nf
 
 

@@ -10,10 +10,19 @@ single letter regardless of how large its model element is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 import json
 from typing import Iterable, Iterator, Union
 
 from .errors import ParseError
+
+
+def exact_number(x) -> Fraction:
+    """A user-supplied constant as a Fraction; floats go through their
+    shortest repr, so 1.1 means 11/10 and not the binary double nearest it."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return Fraction(str(x))
 
 
 # ---------------------------------------------------------------------------

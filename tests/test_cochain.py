@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from relhyp import cochain
 from relhyp.cochain import (
     BASE_VERTEX,
     COSET_EDGE,
@@ -297,7 +298,7 @@ def test_minimal_primitive_norm_grows_as_quarter_width():
 
 def test_exact_mode_returns_rational_optimum():
     P, O = z_example()
-    for width in (4, 8):
+    for width in (4, 8, 32, 64):
         W = build_window(P, O, radius=width // 2, rho=1)
         z = relator_indicator_family()(W)
         cert = min_linf_primitive(W, z, exact=True)
@@ -307,6 +308,44 @@ def test_exact_mode_returns_rational_optimum():
         for f in W.interior_relator_faces:
             assert dm.get(f) == 1
         assert max(abs(v) for v in cert.m.values.values()) == cert.norm
+
+
+def test_exact_mode_rejects_an_uncertified_optimum(monkeypatch):
+    """Each certificate check alone rejects one wrong float answer: the
+    negated optimum (B m = -z), a primitive of larger norm with the true duals
+    (<z, y> != max |m_j|), and the same primitive with duals scaled up to its
+    norm (||B^T y||_1 > 1).  A false infeasibility verdict has no Farkas
+    vector."""
+    P, O = z_example()
+    W = build_window(P, O, radius=4, rho=1)
+    z = relator_indicator_family()(W)
+    solve = cochain.linprog
+
+    def wrong_primal(c, **kwargs):
+        res = solve(c, **kwargs)
+        res.x = -res.x
+        return res
+
+    def suboptimal(scale_duals):
+        def run(c, **kwargs):
+            res = solve(c, **kwargs)
+            norm = max(abs(res.x[:-1]))
+            res.x = res.x + 1  # every relator row sums to 0: still a primitive
+            if scale_duals:
+                res.eqlin.marginals = res.eqlin.marginals * (norm + 1) / norm
+            return res
+        return run
+
+    def false_infeasible(c, **kwargs):
+        res = solve(c, **kwargs)
+        res.status = 2
+        return res
+
+    for perturbed in (wrong_primal, suboptimal(False), suboptimal(True),
+                      false_infeasible):
+        monkeypatch.setattr(cochain, "linprog", perturbed)
+        with pytest.raises(LpSolverError):
+            min_linf_primitive(W, z, exact=True)
 
 
 def test_zero_cocycle_has_zero_primitive():
@@ -370,15 +409,12 @@ def test_growth_scan_detects_linear_growth():
     assert scan.slope == pytest.approx(0.25, abs=0.01)
 
 
-def test_growth_scan_exact_mode_and_thread_invariance():
+def test_growth_scan_exact_mode():
     P, O = z_example()
-    serial = growth_scan(P, O, relator_indicator_family(), [4, 8, 16],
-                         exact=True)
-    pooled = growth_scan(P, O, relator_indicator_family(), [4, 8, 16],
-                         exact=True, threads=3)
-    assert serial.rows == pooled.rows
-    assert [v for _, v in serial.rows] == [Fraction(1), Fraction(2),
-                                           Fraction(4)]
+    scan = growth_scan(P, O, relator_indicator_family(), [4, 8, 16],
+                       exact=True)
+    assert [v for _, v in scan.rows] == [Fraction(1), Fraction(2),
+                                         Fraction(4)]
 
 
 def test_growth_scan_zero_family_is_bounded():

@@ -199,6 +199,16 @@ def test_dominance_requires_covered_indices():
         check_asymptotic_dominance(f, g, C=2, K=0, L=0)
 
 
+def test_dominance_constants_are_exact():
+    # in binary floating point 2.2 * 25 > 55 and 1.15 * 100 < 115
+    f = _synthetic({25: 55})
+    g = _synthetic({n: n for n in range(1, 56)})
+    assert check_asymptotic_dominance(f, g, C=2.2, K=0, L=0).holds
+    f = _synthetic({100: 115})
+    g = _synthetic({1: 0})
+    assert check_asymptotic_dominance(f, g, C=0, K=0, L=1.15).holds
+
+
 def test_linear_fit_flat_profile():
     fit = linear_fit(_synthetic({n: 0 for n in range(1, 7)}))
     assert fit.slope == pytest.approx(0.0)
