@@ -5,7 +5,9 @@ is locally infinite whenever a peripheral model is.  Everything here is
 therefore parameterized by a truncation bound rho (only peripheral letters of
 model length <= rho are instantiated) and reports exactness honestly:
 length queries answer with a closed interval that collapses to a point
-whenever the oracle kind supports an exact answer.
+whenever the oracle can answer exactly.  Each oracle answers relative length
+and geodesics itself (``rel_length`` and ``geodesic``); this module adds the
+breadth-first geodesic search for oracles that give no geodesic themselves.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GeodesicNotFoundError, ResourceCapError
+from .oracle import RelLength
 from .presentation import (
     EMPTY_WORD,
     HLetter,
@@ -22,7 +25,6 @@ from .presentation import (
     encode_letter,
     encode_word,
     free_reduce,
-    letter_count,
     letter_key,
 )
 
@@ -119,112 +121,10 @@ def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:
 # relative length
 
 
-@dataclass(frozen=True)
-class RelLength:
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
-
-    @classmethod
-    def exact(cls, n: int) -> "RelLength":
-        return cls(n, n)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lower == self.upper
-
-    @property
-    def value(self) -> int:
-        if not self.is_exact:
-            raise ValueError(f"length is only bounded: [{self.lower}, {self.upper}]")
-        return self.lower
-
-
 def rel_length(P: RelativePresentation, O, w: Word) -> RelLength:
     """Distance from the identity to w in the relative word metric: number
     of letters (free generators or whole peripheral elements) needed."""
-    kind = getattr(O, "kind", None)
-    if kind == "free_product":
-        return RelLength.exact(letter_count(O.normal_form(w)))
-    if kind == "finite_quotient":
-        return RelLength.exact(O.relative_distance(w))
-    if kind == "integer_quotient":
-        return _integer_rel_length(P, O, w)
-    # plugin and anything else: certify from the canonical form only
-    nf = O.normal_form(w)
-    if nf.is_empty:
-        return RelLength.exact(0)
-    upper = letter_count(nf)
-    return RelLength(1, upper)
-
-
-def _integer_rel_length(P: RelativePresentation, O, w: Word) -> RelLength:
-    from .oracle import row_echelon_lattice, reduce_mod
-
-    u = O.image_vector(w)
-    if not any(u):
-        return RelLength.exact(0)
-    if _integer_one_letter(P, O, u) is not None:
-        return RelLength.exact(1)
-    # two letters: a sum of letter images from two sources
-    singles = _integer_letter_lattices(P, O)
-    for i in range(len(singles)):
-        for j in range(i, len(singles)):
-            kind_i, src_i, rows_i = singles[i]
-            kind_j, src_j, rows_j = singles[j]
-            if kind_i == "x" and kind_j == "x":
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        tot = tuple(si * a + sj * b
-                                    for a, b in zip(rows_i[0], rows_j[0]))
-                        if tot == u:
-                            return RelLength.exact(2)
-            elif kind_i == "x" or kind_j == "x":
-                xrow = rows_i[0] if kind_i == "x" else rows_j[0]
-                lat = rows_j if kind_i == "x" else rows_i
-                ech = row_echelon_lattice(list(lat))
-                for s in (1, -1):
-                    rest = tuple(a - s * b for a, b in zip(u, xrow))
-                    if any(rest) and ech and not any(reduce_mod(ech, rest)):
-                        return RelLength.exact(2)
-            else:
-                if i == j and src_i == src_j:
-                    continue  # two letters of one factor merge into one
-                ech = row_echelon_lattice(list(rows_i) + list(rows_j))
-                if ech and not any(reduce_mod(ech, u)):
-                    # membership in the sum with u outside both factors
-                    # forces a genuinely two-letter decomposition
-                    return RelLength.exact(2)
-    upper = letter_count(O.normal_form(w))
-    return RelLength(3, max(3, upper))
-
-
-def _integer_letter_lattices(P: RelativePresentation, O):
-    out = []
-    for sym in sorted(P.x_symbols):
-        out.append(("x", sym, (O.x_image(sym),)))
-    for lam in sorted(P.models):
-        nz = [r for r in O.model_image_rows(lam) if any(r)]
-        if nz:
-            out.append(("model", lam, tuple(nz)))
-    return out
-
-
-def _integer_one_letter(P: RelativePresentation, O, u):
-    """A single letter with image u, or None."""
-    for sym in sorted(P.x_symbols):
-        if O.x_image(sym) == tuple(u):
-            return XLetter(sym, 1)
-        if tuple(-a for a in O.x_image(sym)) == tuple(u):
-            return XLetter(sym, -1)
-    for lam in sorted(P.models):
-        e = O.solve_in_model(lam, u)
-        if e is not None and not P.models[lam].is_identity(e):
-            return HLetter(lam, e)
-    return None
+    return O.rel_length(w)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +136,10 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
                      max_states: int = 200000) -> Word:
     """A word of minimal letter count representing the same element as w.
 
-    Exact oracle kinds answer directly; otherwise a BFS over the truncated
-    alphabet, enriched with syllables taken from the relators and from w's
-    canonical form (closed under a few model products), must reach the
-    target at the certified distance.
+    Oracles that know a geodesic answer directly; otherwise a BFS over the
+    truncated alphabet, enriched with syllables taken from the relators and
+    from w's canonical form (closed under a few model products), must reach
+    the target at the certified distance.
     """
     length = rel_length(P, O, w)
     if not length.is_exact:
@@ -249,15 +149,9 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
     n = length.value
     if n == 0:
         return EMPTY_WORD
-    kind = getattr(O, "kind", None)
-    if kind == "free_product":
-        return O.normal_form(w)
-    if kind == "finite_quotient":
-        return O.geodesic_word(w)
-    if kind == "integer_quotient":
-        one = _integer_one_letter(P, O, O.image_vector(w))
-        if n == 1 and one is not None:
-            return Word((one,))
+    direct = O.geodesic(w, n)
+    if direct is not None:
+        return direct
     alphabet = _witness_alphabet(P, O, w, rho, closure_depth)
     target = O.element_key(w)
     frontier = [(EMPTY_WORD, O.element_key(EMPTY_WORD))]
@@ -305,10 +199,5 @@ def _witness_alphabet(P: RelativePresentation, O, w: Word, rho: int,
         for e in sorted(closed, key=lambda e: (model.length(e), repr(e))):
             if not model.is_identity(e):
                 letters.append(HLetter(lam, e))
-    dedup = []
-    seen = set()
-    for l in sorted(letters, key=letter_key):
-        if l not in seen:
-            seen.add(l)
-            dedup.append(l)
-    return dedup
+    # letter_key is injective, so the order does not depend on the set's
+    return sorted(set(letters), key=letter_key)

@@ -18,15 +18,14 @@ from dataclasses import dataclass
 import heapq
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from .cayley import ball_alphabet
+from .oracle import reduce_mod, row_echelon_lattice
 from .presentation import (
     EMPTY_WORD,
-    FiniteTableModel,
-    FreeAbelianModel,
-    FreeGroupModel,
     HLetter,
     RelativePresentation,
     Word,
@@ -125,69 +124,31 @@ def _variants(P: RelativePresentation):
 
 
 class _FreePartLattice:
-    """Exponent-sum bookkeeping on the torsion-free generator slots.
+    """The relators' exponent vectors in the presentation's generator slots.
 
-    A word can only fill if its free-part exponent vector lies in the lattice
-    spanned by the relators' vectors; for a single relator with nonzero vector
-    the coefficient is an admissible remaining-cell count.
+    A word can only fill if its exponent vector lies in the lattice they
+    span; for a single relator with nonzero vector the coefficient is an
+    admissible remaining-cell count.
     """
 
     def __init__(self, P: RelativePresentation):
-        from .oracle import integer_kernel, reduce_mod, row_echelon_lattice
-
-        self._reduce_mod = reduce_mod
-        self.P = P
-        self._x_col = {}
-        self._model_cols = {}
-        m = 0
-        for sym in P.x_symbols:
-            self._x_col[sym] = m
-            m += 1
-        for lam in sorted(P.models):
-            model = P.models[lam]
-            if isinstance(model, FiniteTableModel):
-                self._model_cols[lam] = (m, 0)
-            else:
-                self._model_cols[lam] = (m, model.rank)
-                m += model.rank
-        self.m = m
-        self.rel_vecs = [self.epsilon(r) for r in P.relators]
-        self._ech = row_echelon_lattice([v for v in self.rel_vecs if any(v)])
-        single = [v for v in self.rel_vecs if any(v)]
-        self._single_vec = single[0] if len(self.rel_vecs) == 1 and single else None
-
-    def epsilon(self, w: Word) -> tuple[int, ...]:
-        eps = [0] * self.m
-        for l in w:
-            if isinstance(l, XLetter):
-                eps[self._x_col[l.sym]] += l.sign
-            elif isinstance(l, HLetter):
-                start, count = self._model_cols[l.lam]
-                model = self.P.models[l.lam]
-                if isinstance(model, FreeAbelianModel):
-                    for i in range(count):
-                        eps[start + i] += l.elem[i]
-                elif isinstance(model, FreeGroupModel):
-                    for t in l.elem:
-                        eps[start + abs(t) - 1] += 1 if t > 0 else -1
-        return tuple(eps)
+        self.rel_vecs = [P.slots.epsilon(r) for r in P.relators]
+        nonzero = [v for v in self.rel_vecs if any(v)]
+        self._ech = row_echelon_lattice(nonzero)
+        self._pivot = None  # (slot, entry) of the single relator's vector
+        if len(self.rel_vecs) == 1 and nonzero:
+            self._pivot = next((j, c) for j, c in enumerate(nonzero[0]) if c)
 
     def fillable(self, eps) -> bool:
-        if not any(eps):
-            return True
-        if not self._ech:
-            return False
-        return not any(self._reduce_mod(self._ech, eps))
+        return not any(reduce_mod(self._ech, eps))
 
     def lower_bound(self, eps) -> int:
-        if self._single_vec is None:
+        """Cells still needed by a fillable vector: with a single relator it
+        is a multiple of the relator's vector, otherwise 0."""
+        if self._pivot is None:
             return 0
-        v = self._single_vec
-        j = next(i for i, c in enumerate(v) if c != 0)
-        q, r = divmod(eps[j], v[j])
-        if r != 0:
-            return 0  # not fillable; the membership test already rejects
-        return abs(q)
+        j, c = self._pivot
+        return abs(eps[j] // c)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +259,25 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
         raise ValueError("loop does not represent the identity")
     start = free_reduce(P, c)
     lattice = _FreePartLattice(P)
-    if not lattice.fillable(lattice.epsilon(start)):
+    eps0 = P.slots.epsilon(start)
+    # every successor stays fillable: free reduction and splits keep the
+    # exponent vector, and a cell moves it by minus its rotation's vector
+    if not lattice.fillable(eps0):
         return Unknown("exponent vector outside the relator lattice",
                        max_area, max_len, 0)
+    cell_vecs = {(i, inverted): tuple(-c if inverted else c for c in v)
+                 for i, v in enumerate(lattice.rel_vecs)
+                 for inverted in (False, True)}
     cap_len = max(max_len, len(start))
     variants = _variants(P)
     counter = itertools.count()
     dist: dict[tuple, int] = {start.letters: 0}
     parent: dict[tuple, tuple] = {}
-    h0 = lattice.lower_bound(lattice.epsilon(start))
-    heap = [(h0, len(start), next(counter), 0, start.letters)]
+    h0 = lattice.lower_bound(eps0)
+    heap = [(h0, len(start), next(counter), 0, start.letters, eps0)]
     explored = 0
     while heap:
-        f, _, _, g, state = heapq.heappop(heap)
+        f, _, _, g, state, eps = heapq.heappop(heap)
         if dist.get(state, -1) != g:
             continue
         if not state:
@@ -327,19 +294,19 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
             nxt = free_reduce(P, Word(new_letters))
             if len(nxt) > cap_len:
                 continue
-            eps = lattice.epsilon(nxt)
-            if not lattice.fillable(eps):
-                continue
             key = nxt.letters
             if dist.get(key, max_area + 1) <= g + 1:
                 continue
-            hh = lattice.lower_bound(eps)
+            rcell = plan[1]
+            nxt_eps = tuple(map(operator.sub, eps,
+                                cell_vecs[rcell.relator, rcell.inverted]))
+            hh = lattice.lower_bound(nxt_eps)
             if g + 1 + hh > max_area:
                 continue
             dist[key] = g + 1
             parent[key] = (state, plan)
-            heapq.heappush(heap,
-                           (g + 1 + hh, len(nxt), next(counter), g + 1, key))
+            heapq.heappush(heap, (g + 1 + hh, len(nxt), next(counter),
+                                  g + 1, key, nxt_eps))
     return Unknown("no filling within caps", max_area, max_len, explored)
 
 

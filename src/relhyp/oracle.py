@@ -1,11 +1,13 @@
 """Word-problem oracles for groups given by a relative presentation.
 
-An oracle answers normal-form and equality queries for the presented group.
-Four kinds are supported: the ambient free product itself (valid only when
-there are no relators), homomorphisms onto subgroups of Z^d, finite quotients
-given by a multiplication table, and external plugin executables speaking a
-line-delimited JSON protocol.  Construction checks that every relator maps to
-the identity; everything else is the caller's trust boundary.
+An oracle answers normal-form, equality, relative-length and geodesic queries
+for the presented group; each derives from NormalFormOracle, whose defaults
+read the answers off normal forms.  Four kinds are supported: the ambient
+free product itself (valid only when there are no relators), homomorphisms
+onto subgroups of Z^d, finite quotients given by a multiplication table, and
+external plugin executables speaking a line-delimited JSON protocol.
+Construction checks that every relator maps to the identity; everything else
+is the caller's trust boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .presentation import (
     EMPTY_WORD,
     FiniteTableModel,
     FreeAbelianModel,
-    FreeGroupModel,
     HLetter,
     RelativePresentation,
     Word,
@@ -28,6 +29,7 @@ from .presentation import (
     decode_word,
     encode_word,
     free_reduce,
+    letter_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,32 @@ class NontrivialCertified:
     witness: Word
 
 
+@dataclass(frozen=True)
+class RelLength:
+    """Relative length of an element, as a closed interval that collapses to
+    a point when the oracle can answer exactly."""
+    lower: int
+    upper: int
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise ValueError("lower bound exceeds upper bound")
+
+    @classmethod
+    def exact(cls, n: int) -> "RelLength":
+        return cls(n, n)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def value(self) -> int:
+        if not self.is_exact:
+            raise ValueError(f"length is only bounded: [{self.lower}, {self.upper}]")
+        return self.lower
+
+
 # search-side Unknown lives in relhyp.filling; re-exported here for callers
 # that only deal with verdicts.
 
@@ -154,13 +182,24 @@ def _check_relators(P: RelativePresentation, oracle):
                 f"oracle does not kill relator {i}: {r}")
 
 
+def _check_image_keys(P: RelativePresentation, x_images, model_images):
+    for sym in x_images:
+        if sym not in P.x_symbols:
+            raise OracleInvalidError(f"image for unknown symbol {sym!r}")
+    for lam in model_images:
+        if lam not in P.models:
+            raise OracleInvalidError(f"image for unknown model label {lam}")
+
+
 # ---------------------------------------------------------------------------
-# oracles defined by their normal forms
+# the oracle protocol
 
 
 class NormalFormOracle:
-    """Queries answered from canonical words alone: subclasses provide
-    normal_form, which sends equal group elements to the same word."""
+    """Base of every oracle.  Subclasses provide normal_form, which sends
+    equal group elements to the same word; every other query defaults to an
+    answer read off canonical words, and oracles that know more override it.
+    """
 
     def element_key(self, w: Word):
         return self.normal_form(w)
@@ -187,6 +226,19 @@ class NormalFormOracle:
             nf = Word(nf.letters[:-1])
         return nf
 
+    def rel_length(self, w: Word) -> RelLength:
+        """Relative length of w.  Certified from the canonical form alone:
+        0 for the identity, otherwise between 1 and its letter count."""
+        nf = self.normal_form(w)
+        if nf.is_empty:
+            return RelLength.exact(0)
+        return RelLength(1, letter_count(nf))
+
+    def geodesic(self, w: Word, n: int) -> Word | None:
+        """A word of n letters equal to w, given that n is w's exact
+        relative length, or None to leave the search to the caller."""
+        return None
+
 
 # ---------------------------------------------------------------------------
 # free product oracle
@@ -207,16 +259,24 @@ class FreeProductOracle(NormalFormOracle):
     def normal_form(self, w: Word) -> Word:
         return free_reduce(self.P, w)
 
+    def rel_length(self, w: Word) -> RelLength:
+        return RelLength.exact(letter_count(self.normal_form(w)))
+
+    def geodesic(self, w: Word, n: int) -> Word:
+        return self.normal_form(w)
+
 
 # ---------------------------------------------------------------------------
 # integer quotient oracle
 
 
-class IntegerQuotientOracle:
+class IntegerQuotientOracle(NormalFormOracle):
     """Oracle through a homomorphism of the free product onto a subgroup of
     Z^d, given by image vectors for free-group symbols and peripheral model
     generators.  Finite-table models necessarily map to zero.  Faithfulness on
     the presented group is the caller's claim; relators are verified to die.
+    The images form the columns of a d x m matrix over the presentation's
+    generator slots (``RelativePresentation.slots``).
     """
 
     kind = "integer_quotient"
@@ -231,19 +291,10 @@ class IntegerQuotientOracle:
         self.dim = dim
         x_images = x_images or {}
         model_images = model_images or {}
-        for sym in x_images:
-            if sym not in P.x_symbols:
-                raise OracleInvalidError(f"image for unknown symbol {sym!r}")
-        for lam in model_images:
-            if lam not in P.models:
-                raise OracleInvalidError(f"image for unknown model label {lam}")
+        _check_image_keys(P, x_images, model_images)
 
-        columns: list[tuple[int, ...]] = []
-        self._x_col: dict[str, int] = {}
-        self._model_cols: dict[int, tuple[int, int]] = {}  # lam -> (start, count)
-        for sym in P.x_symbols:
-            self._x_col[sym] = len(columns)
-            columns.append(self._vec(x_images.get(sym), f"x image {sym!r}"))
+        columns = [self._vec(x_images.get(sym), f"x image {sym!r}")
+                   for sym in P.x_symbols]
         for lam in sorted(P.models):
             model = P.models[lam]
             given = model_images.get(lam)
@@ -253,7 +304,6 @@ class IntegerQuotientOracle:
                                               for g in given)):
                     raise OracleInvalidError(
                         f"finite model {lam} cannot map nontrivially to Z^{dim}")
-                self._model_cols[lam] = (len(columns), 0)
                 continue
             rank = model.rank
             if given is None:
@@ -261,18 +311,15 @@ class IntegerQuotientOracle:
             if len(given) != rank:
                 raise OracleInvalidError(
                     f"model {lam} needs {rank} generator images")
-            self._model_cols[lam] = (len(columns), rank)
             for i, g in enumerate(given):
                 columns.append(self._vec(g, f"model {lam} generator {i}"))
 
-        self._m = len(columns)
-        self._A = [[columns[j][i] for j in range(self._m)] for i in range(dim)]
+        self._slots = P.slots
+        self._A = [[col[i] for col in columns] for i in range(dim)]
         self._kernel_ech = row_echelon_lattice(integer_kernel(self._A))
         self._perip_lattices = {
-            lam: row_echelon_lattice(
-                [tuple(self._A[i][start + j] for i in range(dim))
-                 for j in range(count)])
-            for lam, (start, count) in self._model_cols.items()
+            lam: row_echelon_lattice(self._columns(start, count))
+            for lam, (start, count) in self._slots.model_cols.items()
         }
         self.config = config or {"kind": self.kind, "dim": dim}
         _check_relators(P, self)
@@ -285,65 +332,19 @@ class IntegerQuotientOracle:
             raise OracleInvalidError(f"{what}: expected {self.dim} integers")
         return v
 
-    # exponent vector in the generator slots
-    def _epsilon(self, w: Word) -> list[int]:
-        eps = [0] * self._m
-        for l in w:
-            if isinstance(l, XLetter):
-                eps[self._x_col[l.sym]] += l.sign
-            else:
-                model = self.P.models[l.lam]
-                start, count = self._model_cols[l.lam]
-                if isinstance(model, FreeAbelianModel):
-                    for i in range(count):
-                        eps[start + i] += l.elem[i]
-                elif isinstance(model, FreeGroupModel):
-                    for t in l.elem:
-                        eps[start + abs(t) - 1] += 1 if t > 0 else -1
-                # finite model letters map to zero
-        return eps
+    def _columns(self, start: int, count: int) -> list[tuple[int, ...]]:
+        """Images of the generator slots start .. start+count-1."""
+        return [tuple(row[start + j] for row in self._A) for j in range(count)]
 
     def image_vector(self, w: Word) -> tuple[int, ...]:
-        eps = self._epsilon(w)
-        return tuple(sum(self._A[i][j] * eps[j] for j in range(self._m))
-                     for i in range(self.dim))
-
-    def x_image(self, sym: str) -> tuple[int, ...]:
-        col = self._x_col[sym]
-        return tuple(self._A[i][col] for i in range(self.dim))
-
-    def model_image_rows(self, lam: int) -> tuple[tuple[int, ...], ...]:
-        start, count = self._model_cols[lam]
-        return tuple(tuple(self._A[i][start + j] for i in range(self.dim))
-                     for j in range(count))
+        eps = self._slots.epsilon(w)
+        return tuple(sum(a * e for a, e in zip(row, eps)) for row in self._A)
 
     def element_key(self, w: Word):
-        return reduce_mod(self._kernel_ech, self._epsilon(w))
-
-    def _word_from_slots(self, eps) -> Word:
-        letters: list = []
-        for sym in self.P.x_symbols:
-            c = eps[self._x_col[sym]]
-            letters.extend([XLetter(sym, 1 if c > 0 else -1)] * abs(c))
-        for lam in sorted(self.P.models):
-            start, count = self._model_cols[lam]
-            if count == 0:
-                continue
-            block = tuple(eps[start + i] for i in range(count))
-            if not any(block):
-                continue
-            model = self.P.models[lam]
-            if isinstance(model, FreeAbelianModel):
-                letters.append(HLetter(lam, block))
-            else:
-                elem: list[int] = []
-                for i, c in enumerate(block):
-                    elem.extend([(i + 1) if c > 0 else -(i + 1)] * abs(c))
-                letters.append(HLetter(lam, tuple(elem)))
-        return Word(tuple(letters))
+        return reduce_mod(self._kernel_ech, self._slots.epsilon(w))
 
     def normal_form(self, w: Word) -> Word:
-        return self._word_from_slots(self.element_key(w))
+        return self._slots.word(self.element_key(w))
 
     def equal(self, a: Word, b: Word) -> bool:
         return self.element_key(a) == self.element_key(b)
@@ -352,35 +353,95 @@ class IntegerQuotientOracle:
         return not any(self.element_key(w))
 
     def in_peripheral(self, w: Word, lam: int) -> bool:
-        v = self.image_vector(w)
-        return reduce_mod(self._perip_lattices[lam], v) == (0,) * self.dim
+        return not any(self.coset_key(w, lam))
 
     def coset_key(self, w: Word, lam: int):
         return reduce_mod(self._perip_lattices[lam], self.image_vector(w))
 
     def solve_in_model(self, lam: int, vec):
         """Nonzero model element of label lam with image vec, or None."""
-        start, count = self._model_cols[lam]
-        if count == 0:
-            return None
-        sub = [[self._A[i][start + j] for j in range(count)] for i in range(self.dim)]
+        start, count = self._slots.model_cols[lam]
+        sub = [row[start:start + count] for row in self._A]
         sol = solve_integer(sub, list(vec))
         if sol is None or not any(sol):
             return None
-        model = self.P.models[lam]
-        if isinstance(model, FreeAbelianModel):
-            return tuple(sol)
-        elem: list[int] = []
-        for i, c in enumerate(sol):
-            elem.extend([(i + 1) if c > 0 else -(i + 1)] * abs(c))
-        return tuple(elem)
+        return self._slots.model_element(lam, sol)
+
+    def _one_letter(self, u):
+        """A single letter with image u, or None."""
+        for sym, col in sorted(self._slots.x_col.items()):
+            (img,) = self._columns(col, 1)
+            if img == tuple(u):
+                return XLetter(sym, 1)
+            if tuple(-a for a in img) == tuple(u):
+                return XLetter(sym, -1)
+        for lam in sorted(self.P.models):
+            e = self.solve_in_model(lam, u)
+            if e is not None:
+                return HLetter(lam, e)
+        return None
+
+    def _letter_lattices(self):
+        """(source, nonzero generator images, is a free symbol) per free
+        symbol and per model with a nonzero image, in a fixed order."""
+        out = [(sym, self._columns(col, 1), True)
+               for sym, col in sorted(self._slots.x_col.items())]
+        for lam, (start, count) in self._slots.model_cols.items():
+            nz = [r for r in self._columns(start, count) if any(r)]
+            if nz:
+                out.append((lam, nz, False))
+        return out
+
+    def rel_length(self, w: Word) -> RelLength:
+        """Exact up to two letters, by lattice membership of the image;
+        bounded below by 3 beyond."""
+        u = self.image_vector(w)
+        if not any(u):
+            return RelLength.exact(0)
+        if self._one_letter(u) is not None:
+            return RelLength.exact(1)
+        # two letters: a sum of letter images from two sources
+        singles = self._letter_lattices()
+        for i, (src_i, rows_i, free_i) in enumerate(singles):
+            for src_j, rows_j, free_j in singles[i:]:
+                if free_i and free_j:
+                    for si in (1, -1):
+                        for sj in (1, -1):
+                            tot = tuple(si * a + sj * b
+                                        for a, b in zip(rows_i[0], rows_j[0]))
+                            if tot == u:
+                                return RelLength.exact(2)
+                elif free_i or free_j:
+                    xrow = rows_i[0] if free_i else rows_j[0]
+                    lat = rows_j if free_i else rows_i
+                    ech = row_echelon_lattice(list(lat))
+                    for s in (1, -1):
+                        rest = tuple(a - s * b for a, b in zip(u, xrow))
+                        if any(rest) and ech and not any(reduce_mod(ech, rest)):
+                            return RelLength.exact(2)
+                else:
+                    if src_i == src_j:
+                        continue  # two letters of one factor merge into one
+                    ech = row_echelon_lattice(list(rows_i) + list(rows_j))
+                    if ech and not any(reduce_mod(ech, u)):
+                        # membership in the sum with u outside both factors
+                        # forces a genuinely two-letter decomposition
+                        return RelLength.exact(2)
+        upper = letter_count(self.normal_form(w))
+        return RelLength(3, max(3, upper))
+
+    def geodesic(self, w: Word, n: int) -> Word | None:
+        if n != 1:
+            return None
+        one = self._one_letter(self.image_vector(w))
+        return None if one is None else Word((one,))
 
 
 # ---------------------------------------------------------------------------
 # finite quotient oracle
 
 
-class FiniteQuotientOracle:
+class FiniteQuotientOracle(NormalFormOracle):
     """Oracle through a surjection-onto-its-image into a finite group given by
     a multiplication table, with evaluation data for every generator."""
 
@@ -394,45 +455,39 @@ class FiniteQuotientOracle:
         self.Q = quotient
         x_images = x_images or {}
         model_images = model_images or {}
-        self._x_img: dict[str, int] = {}
-        for sym in P.x_symbols:
-            img = x_images.get(sym, quotient.identity_index)
-            quotient.validate(img)
-            self._x_img[sym] = img
+        _check_image_keys(P, x_images, model_images)
+        self._x_img = {sym: self._element(
+            x_images.get(sym, quotient.identity_index), f"x image {sym!r}")
+            for sym in P.x_symbols}
         self._gen_img: dict[int, list[int]] = {}
         for lam in sorted(P.models):
             model = P.models[lam]
+            finite = isinstance(model, FiniteTableModel)
+            # a finite model gives one image per element, the others one per
+            # generator
+            count = model.size if finite else model.rank
             given = model_images.get(lam)
-            if isinstance(model, FiniteTableModel):
-                if given is None:
-                    given = [quotient.identity_index] * model.size
-                if len(given) != model.size:
-                    raise OracleInvalidError(
-                        f"model {lam} needs one image per element")
-                for a in range(model.size):
-                    for b in range(model.size):
+            if given is None:
+                given = [quotient.identity_index] * count
+            if len(given) != count:
+                raise OracleInvalidError(f"model {lam} needs {count} images")
+            given = [self._element(g, f"model {lam} image") for g in given]
+            if finite:
+                for a in range(count):
+                    for b in range(count):
                         lhs = quotient.product(given[a], given[b])
                         if lhs != given[model.product(a, b)]:
                             raise OracleInvalidError(
                                 f"model {lam} images are not a homomorphism "
                                 f"at ({a}, {b})")
-            else:
-                rank = model.rank
-                if given is None:
-                    given = [quotient.identity_index] * rank
-                if len(given) != rank:
-                    raise OracleInvalidError(
-                        f"model {lam} needs {rank} generator images")
-                for g in given:
-                    quotient.validate(g)
-                if isinstance(model, FreeAbelianModel):
-                    for i in range(rank):
-                        for j in range(i + 1, rank):
-                            if quotient.product(given[i], given[j]) != \
-                                    quotient.product(given[j], given[i]):
-                                raise OracleInvalidError(
-                                    f"model {lam} generator images must commute")
-            self._gen_img[lam] = list(given)
+            elif isinstance(model, FreeAbelianModel):
+                for i in range(count):
+                    for j in range(i + 1, count):
+                        if quotient.product(given[i], given[j]) != \
+                                quotient.product(given[j], given[i]):
+                            raise OracleInvalidError(
+                                f"model {lam} generator images must commute")
+            self._gen_img[lam] = given
 
         self._subgroups = {lam: self._generated_subgroup(lam)
                            for lam in sorted(P.models)}
@@ -440,6 +495,12 @@ class FiniteQuotientOracle:
         self._rel_dist, self._rel_witness = self._relative_distances()
         self.config = config or {"kind": self.kind}
         _check_relators(P, self)
+
+    def _element(self, g, what) -> int:
+        try:
+            return self.Q.validate(g)
+        except ValueError as exc:
+            raise OracleInvalidError(f"{what}: {exc}") from None
 
     def _pow(self, base: int, k: int) -> int:
         if k < 0:
@@ -486,10 +547,6 @@ class FiniteQuotientOracle:
             if isinstance(model, FiniteTableModel):
                 for e in model.generators():
                     letters.append(HLetter(lam, e))
-            elif isinstance(model, FreeAbelianModel):
-                for g in model.generators():
-                    letters.append(HLetter(lam, g))
-                    letters.append(HLetter(lam, model.inverse(g)))
             else:
                 for g in model.generators():
                     letters.append(HLetter(lam, g))
@@ -539,11 +596,7 @@ class FiniteQuotientOracle:
         seen = {self.Q.identity_index: model.identity()}
         frontier = [self.Q.identity_index]
         steps = []
-        for i, img in enumerate(self._gen_img[lam]):
-            if isinstance(model, FreeAbelianModel):
-                g = model.generators()[i]
-            else:
-                g = (i + 1,)
+        for g, img in zip(model.generators(), self._gen_img[lam]):
             steps.append((g, img))
             steps.append((model.inverse(g), self.Q.inverse(img)))
         while frontier:
@@ -612,10 +665,10 @@ class FiniteQuotientOracle:
         g = self.eval_word(w)
         return min(self.Q.product(g, s) for s in self._subgroups[lam])
 
-    def relative_distance(self, w: Word) -> int:
-        return self._rel_dist[self.eval_word(w)]
+    def rel_length(self, w: Word) -> RelLength:
+        return RelLength.exact(self._rel_dist[self.eval_word(w)])
 
-    def geodesic_word(self, w: Word) -> Word:
+    def geodesic(self, w: Word, n: int) -> Word:
         return self._rel_witness[self.eval_word(w)]
 
 
@@ -690,11 +743,24 @@ class PluginOracle(NormalFormOracle):
         return nf
 
 
-GroupOracle = FreeProductOracle | IntegerQuotientOracle | FiniteQuotientOracle | PluginOracle
+GroupOracle = NormalFormOracle
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _model_images(config: dict) -> dict:
+    """The document's model_images object keyed by integer labels."""
+    out = {}
+    for key, imgs in (config.get("model_images") or {}).items():
+        try:
+            lam = int(key)
+        except (TypeError, ValueError):
+            raise ParseError(f"bad model label {key!r}",
+                             "oracle.model_images") from None
+        out[lam] = imgs
+    return out
 
 
 def build_oracle(P: RelativePresentation, config: dict) -> GroupOracle:
@@ -709,14 +775,8 @@ def build_oracle(P: RelativePresentation, config: dict) -> GroupOracle:
         if not isinstance(dim, int):
             raise ParseError("integer_quotient needs an integer dim", "oracle.dim")
         x_images = {sym: tuple(v) for sym, v in (config.get("x_images") or {}).items()}
-        model_images = {}
-        for key, imgs in (config.get("model_images") or {}).items():
-            try:
-                lam = int(key)
-            except (TypeError, ValueError):
-                raise ParseError(f"bad model label {key!r}",
-                                 "oracle.model_images") from None
-            model_images[lam] = [tuple(v) for v in imgs]
+        model_images = {lam: [tuple(v) for v in imgs]
+                        for lam, imgs in _model_images(config).items()}
         return IntegerQuotientOracle(P, dim, x_images, model_images, config)
     if kind == "finite_quotient":
         table = config.get("table")
@@ -737,9 +797,8 @@ def build_oracle(P: RelativePresentation, config: dict) -> GroupOracle:
                                  identity_index=identity)
         except ValueError as exc:
             raise OracleInvalidError(str(exc)) from None
-        model_images = {}
-        for key, imgs in (config.get("model_images") or {}).items():
-            model_images[int(key)] = list(imgs)
+        model_images = {lam: list(imgs)
+                        for lam, imgs in _model_images(config).items()}
         return FiniteQuotientOracle(P, Q, config.get("x_images") or {},
                                     model_images, config)
     if kind == "plugin":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 import json
 from typing import Iterable, Iterator, Union
 
@@ -139,14 +140,9 @@ class FiniteTableModel:
             b = self.inverse_table[a]
             if self.table[a][b] != e or self.table[b][a] != e:
                 raise ValueError(f"inverse table wrong at {a}")
-        # associativity: full check for small tables, fixed sample otherwise
-        triples = (
-            ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-            if n <= 24 else _assoc_sample(n)
-        )
-        for a, b, c in triples:
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise ValueError(f"table not associative at {(a, b, c)}")
+        witness = _non_associative_triple(self.table)
+        if witness is not None:
+            raise ValueError(f"table not associative at {witness}")
         if self.names is not None and (len(self.names) != n
                                        or len(set(self.names)) != n):
             raise ValueError("names must be distinct, one per element")
@@ -189,12 +185,33 @@ class FiniteTableModel:
         raise ParseError(f"bad finite element {obj!r}", path)
 
 
-def _assoc_sample(n):
-    # deterministic pseudo-random triples, enough to catch a broken table
-    x = 123456789
-    for _ in range(2000):
-        x = (x * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        yield (x % n, (x >> 20) % n, (x >> 40) % n)
+def _non_associative_triple(table):
+    """A triple (a, g, c) with (a g) c != a (g c), or None when the table is
+    associative.
+
+    Light's test (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2):
+    checking every g of a set that generates the table under its product
+    suffices, in O(n^2 |gens|) lookups.  The set is chosen greedily: each
+    element not reached from the chosen ones by products joins them.
+    """
+    rows = [tuple(r) for r in table]
+    gens, reached = [], set()
+    for s in range(len(rows)):
+        if s in reached:
+            continue
+        gens.append(s)
+        reached.add(s)
+        frontier = set(reached)
+        while frontier:
+            frontier = {rows[a][g] for a in frontier for g in gens} - reached
+            reached |= frontier
+    for g in gens:
+        for a, row in enumerate(rows):
+            lhs, rhs = rows[row[g]], tuple(map(row.__getitem__, rows[g]))
+            if lhs != rhs:
+                return (a, g, next(c for c, (x, y) in enumerate(zip(lhs, rhs))
+                                   if x != y))
+    return None
 
 
 @dataclass(frozen=True)
@@ -393,6 +410,71 @@ class RelativePresentation:
 
     def inverse_word(self, w: Word) -> Word:
         return Word(tuple(self.inverse_letter(l) for l in reversed(w.letters)))
+
+    @cached_property
+    def slots(self) -> "SlotLayout":
+        """The exponent-vector layout of the generators, built once."""
+        return SlotLayout(self)
+
+
+class SlotLayout:
+    """Exponent vectors of words in the torsion-free generator slots.
+
+    The slots are the free symbols in order, then ``rank`` slots for each
+    ``Z^d`` or ``F_k`` model in sorted label order; finite models take none,
+    so their letters count zero.  ``epsilon`` is a homomorphism from the
+    free product onto Z^size, and ``word`` is a section of it.
+    """
+
+    def __init__(self, P: RelativePresentation):
+        self.x_col = {sym: i for i, sym in enumerate(P.x_symbols)}
+        self.model_cols: dict[int, tuple[int, int]] = {}  # lam -> (start, count)
+        self._abelian = set()
+        size = len(P.x_symbols)
+        for lam in sorted(P.models):
+            model = P.models[lam]
+            count = 0 if isinstance(model, FiniteTableModel) else model.rank
+            self.model_cols[lam] = (size, count)
+            size += count
+            if isinstance(model, FreeAbelianModel):
+                self._abelian.add(lam)
+        self.size = size
+
+    def epsilon(self, w: Word) -> tuple[int, ...]:
+        eps = [0] * self.size
+        for l in w:
+            if isinstance(l, XLetter):
+                eps[self.x_col[l.sym]] += l.sign
+            else:
+                start, count = self.model_cols[l.lam]
+                if l.lam in self._abelian:
+                    for i in range(count):
+                        eps[start + i] += l.elem[i]
+                elif count:
+                    for t in l.elem:
+                        eps[start + abs(t) - 1] += 1 if t > 0 else -1
+        return tuple(eps)
+
+    def model_element(self, lam: int, block):
+        """The element of model lam with exponent vector block: the vector
+        itself for Z^d, the reduced word g1^c1 g2^c2 ... for F_k."""
+        if lam in self._abelian:
+            return tuple(block)
+        return tuple(i + 1 if c > 0 else -(i + 1)
+                     for i, c in enumerate(block) for _ in range(abs(c)))
+
+    def word(self, eps) -> Word:
+        """A word with exponent vector eps: free letters in symbol order,
+        then at most one letter per model."""
+        letters: list[Letter] = []
+        for sym, col in self.x_col.items():
+            c = eps[col]
+            letters.extend([XLetter(sym, 1 if c > 0 else -1)] * abs(c))
+        for lam, (start, count) in self.model_cols.items():
+            block = eps[start:start + count]
+            if any(block):
+                letters.append(HLetter(lam, self.model_element(lam, block)))
+        return Word(tuple(letters))
 
 
 def free_reduce(P: RelativePresentation, w: Word, _trace: list | None = None) -> Word:

@@ -211,8 +211,8 @@ def test_rel_length_matches_ball_depths():
 def test_rel_length_plugin_style_bounds():
     P, O = free_product_zz()
 
-    class Wrapped:
-        kind = "plugin"
+    class Wrapped(ora.NormalFormOracle):
+        # no kind and no rel_length: the default bounds come from the base
 
         def normal_form(self, w):
             return O.normal_form(w)

@@ -231,6 +231,27 @@ def test_invalid_action_exits_3(docs, capsys, tmp_path):
     assert code == 3 and "invalid action" in err
 
 
+@pytest.mark.parametrize("change, code, message", [
+    ({"model_images": {"1": [0, 7]}}, 3, "model 1 image"),
+    ({"x_images": {"x": 1, "z": 1}}, 3, "unknown symbol 'z'"),
+    ({"model_images": {"3": [0, 1]}}, 3, "unknown model label 3"),
+    ({"model_images": {"a": [0, 1]}}, 2, "oracle.model_images"),
+])
+def test_finite_quotient_images_are_validated(capsys, tmp_path, change,
+                                              code, message):
+    doc = {"x": ["x"],
+           "models": [{"label": 1, "kind": "finite", "size": 2,
+                       "table": [[0, 1], [1, 0]]}],
+           "relators": [],
+           "oracle": {"kind": "finite_quotient", "size": 2,
+                      "table": [[0, 1], [1, 0]], **change}}
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, "length", "--input", str(path),
+                            "--loop", "x")
+    assert (got, out) == (code, "") and message in err
+
+
 def test_vertex_budget_exits_4(docs, capsys):
     code, _, err = run_cli(capsys, "ball", "--input", docs["f2"],
                            "--radius", "3", "--max-vertices", "5")

@@ -1,6 +1,8 @@
 """Oracle backends: integer lattices, normal forms, validity, plugins, and
 the budgeted word-problem solver."""
 
+import itertools
+import json
 import sys
 
 import numpy as np
@@ -8,8 +10,15 @@ import pytest
 
 from relhyp import filling
 from relhyp import oracle as ora
+from relhyp.cayley import geodesic_witness, rel_length
 from relhyp.errors import OracleInvalidError, ParseError
-from relhyp.presentation import EMPTY_WORD, HLetter, Word, XLetter
+from relhyp.presentation import (
+    EMPTY_WORD,
+    HLetter,
+    Word,
+    XLetter,
+    parse_document,
+)
 from relhyp.presets import (
     free_product_zz,
     hz,
@@ -153,6 +162,61 @@ def test_integer_quotient_peripheral_and_coset_keys():
     assert O.coset_key(Word((hz(1, 4),)), 1) == O.coset_key(EMPTY_WORD, 1)
 
 
+# one free symbol a = g1 g2, a free group F_2 = <g1, g2> and a finite model;
+# the slots are (a, g1, g2) and the finite model takes none
+FK_DOC = {
+    "x": ["a"],
+    "models": [{"label": 1, "kind": "F_k", "rank": 2},
+               {"label": 2, "kind": "finite", "size": 2,
+                "table": [[0, 1], [1, 0]]}],
+    "relators": [[{"x": "a", "sign": -1}, {"h": {"lambda": 1, "elem": [1, 2]}}]],
+    "oracle": {"kind": "integer_quotient", "dim": 2, "x_images": {"a": [1, 1]},
+               "model_images": {"1": [[1, 0], [0, 1]]}},
+}
+
+
+def _free_group_quotient():
+    P, cfg = parse_document(json.dumps(FK_DOC))
+    return P, ora.build_oracle(P, cfg)
+
+
+def test_slot_layout_of_a_free_group_model():
+    P, _ = _free_group_quotient()
+    slots = P.slots
+    assert slots is P.slots  # built once per presentation
+    assert slots.x_col == {"a": 0}
+    assert slots.model_cols == {1: (1, 2), 2: (3, 0)}
+    assert slots.epsilon(Word((HLetter(1, (1, 1, -2)), XLetter("a", -1),
+                               HLetter(2, 1)))) == (-1, 2, -1)
+    assert slots.word((1, 2, -1)) == Word((XLetter("a", 1),
+                                          HLetter(1, (1, 1, -2))))
+    for eps in itertools.product(range(-2, 3), repeat=3):
+        assert slots.epsilon(slots.word(eps)) == eps
+
+
+def test_integer_quotient_with_a_free_group_model():
+    P, O = _free_group_quotient()
+    g = lambda *elem: HLetter(1, elem)  # noqa: E731
+    assert O.normal_form(xw("a")) == Word((g(1, 2),))
+    assert O.is_trivial(Word((HLetter(2, 1),)))
+    samples = [EMPTY_WORD, xw("a"), xw("a-"), Word((g(2, -1),)),
+               Word((g(-1, -1, 2), XLetter("a", 1))),
+               Word((HLetter(2, 1), g(1), XLetter("a", -1)))]
+    for u in samples:
+        nf = O.normal_form(u)
+        assert O.normal_form(nf) == nf and O.equal(nf, u)
+        for v in samples:
+            assert O.normal_form(u + v) == \
+                O.normal_form(O.normal_form(u) + O.normal_form(v))
+    assert O.solve_in_model(1, (2, -1)) == (1, 1, -2)
+    assert O.solve_in_model(2, (1, 0)) is None
+    w = Word((XLetter("a", 1), g(1)))  # image (2, 1)
+    assert rel_length(P, O, w).value == 1
+    assert geodesic_witness(P, O, w) == Word((g(1, 1, 2),))
+    loop = Word((XLetter("a", -1), g(1), g(2)))
+    assert filling.relative_area(P, O, loop).area == 1
+
+
 # ---------------------------------------------------------------------------
 # finite-quotient oracle
 
@@ -165,9 +229,9 @@ def test_finite_quotient_normal_form_x_cubed():
 
 def test_finite_quotient_relative_distances():
     _, O = x_squared()
-    assert O.relative_distance(EMPTY_WORD) == 0
-    assert O.relative_distance(xw("x")) == 1
-    geo = O.geodesic_word(xw("x", "x", "x"))
+    assert O.rel_length(EMPTY_WORD).value == 0
+    assert O.rel_length(xw("x")).value == 1
+    geo = O.geodesic(xw("x", "x", "x"), 1)
     assert len(geo) == 1 and O.equal(geo, xw("x"))
 
 

@@ -141,6 +141,37 @@ def test_finite_table_validation_catches_bad_table():
                          inverse_table=(0, 1), identity_index=0)
 
 
+def test_finite_table_associativity_is_exact_on_large_tables():
+    def cyclic(n):
+        return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+    def model(table, inverse):
+        n = len(table)
+        return FiniteTableModel(size=n, table=tuple(map(tuple, table)),
+                                inverse_table=tuple(inverse),
+                                identity_index=0)
+
+    n = 33
+    table = cyclic(n)
+    model(table, [(-a) % n for a in range(n)])
+    # one wrong entry keeps the identity and inverses intact; a fixed sample
+    # of triples need not touch it
+    table[3][31] = 2
+    with pytest.raises(ValueError, match="not associative"):
+        model(table, [(-a) % n for a in range(n)])
+    # the dihedral group of order 34, (r^i s^j) as i + 17 j
+    m = 17
+
+    def mul(a, b):
+        (i, j), (k, l) = divmod(a, m)[::-1], divmod(b, m)[::-1]
+        return ((i + (-k if j else k)) % m) + m * ((j + l) % 2)
+
+    dihedral = [[mul(a, b) for b in range(2 * m)] for a in range(2 * m)]
+    inverse = [next(b for b in range(2 * m) if dihedral[a][b] == 0)
+               for a in range(2 * m)]
+    model(dihedral, inverse)
+
+
 def test_finite_table_decode_by_name():
     doc = {
         "x": [], "relators": [],
