@@ -5,8 +5,9 @@ corridor pairing identity.
 An automorphism is given by images of the free generators plus, per
 peripheral factor, a model isomorphism onto the image factor and a
 conjugating word: peripheral letters map via alpha(h) = g^-1 iota(h) g.
-Words in the acting free group are tuples of nonzero ints (letter i is the
-i-th basis automorphism, -i its inverse).
+Words in the acting free group are elements of ``FreeAction.group``, a
+``FreeGroupModel``: reduced tuples of nonzero ints (letter i is the i-th
+basis automorphism, -i its inverse).
 """
 
 from __future__ import annotations
@@ -28,56 +29,9 @@ from .presentation import (
     decode_word,
     encode_word,
     exact_number,
+    expect_json,
     free_reduce,
 )
-
-
-# ---------------------------------------------------------------------------
-# free-group words over the action basis
-
-
-def fn_reduce(letters) -> tuple:
-    out = []
-    for a in letters:
-        if not isinstance(a, int) or a == 0:
-            raise ValueError(f"bad basis letter {a!r}")
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def fn_is_reduced(a) -> bool:
-    return all(isinstance(x, int) and x != 0 for x in a) and \
-        all(a[i + 1] != -a[i] for i in range(len(a) - 1))
-
-
-def fn_inverse(a) -> tuple:
-    return tuple(-x for x in reversed(a))
-
-
-def fn_sphere(n: int, length: int):
-    """Reduced words of exactly the given length, in a fixed order."""
-    alphabet = list(range(-n, 0)) + list(range(1, n + 1))
-    layer = [()]
-    for _ in range(length):
-        nxt = []
-        for w in layer:
-            for a in alphabet:
-                if w and w[-1] == -a:
-                    continue
-                nxt.append(w + (a,))
-        nxt.sort()
-        layer = nxt
-    return layer
-
-
-def fn_ball(n: int, radius: int):
-    out = [()]
-    for k in range(1, radius + 1):
-        out.extend(fn_sphere(n, k))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +220,16 @@ class FreeAction:
     basis: int
     automorphisms: tuple            # one RelAutomorphism per basis letter
 
+    @property
+    def group(self) -> FreeGroupModel:
+        """The acting free group on the basis letters."""
+        return FreeGroupModel(self.basis)
+
+    def ball(self, radius: int) -> list:
+        """Acting words of length <= radius: shortest first, each length in
+        lexicographic order."""
+        return [()] + list(self.group.elements_up_to(radius))
+
 
 def validate_action(P: RelativePresentation, O,
                     action: FreeAction) -> AutoReport:
@@ -282,11 +246,7 @@ def apply_action(P: RelativePresentation, action: FreeAction, a,
                  w: Word) -> Word:
     """alpha_a(w) with the composition convention alpha_{bc} =
     alpha_b o alpha_c: letters act right to left."""
-    if not fn_is_reduced(tuple(a)):
-        raise ValueError(f"unreduced word over the action basis: {a!r}")
-    for l in reversed(tuple(a)):
-        if abs(l) > action.basis:
-            raise ValueError(f"letter {l} outside the action basis")
+    for l in reversed(action.group.validate(tuple(a))):
         alpha = action.automorphisms[abs(l) - 1]
         if l < 0:
             alpha = alpha.inverse
@@ -317,7 +277,7 @@ def build_corridor(P: RelativePresentation, O, action: FreeAction,
     """Length field over the tree ball: the entry at a is the relative
     length of alpha_{a^-1}(g)."""
     images = {(): free_reduce(P, g)}
-    order = fn_ball(action.basis, N)
+    order = action.ball(N)
     for a in order:
         if a == ():
             continue
@@ -355,7 +315,8 @@ def check_separated(P: RelativePresentation, O, action: FreeAction,
     if w_radius is None:
         w_radius = N
     lam = exact_number(factor)
-    sphere = fn_sphere(action.basis, N)
+    G = action.group
+    sphere = [s for s in action.ball(N) if len(s) == N]
     pairs = [(s, t) for i, s in enumerate(sphere) for t in sphere[i + 1:]
              if s[0] != t[0]]
     violations: list = []
@@ -365,7 +326,7 @@ def check_separated(P: RelativePresentation, O, action: FreeAction,
         count += 1
         corridor = build_corridor(P, O, action, g, w_radius + N)
         entries = corridor.entries
-        for w in fn_ball(action.basis, w_radius):
+        for w in action.ball(w_radius):
             Lw = entries[w]
             if not Lw.is_exact:
                 indeterminate.append((g, w, None, None))
@@ -373,8 +334,8 @@ def check_separated(P: RelativePresentation, O, action: FreeAction,
             if Lw.value < M:
                 continue
             for s, t in pairs:
-                u = fn_reduce(w + s)
-                v = fn_reduce(w + t)
+                u = G.product(w, s)
+                v = G.product(w, t)
                 Lu, Lv = entries[u], entries[v]
                 if not (Lu.is_exact and Lv.is_exact):
                     indeterminate.append((g, w, u, v))
@@ -407,7 +368,9 @@ def side_retention_report(P: RelativePresentation, O, action: FreeAction,
     out = {}
     if not base.is_exact or base.value == 0:
         return out
-    for a in fn_sphere(action.basis, N):
+    for a in corridor.entries:
+        if len(a) != N:
+            continue
         ratios = []
         for k in range(1, N + 1):
             L = corridor.entries[a[:k]]
@@ -437,14 +400,15 @@ def corridor_cocycle_pairing(P: RelativePresentation, O, action: FreeAction,
     """Sum of corridor lengths along the tree geodesic from u to v versus
     the same quantity recomputed through telescoping distance increments of
     independently found geodesic witnesses."""
-    u = fn_reduce(tuple(u))
-    v = fn_reduce(tuple(v))
-    s = fn_reduce(fn_inverse(u) + v)
-    vertices = [fn_reduce(u + s[:i]) for i in range(len(s) + 1)]
+    G = action.group
+    u = G.product(u, ())
+    v = G.product(v, ())
+    s = G.product(G.inverse(u), v)
+    vertices = [G.product(u, s[:i]) for i in range(len(s) + 1)]
     lhs = 0
     rhs = 0
     for w in vertices[:-1]:
-        h = apply_action(P, action, fn_inverse(w), g)
+        h = apply_action(P, action, G.inverse(w), g)
         L = rel_length(P, O, h)
         if not L.is_exact:
             return PairingReport(None, None, None, indeterminate=True)
@@ -474,19 +438,22 @@ def _decode_automorphism(P: RelativePresentation, doc, path: str,
     if not isinstance(doc, dict):
         raise ParseError("automorphism must be an object", path)
     x_images = {}
-    for sym, obj in dict(doc.get("x_images", {})).items():
+    for sym, obj in expect_json(doc.get("x_images", {}), dict,
+                                f"{path}.x_images").items():
         if sym not in P.x_symbols:
             raise ParseError(f"unknown generator {sym!r}", f"{path}.x_images")
         x_images[sym] = decode_word(P, obj, f"{path}.x_images.{sym}")
     sigma = {}
-    for key, val in dict(doc.get("sigma", {})).items():
+    for key, val in expect_json(doc.get("sigma", {}), dict,
+                                f"{path}.sigma").items():
         try:
             sigma[int(key)] = int(val)
         except (TypeError, ValueError):
             raise ParseError(f"bad sigma entry {key!r}: {val!r}",
                              f"{path}.sigma") from None
     maps = {}
-    for key, val in dict(doc.get("peripheral_maps", {})).items():
+    for key, val in expect_json(doc.get("peripheral_maps", {}), dict,
+                                f"{path}.peripheral_maps").items():
         lam = int(key)
         if lam not in P.models:
             raise ParseError(f"unknown factor {lam}",
@@ -496,13 +463,12 @@ def _decode_automorphism(P: RelativePresentation, doc, path: str,
             raise ParseError(f"sigma sends {lam} to unknown factor {target}",
                              f"{path}.sigma")
         dst = P.models[target]
-        if not isinstance(val, list):
-            raise ParseError("generator images must form a list",
-                             f"{path}.peripheral_maps.{key}")
-        maps[lam] = tuple(dst.decode(o, f"{path}.peripheral_maps.{key}")
-                          for o in val)
+        here = f"{path}.peripheral_maps.{key}"
+        maps[lam] = tuple(dst.decode(o, here)
+                          for o in expect_json(val, list, here))
     conjugators = {}
-    for key, obj in dict(doc.get("conjugators", {})).items():
+    for key, obj in expect_json(doc.get("conjugators", {}), dict,
+                                f"{path}.conjugators").items():
         conjugators[int(key)] = decode_word(P, obj,
                                             f"{path}.conjugators.{key}")
     alpha = RelAutomorphism(x_images=x_images, sigma=sigma,

@@ -22,7 +22,7 @@ import operator
 
 import numpy as np
 
-from .cayley import ball_alphabet
+from .cayley import ball_alphabet, truncated_ball
 from .oracle import reduce_mod, row_echelon_lattice
 from .presentation import (
     EMPTY_WORD,
@@ -441,20 +441,10 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
     """Distinct reduced-loop classes (up to rotation and inversion) of
     relative length <= n_max at the basepoint, via distance-pruned DFS."""
     alphabet = ball_alphabet(P, rho)
-    radius = (n_max + 1) // 2
+    ball = truncated_ball(P, O, (n_max + 1) // 2, rho)
+    distance = {O.element_key(v): d
+                for v, d in zip(ball.vertices, ball.depths)}
     home = O.element_key(EMPTY_WORD)
-    distance = {home: 0}
-    frontier = [EMPTY_WORD]
-    for d in range(1, radius + 1):
-        nxt = []
-        for w in frontier:
-            for l in alphabet:
-                t = free_reduce(P, w + Word((l,)))
-                k = O.element_key(t)
-                if k not in distance:
-                    distance[k] = d
-                    nxt.append(t)
-        frontier = nxt
 
     classes: dict[tuple, Word] = {}
 

@@ -13,21 +13,23 @@ is the caller's trust boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 import json
 import subprocess
 import threading
 
 from .errors import OracleInvalidError, ParseError
 from .presentation import (
-    EMPTY_WORD,
     FiniteTableModel,
     FreeAbelianModel,
     HLetter,
     RelativePresentation,
     Word,
     XLetter,
+    decode_finite_table,
     decode_word,
     encode_word,
+    expect_json,
     free_reduce,
     letter_count,
 )
@@ -169,10 +171,6 @@ class RelLength:
         if not self.is_exact:
             raise ValueError(f"length is only bounded: [{self.lower}, {self.upper}]")
         return self.lower
-
-
-# search-side Unknown lives in relhyp.filling; re-exported here for callers
-# that only deal with verdicts.
 
 
 def _check_relators(P: RelativePresentation, oracle):
@@ -489,10 +487,32 @@ class FiniteQuotientOracle(NormalFormOracle):
                                 f"model {lam} generator images must commute")
             self._gen_img[lam] = given
 
-        self._subgroups = {lam: self._generated_subgroup(lam)
-                           for lam in sorted(P.models)}
-        self._canonical = self._canonical_words()
-        self._rel_dist, self._rel_witness = self._relative_distances()
+        # canonical words take steps by generator letters, geodesic witnesses
+        # by every single letter; one search per model gives its image
+        # subgroup and a preimage of each element, the first one reached
+        gen_steps = [(self.eval_letter(l), l) for sym in P.x_symbols
+                     for l in (XLetter(sym, 1), XLetter(sym, -1))]
+        letter_steps = list(gen_steps)
+        self._subgroups = {}
+        for lam in sorted(P.models):
+            model, imgs = P.models[lam], self._gen_img[lam]
+            if isinstance(model, FiniteTableModel):
+                steps = [(imgs[e], e) for e in model.generators()]
+            else:
+                steps = [step for g, img in zip(model.generators(), imgs)
+                         for step in ((img, g), (quotient.inverse(img),
+                                                 model.inverse(g)))]
+            reach = self._reach(steps)
+            self._subgroups[lam] = frozenset(reach)
+            gen_steps += [(img, HLetter(lam, e)) for img, e in steps]
+            letter_steps += [
+                (s, HLetter(lam, reduce(model.product, reach[s],
+                                        model.identity())))
+                for s in sorted(reach) if s != quotient.identity_index]
+        self._canonical = {g: free_reduce(P, Word(path))
+                           for g, path in self._reach(gen_steps).items()}
+        self._witness = {g: Word(path)
+                         for g, path in self._reach(letter_steps).items()}
         self.config = config or {"kind": self.kind}
         _check_relators(P, self)
 
@@ -501,6 +521,20 @@ class FiniteQuotientOracle(NormalFormOracle):
             return self.Q.validate(g)
         except ValueError as exc:
             raise OracleInvalidError(f"{what}: {exc}") from None
+
+    def _reach(self, steps) -> dict:
+        """Breadth-first search from the identity of Q over (image, label)
+        steps, each multiplying by its image on the right: every reached
+        element mapped to the label path that reached it first."""
+        paths = {self.Q.identity_index: ()}
+        queue = [self.Q.identity_index]
+        for g in queue:
+            for img, label in steps:
+                t = self.Q.product(g, img)
+                if t not in paths:
+                    paths[t] = paths[g] + (label,)
+                    queue.append(t)
+        return paths
 
     def _pow(self, base: int, k: int) -> int:
         if k < 0:
@@ -535,113 +569,6 @@ class FiniteQuotientOracle(NormalFormOracle):
             out = self.Q.product(out, self.eval_letter(l))
         return out
 
-    def _generator_letters(self):
-        """Single-letter alphabet used for canonical-word search, in a fixed
-        deterministic order."""
-        letters = []
-        for sym in self.P.x_symbols:
-            letters.append(XLetter(sym, 1))
-            letters.append(XLetter(sym, -1))
-        for lam in sorted(self.P.models):
-            model = self.P.models[lam]
-            if isinstance(model, FiniteTableModel):
-                for e in model.generators():
-                    letters.append(HLetter(lam, e))
-            else:
-                for g in model.generators():
-                    letters.append(HLetter(lam, g))
-                    letters.append(HLetter(lam, model.inverse(g)))
-        return letters
-
-    def _canonical_words(self):
-        words: dict[int, Word] = {self.Q.identity_index: EMPTY_WORD}
-        frontier = [self.Q.identity_index]
-        alphabet = self._generator_letters()
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for l in alphabet:
-                    t = self.Q.product(g, self.eval_letter(l))
-                    if t not in words:
-                        words[t] = free_reduce(self.P, words[g] + Word((l,)))
-                        nxt.append(t)
-            frontier = nxt
-        return words
-
-    def _generated_subgroup(self, lam: int) -> frozenset[int]:
-        seen = {self.Q.identity_index}
-        frontier = [self.Q.identity_index]
-        gens = [g for g in self._gen_img[lam]]
-        gens += [self.Q.inverse(g) for g in gens]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    t = self.Q.product(a, g)
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return frozenset(seen)
-
-    def _model_element_for(self, lam: int, target: int):
-        """Shortest model element whose image is target (BFS in the model's
-        generator images), deterministic.  None if unreachable."""
-        model = self.P.models[lam]
-        if isinstance(model, FiniteTableModel):
-            for e in model.generators():
-                if self._gen_img[lam][e] == target:
-                    return e
-            return None
-        seen = {self.Q.identity_index: model.identity()}
-        frontier = [self.Q.identity_index]
-        steps = []
-        for g, img in zip(model.generators(), self._gen_img[lam]):
-            steps.append((g, img))
-            steps.append((model.inverse(g), self.Q.inverse(img)))
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for g, img in steps:
-                    t = self.Q.product(q, img)
-                    if t not in seen:
-                        seen[t] = model.product(seen[q], g)
-                        nxt.append(t)
-            frontier = nxt
-            if target in seen:
-                break
-        return seen.get(target)
-
-    def _relative_distances(self):
-        """BFS where one step multiplies by any single-letter image: distances
-        and geodesic witness words over actual letters."""
-        steps: list[tuple] = []
-        for sym in self.P.x_symbols:
-            for sign in (1, -1):
-                l = XLetter(sym, sign)
-                steps.append((self.eval_letter(l), l))
-        for lam in sorted(self.P.models):
-            for s in sorted(self._subgroups[lam]):
-                if s == self.Q.identity_index:
-                    continue
-                e = self._model_element_for(lam, s)
-                if e is not None:
-                    steps.append((s, HLetter(lam, e)))
-        dist = {self.Q.identity_index: 0}
-        wit = {self.Q.identity_index: EMPTY_WORD}
-        frontier = [self.Q.identity_index]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for img, l in steps:
-                    t = self.Q.product(g, img)
-                    if t not in dist:
-                        dist[t] = dist[g] + 1
-                        wit[t] = wit[g] + Word((l,))
-                        nxt.append(t)
-            frontier = nxt
-        return dist, wit
-
     def normal_form(self, w: Word) -> Word:
         g = self.eval_word(w)
         if g not in self._canonical:
@@ -666,10 +593,10 @@ class FiniteQuotientOracle(NormalFormOracle):
         return min(self.Q.product(g, s) for s in self._subgroups[lam])
 
     def rel_length(self, w: Word) -> RelLength:
-        return RelLength.exact(self._rel_dist[self.eval_word(w)])
+        return RelLength.exact(len(self._witness[self.eval_word(w)]))
 
     def geodesic(self, w: Word, n: int) -> Word:
-        return self._rel_witness[self.eval_word(w)]
+        return self._witness[self.eval_word(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -750,16 +677,21 @@ GroupOracle = NormalFormOracle
 # configuration
 
 
+def _x_images(config: dict) -> dict:
+    return expect_json(config.get("x_images") or {}, dict, "oracle.x_images")
+
+
 def _model_images(config: dict) -> dict:
-    """The document's model_images object keyed by integer labels."""
+    """The document's model_images object: lists keyed by integer labels."""
     out = {}
-    for key, imgs in (config.get("model_images") or {}).items():
+    path = "oracle.model_images"
+    for key, imgs in expect_json(config.get("model_images") or {}, dict,
+                                 path).items():
         try:
             lam = int(key)
         except (TypeError, ValueError):
-            raise ParseError(f"bad model label {key!r}",
-                             "oracle.model_images") from None
-        out[lam] = imgs
+            raise ParseError(f"bad model label {key!r}", path) from None
+        out[lam] = expect_json(imgs, list, f"{path}.{key}")
     return out
 
 
@@ -774,33 +706,20 @@ def build_oracle(P: RelativePresentation, config: dict) -> GroupOracle:
         dim = config.get("dim")
         if not isinstance(dim, int):
             raise ParseError("integer_quotient needs an integer dim", "oracle.dim")
-        x_images = {sym: tuple(v) for sym, v in (config.get("x_images") or {}).items()}
-        model_images = {lam: [tuple(v) for v in imgs]
-                        for lam, imgs in _model_images(config).items()}
+        x_images = {sym: tuple(expect_json(v, list, f"oracle.x_images.{sym}"))
+                    for sym, v in _x_images(config).items()}
+        model_images = {
+            lam: [tuple(expect_json(v, list, f"oracle.model_images.{lam}"))
+                  for v in imgs]
+            for lam, imgs in _model_images(config).items()}
         return IntegerQuotientOracle(P, dim, x_images, model_images, config)
     if kind == "finite_quotient":
-        table = config.get("table")
-        size = config.get("size")
-        if not isinstance(size, int) or not isinstance(table, list):
-            raise ParseError("finite_quotient needs size and table", "oracle")
-        tbl = tuple(tuple(r) for r in table)
-        identity = config.get("identity")
-        from .presentation import _derive_inverses, _find_identity
-        if identity is None:
-            identity = _find_identity(tbl, size, "oracle")
-        inverse = config.get("inverse")
-        if inverse is None:
-            inverse = _derive_inverses(tbl, size, identity, "oracle")
         try:
-            Q = FiniteTableModel(size=size, table=tbl,
-                                 inverse_table=tuple(inverse),
-                                 identity_index=identity)
+            Q = decode_finite_table(config, "oracle")
         except ValueError as exc:
             raise OracleInvalidError(str(exc)) from None
-        model_images = {lam: list(imgs)
-                        for lam, imgs in _model_images(config).items()}
-        return FiniteQuotientOracle(P, Q, config.get("x_images") or {},
-                                    model_images, config)
+        return FiniteQuotientOracle(P, Q, _x_images(config),
+                                    _model_images(config), config)
     if kind == "plugin":
         return PluginOracle(P, config.get("command") or [], config)
     raise ParseError(f"unknown oracle kind {kind!r}", "oracle.kind")

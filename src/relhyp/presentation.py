@@ -129,11 +129,14 @@ class FiniteTableModel:
         n = self.size
         if n < 1 or len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table shape does not match size")
-        if any(not (0 <= v < n) for r in self.table for v in r):
+        if any(not _index_below(v, n) for r in self.table for v in r):
             raise ValueError("table entry out of range")
         e = self.identity_index
-        if not (0 <= e < n):
+        if not _index_below(e, n):
             raise ValueError("identity index out of range")
+        if len(self.inverse_table) != n or \
+                any(not _index_below(v, n) for v in self.inverse_table):
+            raise ValueError(f"inverse table must list {n} element indices")
         for a in range(n):
             if self.table[e][a] != a or self.table[a][e] != a:
                 raise ValueError(f"identity index {e} fails at {a}")
@@ -183,6 +186,10 @@ class FiniteTableModel:
         if isinstance(obj, str) and self.names and obj in self.names:
             return self.names.index(obj)
         raise ParseError(f"bad finite element {obj!r}", path)
+
+
+def _index_below(v, n) -> bool:
+    return isinstance(v, int) and 0 <= v < n
 
 
 def _non_associative_triple(table):
@@ -547,24 +554,7 @@ def _decode_model(obj, path) -> tuple[int, PeripheralModel]:
         if kind == "F_k":
             return label, FreeGroupModel(rank=_expect_int(obj, "rank", path))
         if kind == "finite":
-            size = _expect_int(obj, "size", path)
-            table = obj.get("table")
-            if not isinstance(table, list):
-                raise ParseError("finite model needs a table", path + ".table")
-            tbl = tuple(tuple(row) for row in table)
-            identity = obj.get("identity")
-            if identity is None:
-                identity = _find_identity(tbl, size, path)
-            inv = obj.get("inverse")
-            if inv is None:
-                inv = _derive_inverses(tbl, size, identity, path)
-            names = obj.get("names")
-            return label, FiniteTableModel(
-                size=size, table=tbl, inverse_table=tuple(inv),
-                identity_index=identity,
-                names=tuple(names) if names is not None else None)
-    except ParseError:
-        raise
+            return label, decode_finite_table(obj, path)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), path) from None
     raise ParseError(f"unknown model kind {kind!r} (expected one of {_MODEL_KINDS})",
@@ -578,9 +568,51 @@ def _expect_int(obj, key, path):
     return v
 
 
+def expect_json(value, kind, path):
+    """value, checked to be a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ParseError(f"expected {what}, got {value!r}", path)
+    return value
+
+
+def decode_finite_table(obj: dict, path: str) -> FiniteTableModel:
+    """The finite group of an object with size, table and optional identity,
+    inverse and names; the identity and the inverses are derived from the
+    table when absent.  ParseError on a malformed shape or when none can be
+    derived, ValueError when FiniteTableModel rejects the table."""
+    size = _expect_int(obj, "size", path)
+    table = _int_tuple(obj.get("table"), size, path + ".table", rows=True)
+    if obj.get("identity") is None:
+        identity = _find_identity(table, size, path)
+    else:
+        identity = _expect_int(obj, "identity", path)
+    if obj.get("inverse") is None:
+        inverse = _derive_inverses(table, size, identity, path)
+    else:
+        inverse = _int_tuple(obj["inverse"], size, path + ".inverse")
+    names = obj.get("names")
+    return FiniteTableModel(
+        size=size, table=table, inverse_table=tuple(inverse),
+        identity_index=identity,
+        names=None if names is None
+        else tuple(expect_json(names, list, path + ".names")))
+
+
+def _int_tuple(value, size, path, rows=False) -> tuple:
+    """value as a tuple of size integers, or of size such tuples."""
+    items = expect_json(value, list, path)
+    if len(items) != size:
+        raise ParseError(f"expected {size} entries, got {len(items)}", path)
+    if rows:
+        return tuple(_int_tuple(r, size, f"{path}[{i}]")
+                     for i, r in enumerate(items))
+    if not all(isinstance(v, int) for v in items):
+        raise ParseError("entries must be integers", path)
+    return tuple(items)
+
+
 def _find_identity(table, size, path):
-    if len(table) != size or any(len(r) != size for r in table):
-        raise ParseError("table shape does not match size", path + ".table")
     for e in range(size):
         if tuple(table[e]) == tuple(range(size)) \
                 and all(table[a][e] == a for a in range(size)):
@@ -674,7 +706,8 @@ def parse_document(text: str) -> tuple[RelativePresentation, dict | None]:
     if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
         raise ParseError("x must be a list of strings", "x")
     models: dict[int, PeripheralModel] = {}
-    for i, mobj in enumerate(doc.get("models", [])):
+    for i, mobj in enumerate(expect_json(doc.get("models", []), list,
+                                         "models")):
         label, model = _decode_model(mobj, f"models[{i}]")
         if label in models:
             raise ParseError(f"duplicate model label {label}", f"models[{i}].label")

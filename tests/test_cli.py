@@ -231,6 +231,19 @@ def test_invalid_action_exits_3(docs, capsys, tmp_path):
     assert code == 3 and "invalid action" in err
 
 
+def _quotient_doc(kind, **change):
+    """One free symbol and one model, with an oracle of the given kind."""
+    if kind == "finite_quotient":
+        model = {"label": 1, "kind": "finite", "size": 2,
+                 "table": [[0, 1], [1, 0]]}
+        oracle = {"kind": kind, "size": 2, "table": [[0, 1], [1, 0]]}
+    else:
+        model = {"label": 1, "kind": "Z^d", "rank": 1}
+        oracle = {"kind": kind, "dim": 1}
+    return {"x": ["x"], "models": [model], "relators": [],
+            "oracle": {**oracle, **change}}
+
+
 @pytest.mark.parametrize("change, code, message", [
     ({"model_images": {"1": [0, 7]}}, 3, "model 1 image"),
     ({"x_images": {"x": 1, "z": 1}}, 3, "unknown symbol 'z'"),
@@ -239,12 +252,58 @@ def test_invalid_action_exits_3(docs, capsys, tmp_path):
 ])
 def test_finite_quotient_images_are_validated(capsys, tmp_path, change,
                                               code, message):
-    doc = {"x": ["x"],
-           "models": [{"label": 1, "kind": "finite", "size": 2,
-                       "table": [[0, 1], [1, 0]]}],
-           "relators": [],
-           "oracle": {"kind": "finite_quotient", "size": 2,
-                      "table": [[0, 1], [1, 0]], **change}}
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(_quotient_doc("finite_quotient", **change)))
+    got, out, err = run_cli(capsys, "length", "--input", str(path),
+                            "--loop", "x")
+    assert (got, out) == (code, "") and message in err
+
+
+@pytest.mark.parametrize("kind, change, path", [
+    ("finite_quotient", {"model_images": {"1": 5}}, "oracle.model_images.1"),
+    ("integer_quotient", {"model_images": {"1": 5}}, "oracle.model_images.1"),
+    ("finite_quotient", {"x_images": ["x"]}, "oracle.x_images"),
+    ("integer_quotient", {"x_images": ["x"]}, "oracle.x_images"),
+    ("finite_quotient", {"model_images": [1]}, "oracle.model_images"),
+    ("integer_quotient", {"x_images": {"x": 3}}, "oracle.x_images.x"),
+    ("action", {"x_images": 5}, "action.automorphisms[0].x_images"),
+    ("action", {"sigma": [1]}, "action.automorphisms[0].sigma"),
+    ("document", {"models": 5}, "models"),
+])
+def test_untrusted_json_shapes_exit_2(capsys, tmp_path, kind, change, path):
+    action = f2_stretch_action_doc()
+    if kind == "action":
+        doc = f2_doc()
+        action["automorphisms"][0].update(change)
+    elif kind == "document":
+        doc = {**f2_doc(), **change}
+    else:
+        doc = _quotient_doc(kind, **change)
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    (tmp_path / "action.json").write_text(json.dumps(action))
+    got, out, err = run_cli(capsys, "corridor",
+                            "--input", str(tmp_path / "doc.json"),
+                            "--action", str(tmp_path / "action.json"),
+                            "--loop", "x", "--depth", "1")
+    assert (got, out) == (2, "") and f"{path}: expected" in err
+
+
+BAD_TABLE = {"table": [[0, 1], [1, 5]], "inverse": [0, 1]}
+
+
+@pytest.mark.parametrize("where, change, code, message", [
+    ("oracle", {"table": [1, 2]}, 2, "oracle.table[0]: expected a list"),
+    ("oracle", {"inverse": [0]}, 2, "oracle.inverse: expected 2 entries"),
+    ("model", {"inverse": [0]}, 2, "models[0].inverse: expected 2 entries"),
+    ("oracle", {"table": [[0, 1], [1, "a"]]}, 2,
+     "oracle.table[1]: entries must be integers"),
+    ("oracle", BAD_TABLE, 3, "table entry out of range"),
+    ("model", BAD_TABLE, 2, "models[0]: table entry out of range"),
+])
+def test_finite_tables_decode_cleanly(capsys, tmp_path, where, change, code,
+                                      message):
+    doc = _quotient_doc("finite_quotient")
+    (doc["oracle"] if where == "oracle" else doc["models"][0]).update(change)
     path = tmp_path / "quotient.json"
     path.write_text(json.dumps(doc))
     got, out, err = run_cli(capsys, "length", "--input", str(path),

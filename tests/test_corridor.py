@@ -19,11 +19,6 @@ from relhyp.corridor import (
     check_uniform_flare,
     corridor_cocycle_pairing,
     encode_action,
-    fn_ball,
-    fn_inverse,
-    fn_is_reduced,
-    fn_reduce,
-    fn_sphere,
     identity_automorphism,
     link_inverses,
     parse_action,
@@ -32,7 +27,7 @@ from relhyp.corridor import (
     validate_relaut,
 )
 from relhyp.errors import ParseError
-from relhyp.presentation import Word, free_reduce
+from relhyp.presentation import FreeGroupModel, Word, free_reduce
 from relhyp.presets import (
     f2,
     f2_stretch_action,
@@ -82,25 +77,35 @@ def _commutator(P):
 
 
 def test_basis_word_reduction_and_inversion():
-    assert fn_reduce((1, -1, 2)) == (2,)
-    assert fn_reduce((1, 2, -2, -1)) == ()
-    assert fn_reduce((2, 1, 1)) == (2, 1, 1)
-    assert fn_is_reduced((1, 2, -1))
-    assert not fn_is_reduced((1, -1))
-    assert fn_inverse((1, 2)) == (-2, -1)
-    assert fn_reduce(fn_inverse((1, 2)) + (1, 2)) == ()
+    G = FreeAction(2, ()).group
+    assert G == FreeGroupModel(2)
+    assert G.product((1, -1, 2), ()) == (2,)
+    assert G.product((1, 2, -2, -1), ()) == ()
+    assert G.product((2, 1, 1), ()) == (2, 1, 1)
+    assert G.validate((1, 2, -1)) == (1, 2, -1)
     with pytest.raises(ValueError):
-        fn_reduce((1, 0))
+        G.validate((1, -1))
+    assert G.inverse((1, 2)) == (-2, -1)
+    assert G.product(G.inverse((1, 2)), (1, 2)) == ()
+    with pytest.raises(ValueError):
+        G.product((1, 0), ())
 
 
 def test_sphere_and_ball_enumeration():
-    assert fn_sphere(1, 1) == [(-1,), (1,)]
-    assert fn_sphere(1, 2) == [(-1, -1), (1, 1)]
-    assert len(fn_sphere(2, 1)) == 4
-    assert len(fn_sphere(2, 2)) == 12
-    assert all(fn_is_reduced(a) for a in fn_sphere(2, 3))
-    assert len(fn_ball(2, 2)) == 1 + 4 + 12
-    assert fn_ball(2, 2) == fn_ball(2, 2)
+    def sphere(basis, length):
+        return [a for a in FreeAction(basis, ()).ball(length)
+                if len(a) == length]
+
+    assert sphere(1, 1) == [(-1,), (1,)]
+    assert sphere(1, 2) == [(-1, -1), (1, 1)]
+    assert len(sphere(2, 1)) == 4
+    assert len(sphere(2, 2)) == 12
+    G = FreeGroupModel(2)
+    assert all(G.validate(a) == a for a in sphere(2, 3))
+    ball = FreeAction(2, ()).ball(2)
+    assert len(ball) == 1 + 4 + 12
+    assert ball[:5] == [(), (-2,), (-1,), (1,), (2,)]
+    assert ball == FreeAction(2, ()).ball(2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +240,13 @@ def test_apply_action_composition_randomized():
     assert validate_action(P, O, mixed).ok
     rng = random.Random(7)
     ball = truncated_ball(P, O, 3, 1).vertices
+    G = mixed.group
     for _ in range(40):
-        a = fn_reduce(rng.choices([-2, -1, 1, 2], k=rng.randrange(4)))
-        b = fn_reduce(rng.choices([-2, -1, 1, 2], k=rng.randrange(4)))
+        a = G.product(rng.choices([-2, -1, 1, 2], k=rng.randrange(4)), ())
+        b = G.product(rng.choices([-2, -1, 1, 2], k=rng.randrange(4)), ())
         w = rng.choice(ball)
         assert apply_action(P, mixed, a, apply_action(P, mixed, b, w)) == \
-            apply_action(P, mixed, fn_reduce(a + b), w)
+            apply_action(P, mixed, G.product(a, b), w)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +270,7 @@ def test_corridor_constant_under_inner_conjugation():
 def test_corridor_of_empty_word_is_zero():
     P, O, action = _stretch()
     corridor = build_corridor(P, O, action, Word(()), 2)
-    assert set(corridor.entries) == set(fn_ball(1, 2))
+    assert set(corridor.entries) == set(action.ball(2))
     assert all(L.value == 0 for L in corridor.entries.values())
 
 
@@ -279,11 +285,12 @@ def test_corridor_translates_along_the_action():
     P, O, action = _stretch()
     g = xw("x", "y", "x")
     wide = build_corridor(P, O, action, g, 3)
-    for b in fn_ball(1, 2):
+    G = action.group
+    for b in action.ball(2):
         shifted = build_corridor(P, O, action, apply_action(P, action, b, g), 1)
-        for a in fn_ball(1, 1):
+        for a in action.ball(1):
             assert shifted.entries[a].value == \
-                wide.entries[fn_reduce(fn_inverse(b) + a)].value
+                wide.entries[G.product(G.inverse(b), a)].value
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +448,11 @@ def test_pairing_randomized_batch():
     P, O, action = _stretch()
     rng = random.Random(11)
     ball = truncated_ball(P, O, 4, 1).vertices
+    G = action.group
     for _ in range(25):
         g = rng.choice(ball)
-        u = fn_reduce(rng.choices([-1, 1], k=rng.randrange(4)))
-        v = fn_reduce(rng.choices([-1, 1], k=rng.randrange(4)))
+        u = G.product(rng.choices([-1, 1], k=rng.randrange(4)), ())
+        v = G.product(rng.choices([-1, 1], k=rng.randrange(4)), ())
         report = corridor_cocycle_pairing(P, O, action, g, u, v)
         assert report.equal and report.lhs == report.rhs
 

@@ -243,6 +243,70 @@ def test_finite_quotient_rejects_non_vanishing_relator():
                              "table": z3, "x_images": {"x": 1}})
 
 
+def _w(*tokens):
+    """Word from "x" / "x-" tokens and (label, element) pairs."""
+    return Word(tuple(
+        XLetter(t.rstrip("-"), -1 if t.endswith("-") else 1)
+        if isinstance(t, str) else HLetter(*t) for t in tokens))
+
+
+# S_3 on the sorted permutations of (0, 1, 2): 0 the identity, 2 = (0 1),
+# 3 and 4 the 3-cycles; x maps to (0 1) and y dies
+S3_QUOTIENT_DOC = {
+    "x": ["x", "y"],
+    "models": [{"label": 1, "kind": "Z^d", "rank": 1},
+               {"label": 2, "kind": "F_k", "rank": 2},
+               {"label": 3, "kind": "finite", "size": 2,
+                "table": [[0, 1], [1, 0]]}],
+    "relators": [[{"x": "x", "sign": 1}] * 2,
+                 [{"h": {"lambda": 1, "elem": 3}}]],
+    "oracle": {"kind": "finite_quotient", "size": 6,
+               "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3],
+                         [2, 3, 0, 1, 5, 4], [3, 2, 5, 4, 0, 1],
+                         [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
+               "x_images": {"x": 2},
+               "model_images": {"1": [3], "2": [2, 2], "3": [0, 2]}},
+}
+
+# word, normal form, relative length, geodesic, coset keys and peripheral
+# membership for labels 1, 2, 3
+S3_QUOTIENT_ANSWERS = [
+    (_w(), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
+    (_w("x"), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
+    (_w("y"), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
+    (_w("y", "y"), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
+    (_w("x", "y"), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
+    (_w("y", "x", "y-"), _w("x"), 1, _w("x"), (1, 0, 0),
+     (False, True, True)),
+    (_w((1, (1,))), _w((1, (1,))), 1, _w((1, (1,))), (0, 3, 3),
+     (True, False, False)),
+    (_w((1, (2,)), "x"), _w("x", (1, (1,))), 2, _w("x", (1, (1,))),
+     (1, 1, 1), (False, False, False)),
+    (_w((2, (1,))), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
+    (_w((2, (-2, 1))), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
+    (_w((2, (1, 2)), "y"), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
+    (_w((3, 1)), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
+    (_w((3, 1), "y"), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
+    (_w("x-", (3, 1), "x"), _w("x"), 1, _w("x"), (1, 0, 0),
+     (False, True, True)),
+    (_w("y", (2, (2,)), (1, (-1,))), _w("x", (1, (-1,))), 2,
+     _w("x", (1, (-1,))), (1, 3, 3), (False, False, False)),
+    (_w((1, (1,)), (2, (1,)), (3, 1), "x"), _w("x", (1, (-1,))), 2,
+     _w("x", (1, (-1,))), (1, 3, 3), (False, False, False)),
+]
+
+
+def test_finite_quotient_answers_with_every_model_kind():
+    P, cfg = parse_document(json.dumps(S3_QUOTIENT_DOC))
+    O = ora.build_oracle(P, cfg)
+    for w, nf, length, geo, cosets, inside in S3_QUOTIENT_ANSWERS:
+        assert O.normal_form(w) == nf
+        assert O.rel_length(w).value == length
+        assert O.geodesic(w, length) == geo
+        assert tuple(O.coset_key(w, lam) for lam in (1, 2, 3)) == cosets
+        assert tuple(O.in_peripheral(w, lam) for lam in (1, 2, 3)) == inside
+
+
 # ---------------------------------------------------------------------------
 # configuration dispatch
 

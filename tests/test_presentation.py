@@ -141,6 +141,22 @@ def test_finite_table_validation_catches_bad_table():
                          inverse_table=(0, 1), identity_index=0)
 
 
+def test_finite_table_rejects_malformed_data():
+    z2 = ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="inverse table"):
+        FiniteTableModel(size=2, table=z2, inverse_table=(0,),
+                         identity_index=0)
+    with pytest.raises(ValueError, match="inverse table"):
+        FiniteTableModel(size=2, table=z2, inverse_table=(0, "a"),
+                         identity_index=0)
+    with pytest.raises(ValueError, match="table entry"):
+        FiniteTableModel(size=2, table=((0, 1), (1, "a")),
+                         inverse_table=(0, 1), identity_index=0)
+    with pytest.raises(ValueError, match="identity index"):
+        FiniteTableModel(size=2, table=z2, inverse_table=(0, 1),
+                         identity_index="0")
+
+
 def test_finite_table_associativity_is_exact_on_large_tables():
     def cyclic(n):
         return [[(a + b) % n for b in range(n)] for a in range(n)]
