@@ -192,10 +192,6 @@ def _bool(v) -> str:
     return "true" if v else "false"
 
 
-def _fn_word(a) -> list:
-    return list(a)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -300,13 +296,13 @@ def _cmd_flare(args) -> str:
         "sample_size": report.sample_size,
         "exact": not report.indeterminate,
         "violations": [
-            {"g": encode_word(P, g), "w": _fn_word(w), "u": _fn_word(u),
-             "v": _fn_word(v), "lengths": list(lens)}
+            {"g": encode_word(P, g), "w": list(w), "u": list(u),
+             "v": list(v), "lengths": list(lens)}
             for g, w, u, v, lens in report.violations],
         "indeterminate": [
-            {"g": encode_word(P, g), "w": _fn_word(w),
-             "u": None if u is None else _fn_word(u),
-             "v": None if v is None else _fn_word(v)}
+            {"g": encode_word(P, g), "w": list(w),
+             "u": None if u is None else list(u),
+             "v": None if v is None else list(v)}
             for g, w, u, v in report.indeterminate],
     })
 
@@ -321,7 +317,7 @@ def _cmd_corridor(args) -> str:
         "depth": corridor.N,
         "exact": corridor.all_exact,
         "entries": [
-            {"a": _fn_word(a), "lower": L.lower, "upper": L.upper,
+            {"a": list(a), "lower": L.lower, "upper": L.upper,
              "exact": L.is_exact}
             for a, L in corridor.entries.items()],
     })

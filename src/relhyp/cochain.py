@@ -8,13 +8,16 @@ edges, one 2-cell orbit per relator, and multiplication 2-cells for finite
 peripheral factors.  A Window materializes the finite fragment of this
 complex over a truncated ball and records which 2-cells have their entire
 boundary inside the fragment; linear programs and path searches only ever
-constrain those interior cells.
+constrain those interior cells.  Every cell takes its boundary from one
+rule, applied to the window's cells and then to the rim edges that its
+faces reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -113,13 +116,19 @@ class Window:
     rho: int
     cells: dict = field(compare=False)      # dim -> tuple of CellId, sorted
     boundary: dict = field(compare=False)   # CellId -> ((CellId, sign), ...)
-    interior: frozenset = field(compare=False)
     coset_reps: dict = field(compare=False)  # lam -> {coset key -> Word}
     home: Word = field(compare=False, default=None)
 
-    @property
+    @cached_property
     def cell_set(self) -> frozenset:
         return frozenset(c for cs in self.cells.values() for c in cs)
+
+    @cached_property
+    def interior(self) -> frozenset:
+        """The 2-cells whose whole boundary lies in the window."""
+        cset = self.cell_set
+        return frozenset(f for f in self.cells_of_dim(2)
+                         if all(c in cset for c, _ in self.boundary[f]))
 
     def cells_of_dim(self, dim: int) -> tuple:
         return self.cells.get(dim, ())
@@ -130,8 +139,7 @@ class Window:
                      if c in self.interior and c.kind == RELATOR_FACE)
 
     def coset_rep(self, lam: int, g: Word) -> Word:
-        key = self.O.coset_key(g, lam)
-        return self.coset_reps[lam].get(key, self.O.normal_form(g))
+        return _coset_rep(self.O, self.coset_reps, lam, g)
 
     def boundary_l1_bound(self) -> int:
         """Finite bound on the l1 norm of any 2-cell boundary: free letters
@@ -142,33 +150,36 @@ class Window:
         return max(per_rel + finite)
 
 
-def _trace_relator(P: RelativePresentation, O, rep_of, r_idx: int, g: Word):
-    """Signed boundary 1-chain of the relator 2-cell at translate g."""
+def _coset_rep(O, reps: dict, lam: int, g: Word) -> Word:
+    """The chosen representative of the coset g H_lam, else g's normal form."""
+    rep = reps[lam].get(O.coset_key(g, lam))
+    return O.normal_form(g) if rep is None else rep
+
+
+def _signed(terms) -> tuple:
+    """(cell, sign) terms as a boundary chain: summed, zeros dropped, sorted."""
     coeffs: dict[CellId, int] = {}
-
-    def add(cell, s):
+    for cell, s in terms:
         coeffs[cell] = coeffs.get(cell, 0) + s
-        if coeffs[cell] == 0:
-            del coeffs[cell]
+    return tuple(sorted(((c, s) for c, s in coeffs.items() if s),
+                        key=lambda kv: kv[0].sort_key()))
 
+
+def _trace_relator(P: RelativePresentation, O, reps, r_idx: int, g: Word):
+    """Signed boundary 1-chain of the relator 2-cell at translate g."""
+    terms = []
     cur = g
     for l in P.relators[r_idx]:
+        nxt = O.normal_form(cur + Word((l,)))
         if isinstance(l, XLetter):
-            if l.sign > 0:
-                add(gen_edge(l.sym, cur), +1)
-                cur = O.normal_form(cur + Word((l,)))
-            else:
-                nxt = O.normal_form(cur + Word((l,)))
-                add(gen_edge(l.sym, nxt), -1)
-                cur = nxt
+            terms.append((gen_edge(l.sym, cur if l.sign > 0 else nxt), l.sign))
         else:
-            nxt = O.normal_form(cur + Word((l,)))
-            rep = rep_of(l.lam, cur)
-            add(coset_edge(l.lam, cur), +1)
-            add(peripheral_edge(l.lam, rep, l.elem), +1)
-            add(coset_edge(l.lam, nxt), -1)
-            cur = nxt
-    return tuple(sorted(coeffs.items(), key=lambda kv: kv[0].sort_key()))
+            rep = _coset_rep(O, reps, l.lam, cur)
+            terms += [(coset_edge(l.lam, cur), +1),
+                      (peripheral_edge(l.lam, rep, l.elem), +1),
+                      (coset_edge(l.lam, nxt), -1)]
+        cur = nxt
+    return _signed(terms)
 
 
 def build_window(P: RelativePresentation, O, radius: int, rho: int,
@@ -178,6 +189,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     ball = truncated_ball(P, O, radius, rho, max_vertices=max_vertices)
     V = list(ball.vertices)
     home = V[0]
+    labels = sorted(P.models)
 
     bases: dict[Word, None] = dict.fromkeys(V)
     for g in V:
@@ -186,102 +198,73 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     base_list = list(bases)
 
     reps: dict[int, dict] = {}
-    for lam in sorted(P.models):
+    for lam in labels:
         groups: dict = {}
         for g in base_list:
             groups.setdefault(O.coset_key(g, lam), []).append(g)
         reps[lam] = {key: min(ws, key=Word.sort_key)
                      for key, ws in groups.items()}
 
-    def rep_of(lam, g):
-        return reps[lam].get(O.coset_key(g, lam), O.normal_form(g))
+    def boundary_of(c: CellId) -> tuple:
+        g = c.translate
+        if c.kind == GEN_EDGE:
+            t = O.normal_form(g + Word((XLetter(c.data[0], 1),)))
+            return ((base_vertex(t), +1), (base_vertex(g), -1))
+        if c.kind == COSET_EDGE:
+            lam = c.data[0]
+            return ((coset_vertex(lam, _coset_rep(O, reps, lam, g)), +1),
+                    (base_vertex(g), -1))
+        if c.kind == RELATOR_FACE:
+            return _trace_relator(P, O, reps, c.data[0], g)
+        if c.kind == PERIPHERAL_FACE:
+            lam, a, b = c.data
+            model = P.models[lam]
+            terms = [(peripheral_edge(lam, g, a), +1),
+                     (peripheral_edge(lam, g, b), +1)]
+            ab = model.product(a, b)
+            if not model.is_identity(ab):
+                terms.append((peripheral_edge(lam, g, ab), -1))
+            return _signed(terms)
+        return ()
 
+    seen_cosets = {lam: sorted({_coset_rep(O, reps, lam, g) for g in V},
+                               key=Word.sort_key) for lam in labels}
     zero = [base_vertex(g) for g in base_list]
-    seen_cosets: dict[int, list] = {}
-    for lam in sorted(P.models):
-        vals = sorted({rep_of(lam, g) for g in V}, key=Word.sort_key)
-        seen_cosets[lam] = vals
-        zero += [coset_vertex(lam, rep) for rep in vals]
+    zero += [coset_vertex(lam, rep) for lam in labels
+             for rep in seen_cosets[lam]]
 
     one: list[CellId] = []
-    boundary: dict[CellId, tuple] = {}
     for g in V:
-        for sym in P.x_symbols:
-            e = gen_edge(sym, g)
-            t = O.normal_form(g + Word((XLetter(sym, 1),)))
-            one.append(e)
-            boundary[e] = ((base_vertex(t), +1), (base_vertex(g), -1))
-        for lam in sorted(P.models):
-            e = coset_edge(lam, g)
-            one.append(e)
-            boundary[e] = ((coset_vertex(lam, rep_of(lam, g)), +1),
-                           (base_vertex(g), -1))
-    for lam in sorted(P.models):
-        model = P.models[lam]
-        for rep in seen_cosets[lam]:
-            for h in model.elements_up_to(rho):
-                e = peripheral_edge(lam, rep, h)
-                one.append(e)
-                boundary[e] = ()
+        one += [gen_edge(sym, g) for sym in P.x_symbols]
+        one += [coset_edge(lam, g) for lam in labels]
+    for lam in labels:
+        elems = list(P.models[lam].elements_up_to(rho))
+        one += [peripheral_edge(lam, rep, h)
+                for rep in seen_cosets[lam] for h in elems]
 
-    two: list[CellId] = []
-    for g in V:
-        for r_idx in range(len(P.relators)):
-            f = relator_face(r_idx, g)
-            two.append(f)
-            boundary[f] = _trace_relator(P, O, rep_of, r_idx, g)
-    for lam in sorted(P.models):
-        model = P.models[lam]
-        if not isinstance(model, FiniteTableModel):
-            continue
-        elems = [e for e in range(model.size) if not model.is_identity(e)]
-        for rep in seen_cosets[lam]:
-            for a in elems:
-                for b in elems:
-                    f = peripheral_face(lam, rep, a, b)
-                    coeffs: dict[CellId, int] = {}
-                    for cell, s in ((peripheral_edge(lam, rep, a), +1),
-                                    (peripheral_edge(lam, rep, b), +1)):
-                        coeffs[cell] = coeffs.get(cell, 0) + s
-                    ab = model.product(a, b)
-                    if not model.is_identity(ab):
-                        cell = peripheral_edge(lam, rep, ab)
-                        coeffs[cell] = coeffs.get(cell, 0) - 1
-                    two.append(f)
-                    boundary[f] = tuple(sorted(
-                        ((c, s) for c, s in coeffs.items() if s != 0),
-                        key=lambda kv: kv[0].sort_key()))
+    two = [relator_face(r_idx, g)
+           for g in V for r_idx in range(len(P.relators))]
+    for lam in labels:
+        if isinstance(P.models[lam], FiniteTableModel):
+            elems = P.models[lam].generators()
+            two += [peripheral_face(lam, rep, a, b)
+                    for rep in seen_cosets[lam] for a in elems for b in elems]
 
+    boundary = {c: boundary_of(c) for c in one + two}
     # faces on the rim reference edges past the window; give those edges
     # their boundaries too so that dd = 0 holds on every face
     for f in two:
         for e, _ in boundary[f]:
-            if e in boundary:
-                continue
-            if e.kind == GEN_EDGE:
-                t = O.normal_form(e.translate + Word((XLetter(e.data[0], 1),)))
-                boundary[e] = ((base_vertex(t), +1),
-                               (base_vertex(e.translate), -1))
-            elif e.kind == COSET_EDGE:
-                boundary[e] = ((coset_vertex(e.data[0],
-                                             rep_of(e.data[0], e.translate)),
-                                +1),
-                               (base_vertex(e.translate), -1))
-            else:
-                boundary[e] = ()
+            if e not in boundary:
+                boundary[e] = boundary_of(e)
 
     cells = {
         0: tuple(sorted(set(zero), key=CellId.sort_key)),
         1: tuple(sorted(set(one), key=CellId.sort_key)),
         2: tuple(sorted(set(two), key=CellId.sort_key)),
     }
-    cell_set = frozenset(c for cs in cells.values() for c in cs)
-    interior = frozenset(
-        f for f in cells[2]
-        if all(c in cell_set for c, _ in boundary[f]))
     return Window(P=P, O=O, radius=radius, rho=rho, cells=cells,
-                  boundary=boundary, interior=interior, coset_reps=reps,
-                  home=home)
+                  boundary=boundary, coset_reps=reps, home=home)
 
 
 def window_to_json(W: Window) -> dict:
@@ -372,17 +355,12 @@ def coboundary(W: Window, c: Cochain) -> Cochain:
     if c.dim == 0:
         targets = W.cells_of_dim(1)
     elif c.dim == 1:
-        targets = tuple(f for f in W.cells_of_dim(2) if f in W.interior)
+        targets = [f for f in W.cells_of_dim(2) if f in W.interior]
     else:
         return Cochain(c.dim + 1, {})
-    cset = W.cell_set
+    # by construction every boundary cell of these targets is in the window
     for e in targets:
-        val = 0
-        for b, s in W.boundary.get(e, ()):
-            if b not in cset:
-                val = None
-                break
-            val += s * c.get(b)
+        val = sum(s * c.get(b) for b, s in W.boundary[e])
         if val:
             out[e] = val
     return Cochain(c.dim + 1, out)
@@ -613,11 +591,10 @@ def path_gain(W: Window, path, m: Cochain, z: Cochain, C):
     length.  `path` is a sequence of (1-cell, +-1) steps."""
     total_m = 0
     total_len = 0
-    cset = W.cell_set
     for cell, sign in path:
         if cell.dim != 1:
             raise ValueError("paths are made of 1-cells")
-        if cell not in cset:
+        if cell not in W.cell_set:
             raise ValueError(f"path leaves the window at {cell}")
         total_m += sign * m.get(cell)
         total_len += rel_weight(cell)

@@ -20,7 +20,6 @@ from .errors import GeodesicNotFoundError, ParseError
 from .presentation import (
     EMPTY_WORD,
     FiniteTableModel,
-    FreeAbelianModel,
     FreeGroupModel,
     HLetter,
     RelativePresentation,
@@ -31,6 +30,7 @@ from .presentation import (
     exact_number,
     expect_json,
     free_reduce,
+    int_label,
 )
 
 
@@ -66,29 +66,6 @@ def identity_automorphism(P: RelativePresentation) -> RelAutomorphism:
     return alpha
 
 
-def _map_element(P: RelativePresentation, alpha: RelAutomorphism,
-                 lam: int, h):
-    """Image of a peripheral element under the model isomorphism."""
-    src = P.models[lam]
-    dst = P.models[alpha.sigma[lam]]
-    images = alpha.peripheral_maps[lam]
-    if isinstance(src, FreeAbelianModel):
-        acc = dst.identity()
-        for c, img in zip(h, images):
-            if c:
-                acc = dst.product(acc, tuple(c * x for x in img))
-        return acc
-    if isinstance(src, FiniteTableModel):
-        if src.is_identity(h):
-            return dst.identity()
-        return images[src.generators().index(h)]
-    acc = dst.identity()
-    for i in h:
-        img = images[abs(i) - 1]
-        acc = dst.product(acc, img if i > 0 else dst.inverse(img))
-    return acc
-
-
 def apply_automorphism(P: RelativePresentation, alpha: RelAutomorphism,
                        w: Word) -> Word:
     out: list = []
@@ -98,7 +75,8 @@ def apply_automorphism(P: RelativePresentation, alpha: RelAutomorphism,
             out.extend(img if l.sign > 0 else P.inverse_word(img))
         else:
             target = alpha.sigma[l.lam]
-            elem = _map_element(P, alpha, l.lam, l.elem)
+            elem = P.models[l.lam].image(l.elem, alpha.peripheral_maps[l.lam],
+                                         P.models[target])
             g = alpha.conjugators.get(l.lam, EMPTY_WORD)
             out.extend(P.inverse_word(g))
             if not P.models[target].is_identity(elem):
@@ -177,10 +155,11 @@ def validate_relaut(P: RelativePresentation, O,
 
     for lam in sorted(P.models):
         g = alpha.conjugators.get(lam, EMPTY_WORD)
-        for h in P.models[lam].generators():
+        src, dst = P.models[lam], P.models[alpha.sigma[lam]]
+        for h in src.generators():
             got = apply_automorphism(P, alpha, Word((HLetter(lam, h),)))
-            elem = _map_element(P, alpha, lam, h)
-            middle = Word(()) if P.models[alpha.sigma[lam]].is_identity(elem) \
+            elem = src.image(h, alpha.peripheral_maps[lam], dst)
+            middle = Word(()) if dst.is_identity(elem) \
                 else Word((HLetter(alpha.sigma[lam], elem),))
             want = free_reduce(P, P.inverse_word(g) + middle + g)
             if not O.equal(got, want):
@@ -446,15 +425,14 @@ def _decode_automorphism(P: RelativePresentation, doc, path: str,
     sigma = {}
     for key, val in expect_json(doc.get("sigma", {}), dict,
                                 f"{path}.sigma").items():
-        try:
-            sigma[int(key)] = int(val)
-        except (TypeError, ValueError):
+        if not isinstance(val, int):
             raise ParseError(f"bad sigma entry {key!r}: {val!r}",
-                             f"{path}.sigma") from None
+                             f"{path}.sigma")
+        sigma[int_label(key, f"{path}.sigma")] = val
     maps = {}
     for key, val in expect_json(doc.get("peripheral_maps", {}), dict,
                                 f"{path}.peripheral_maps").items():
-        lam = int(key)
+        lam = int_label(key, f"{path}.peripheral_maps")
         if lam not in P.models:
             raise ParseError(f"unknown factor {lam}",
                              f"{path}.peripheral_maps")
@@ -469,8 +447,8 @@ def _decode_automorphism(P: RelativePresentation, doc, path: str,
     conjugators = {}
     for key, obj in expect_json(doc.get("conjugators", {}), dict,
                                 f"{path}.conjugators").items():
-        conjugators[int(key)] = decode_word(P, obj,
-                                            f"{path}.conjugators.{key}")
+        conjugators[int_label(key, f"{path}.conjugators")] = decode_word(
+            P, obj, f"{path}.conjugators.{key}")
     alpha = RelAutomorphism(x_images=x_images, sigma=sigma,
                             peripheral_maps=maps, conjugators=conjugators)
     if "inverse" in doc and doc["inverse"] is not None:

@@ -30,6 +30,7 @@ from .presentation import (
     RelativePresentation,
     Word,
     XLetter,
+    combinable,
     exact_number,
     free_reduce,
     letter_count,
@@ -428,15 +429,6 @@ class DehnProfile:
         return all(e.exact for e in self.entries.values())
 
 
-def _combinable(a, b) -> bool:
-    """Whether two adjacent letters would merge or cancel under reduction."""
-    if isinstance(a, XLetter) and isinstance(b, XLetter):
-        return a.sym == b.sym and a.sign == -b.sign
-    if isinstance(a, HLetter) and isinstance(b, HLetter):
-        return a.lam == b.lam
-    return False
-
-
 def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
     """Distinct reduced-loop classes (up to rotation and inversion) of
     relative length <= n_max at the basepoint, via distance-pruned DFS."""
@@ -463,7 +455,7 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
     def dfs(path: list, elem, key):
         depth = len(path)
         if depth and key == home and \
-                (depth == 1 or not _combinable(path[-1], path[0])):
+                (depth == 1 or not combinable(path[-1], path[0])):
             ck, letters = canon(Word(tuple(path)))
             if ck not in classes:
                 classes[ck] = Word(letters)
@@ -471,7 +463,7 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
             return
         remaining = n_max - depth
         for l in alphabet:
-            if path and _combinable(path[-1], l):
+            if path and combinable(path[-1], l):
                 continue
             nxt = free_reduce(P, elem + Word((l,)))
             t = O.element_key(nxt)

@@ -31,6 +31,7 @@ from .presentation import (
     encode_word,
     expect_json,
     free_reduce,
+    int_label,
     letter_count,
 )
 
@@ -457,7 +458,7 @@ class FiniteQuotientOracle(NormalFormOracle):
         self._x_img = {sym: self._element(
             x_images.get(sym, quotient.identity_index), f"x image {sym!r}")
             for sym in P.x_symbols}
-        self._gen_img: dict[int, list[int]] = {}
+        self._gen_img: dict[int, list[int]] = {}   # lam -> image per generator
         for lam in sorted(P.models):
             model = P.models[lam]
             finite = isinstance(model, FiniteTableModel)
@@ -478,6 +479,7 @@ class FiniteQuotientOracle(NormalFormOracle):
                             raise OracleInvalidError(
                                 f"model {lam} images are not a homomorphism "
                                 f"at ({a}, {b})")
+                given = [given[g] for g in model.generators()]
             elif isinstance(model, FreeAbelianModel):
                 for i in range(count):
                     for j in range(i + 1, count):
@@ -496,10 +498,11 @@ class FiniteQuotientOracle(NormalFormOracle):
         self._subgroups = {}
         for lam in sorted(P.models):
             model, imgs = P.models[lam], self._gen_img[lam]
+            pairs = zip(model.generators(), imgs)
             if isinstance(model, FiniteTableModel):
-                steps = [(imgs[e], e) for e in model.generators()]
+                steps = [(img, g) for g, img in pairs]
             else:
-                steps = [step for g, img in zip(model.generators(), imgs)
+                steps = [step for g, img in pairs
                          for step in ((img, g), (quotient.inverse(img),
                                                  model.inverse(g)))]
             reach = self._reach(steps)
@@ -536,32 +539,12 @@ class FiniteQuotientOracle(NormalFormOracle):
                     queue.append(t)
         return paths
 
-    def _pow(self, base: int, k: int) -> int:
-        if k < 0:
-            base, k = self.Q.inverse(base), -k
-        out = self.Q.identity_index
-        for _ in range(k):
-            out = self.Q.product(out, base)
-        return out
-
     def eval_letter(self, l) -> int:
         if isinstance(l, XLetter):
             img = self._x_img[l.sym]
             return img if l.sign > 0 else self.Q.inverse(img)
-        model = self.P.models[l.lam]
-        imgs = self._gen_img[l.lam]
-        if isinstance(model, FiniteTableModel):
-            return imgs[l.elem]
-        if isinstance(model, FreeAbelianModel):
-            out = self.Q.identity_index
-            for i, k in enumerate(l.elem):
-                out = self.Q.product(out, self._pow(imgs[i], k))
-            return out
-        out = self.Q.identity_index
-        for t in l.elem:
-            g = imgs[abs(t) - 1]
-            out = self.Q.product(out, g if t > 0 else self.Q.inverse(g))
-        return out
+        return self.P.models[l.lam].image(l.elem, self._gen_img[l.lam],
+                                          self.Q)
 
     def eval_word(self, w: Word) -> int:
         out = self.Q.identity_index
@@ -670,9 +653,6 @@ class PluginOracle(NormalFormOracle):
         return nf
 
 
-GroupOracle = NormalFormOracle
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -687,15 +667,11 @@ def _model_images(config: dict) -> dict:
     path = "oracle.model_images"
     for key, imgs in expect_json(config.get("model_images") or {}, dict,
                                  path).items():
-        try:
-            lam = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"bad model label {key!r}", path) from None
-        out[lam] = expect_json(imgs, list, f"{path}.{key}")
+        out[int_label(key, path)] = expect_json(imgs, list, f"{path}.{key}")
     return out
 
 
-def build_oracle(P: RelativePresentation, config: dict) -> GroupOracle:
+def build_oracle(P: RelativePresentation, config: dict) -> NormalFormOracle:
     """Construct an oracle from the JSON 'oracle' object of a document."""
     if not isinstance(config, dict):
         raise ParseError("oracle must be an object", "oracle")
@@ -726,7 +702,7 @@ def build_oracle(P: RelativePresentation, config: dict) -> GroupOracle:
 
 
 def budgeted_word_problem(P: RelativePresentation, w: Word, max_area: int,
-                          max_len: int, oracle: GroupOracle | None = None,
+                          max_len: int, oracle: NormalFormOracle | None = None,
                           max_states: int | None = None):
     """Semi-decide triviality within an area and length budget.
 

@@ -83,6 +83,18 @@ class FreeAbelianModel:
             out.append(tuple(v))
         return out
 
+    def image(self, e, images, target):
+        # powers by repeated squaring: a large exponent costs O(log k)
+        out = target.identity()
+        for k, g in zip(e, images):
+            if k < 0:
+                g, k = target.inverse(g), -k
+            while k:
+                if k & 1:
+                    out = target.product(out, g)
+                g, k = target.product(g, g), k >> 1
+        return out
+
     def elements_up_to(self, bound: int):
         """Nonidentity elements of generator length <= bound, deterministic order."""
 
@@ -173,6 +185,11 @@ class FiniteTableModel:
     def generators(self):
         return [a for a in range(self.size) if a != self.identity_index]
 
+    def image(self, e, images, target):
+        if e == self.identity_index:
+            return target.identity()
+        return images[e - (e > self.identity_index)]
+
     def elements_up_to(self, bound: int):
         if bound >= 1:
             yield from self.generators()
@@ -257,6 +274,13 @@ class FreeGroupModel:
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)]
 
+    def image(self, e, images, target):
+        out = target.identity()
+        for t in e:
+            g = images[abs(t) - 1]
+            out = target.product(out, g if t > 0 else target.inverse(g))
+        return out
+
     def elements_up_to(self, bound: int):
         """Reduced words of length 1..bound, shortest first then lexicographic."""
         alphabet = sorted(
@@ -286,6 +310,10 @@ class FreeGroupModel:
         raise ParseError(f"bad F_{self.rank} element {obj!r}", path)
 
 
+# Every model answers identity, product, inverse and generators, and
+# image(e, images, target) evaluates the homomorphism that sends its i-th
+# generator to images[i] in target, any group with identity, product and
+# inverse: another model or a finite quotient table.
 PeripheralModel = Union[FreeAbelianModel, FiniteTableModel, FreeGroupModel]
 
 
@@ -518,20 +546,19 @@ def free_reduce(P: RelativePresentation, w: Word, _trace: list | None = None) ->
     return Word(tuple(stack))
 
 
+def combinable(a: Letter, b: Letter) -> bool:
+    """Whether adjacent letters a b would cancel or merge under free_reduce
+    (which keeps its own inline copy of this test on its hot path)."""
+    if isinstance(a, XLetter):
+        return isinstance(b, XLetter) and a.sym == b.sym and a.sign == -b.sign
+    return isinstance(b, HLetter) and a.lam == b.lam
+
+
 def cyclically_reduce(P: RelativePresentation, w: Word) -> Word:
     """Freely reduce, then fold combinable first/last letters around the seam."""
     w = free_reduce(P, w)
-    while len(w) >= 2:
-        first, last = w.letters[0], w.letters[-1]
-        foldable = (
-            (isinstance(first, XLetter) and isinstance(last, XLetter)
-             and first.sym == last.sym and first.sign == -last.sign)
-            or (isinstance(first, HLetter) and isinstance(last, HLetter)
-                and first.lam == last.lam)
-        )
-        if not foldable:
-            break
-        w = free_reduce(P, Word((last,) + w.letters[:-1]))
+    while len(w) >= 2 and combinable(w.letters[-1], w.letters[0]):
+        w = free_reduce(P, Word((w.letters[-1],) + w.letters[:-1]))
     return w
 
 
@@ -574,6 +601,14 @@ def expect_json(value, kind, path):
         what = "an object" if kind is dict else "a list"
         raise ParseError(f"expected {what}, got {value!r}", path)
     return value
+
+
+def int_label(key, path) -> int:
+    """A JSON object key naming an integer model label, as an int."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise ParseError(f"bad model label {key!r}", path) from None
 
 
 def decode_finite_table(obj: dict, path: str) -> FiniteTableModel:

@@ -2,6 +2,10 @@
 grammar, exit codes, and byte-determinism of artifacts."""
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -339,6 +343,16 @@ def test_version_flag(capsys):
     assert "relhyp" in capsys.readouterr().out
 
 
+def test_module_entry_point_runs_without_warnings():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    got = subprocess.run([sys.executable, "-m", "relhyp.cli", "--version"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (got.returncode, got.stdout, got.stderr) == (0, "relhyp 0.1.0\n",
+                                                        "")
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -378,3 +392,4 @@ def test_output_file_matches_stdout(docs, capsys, tmp_path):
                           "--loop", "h1^2 h2^2", "--output", str(target))
     assert code == code2 == 0
     assert target.read_text() == out
+

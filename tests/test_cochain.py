@@ -46,7 +46,8 @@ from relhyp.cochain import (
 )
 from relhyp.errors import LpSolverError
 from relhyp.presentation import EMPTY_WORD, Word
-from relhyp.presets import f2, hz, x_squared, z_example, zmod2_star
+from relhyp.presets import (
+    f2, free_product_zz, hz, x_squared, z_example, zmod2_star)
 
 
 def _strip_m(W, O):
@@ -106,6 +107,18 @@ def test_boundary_of_boundary_vanishes_everywhere():
         P, O = build()
         W = build_window(P, O, radius=2, rho=1)
         _check_dd_zero(W)
+
+
+@pytest.mark.parametrize("build", [z_example, x_squared, free_product_zz,
+                                   f2, zmod2_star])
+def test_window_edges_and_interior_faces_stay_in_the_window(build):
+    """coboundary evaluates every window 1-cell and every interior face
+    without a membership test; this is the invariant it relies on."""
+    P, O = build()
+    for rho in range(3):
+        W = build_window(P, O, radius=2, rho=rho)
+        for c in W.cells_of_dim(1) + tuple(W.interior):
+            assert all(b in W.cell_set for b, _ in W.boundary[c]), c
 
 
 def test_face_boundary_matches_hand_computation():

@@ -519,3 +519,18 @@ def test_action_document_errors():
     scalar["automorphisms"][0]["peripheral_maps"]["1"] = 1
     with pytest.raises(ParseError):
         parse_action(Pz, scalar)
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("sigma", {"1": 2.7, "2": 1}),
+    ("sigma", {"1": 2, "2": "1"}),
+    ("peripheral_maps", {"a": []}),
+    ("conjugators", {"a": []}),
+], ids=["sigma-float", "sigma-string", "maps-key", "conjugators-key"])
+def test_action_document_labels_are_integers(key, entry):
+    P, _, action = _conjugation_action()
+    doc = encode_action(P, action)
+    doc["automorphisms"][0][key] = entry
+    with pytest.raises(ParseError) as err:
+        parse_action(P, doc)
+    assert err.value.path == f"action.automorphisms[0].{key}"

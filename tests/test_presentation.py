@@ -262,3 +262,41 @@ def test_cyclic_reduction_length_is_rotation_invariant(w, k):
     k %= len(w)
     rotated = Word(w.letters[k:] + w.letters[:k])
     assert len(cyclically_reduce(_P, rotated)) == len(cyclically_reduce(_P, w))
+
+
+S3 = FiniteTableModel(
+    size=6, table=((0, 1, 2, 3, 4, 5), (1, 0, 4, 5, 2, 3),
+                   (2, 3, 0, 1, 5, 4), (3, 2, 5, 4, 0, 1),
+                   (4, 5, 1, 0, 3, 2), (5, 4, 3, 2, 1, 0)),
+    inverse_table=(0, 1, 2, 4, 3, 5), identity_index=0)
+# Z/3 relabelled so that its identity is index 1; generators() is [0, 2]
+Z3_ID1 = FiniteTableModel(size=3, table=((2, 0, 1), (0, 1, 2), (1, 2, 0)),
+                          inverse_table=(2, 1, 0), identity_index=1)
+
+
+@pytest.mark.parametrize("model, e, target, images, spec", [
+    (FreeAbelianModel(2), (-3, 2), FreeAbelianModel(2), ((2, 1), (1, 1)),
+     [(0, -1)] * 3 + [(1, 1)] * 2),
+    (FreeAbelianModel(2), (-3, 2), S3, (3, 4), [(0, -1)] * 3 + [(1, 1)] * 2),
+    (FreeGroupModel(2), (1, -2, -2, 1), FreeGroupModel(2), ((1, 2), (-1,)),
+     [(0, 1), (1, -1), (1, -1), (0, 1)]),
+    (FreeGroupModel(2), (1, -2, -2, 1), S3, (2, 3),
+     [(0, 1), (1, -1), (1, -1), (0, 1)]),
+    (Z3_ID1, 2, Z3_ID1, (2, 0), [(1, 1)]),
+    (Z3_ID1, 0, Z3_ID1, (2, 0), [(0, 1)]),
+    (Z3_ID1, 1, Z3_ID1, (2, 0), []),
+    (Z3_ID1, 2, S3, (3, 4), [(1, 1)]),
+    (Z3_ID1, 0, S3, (3, 4), [(0, 1)]),
+    (Z3_ID1, 1, S3, (3, 4), []),
+], ids=["zd-model", "zd-quotient", "fk-model", "fk-quotient",
+        "finite-model", "finite-model-first", "finite-model-identity",
+        "finite-quotient", "finite-quotient-first",
+        "finite-quotient-identity"])
+def test_model_image_folds_generator_images(model, e, target, images, spec):
+    """images[i] is the image of generators()[i]; spec lists e as signed
+    generator indices, folded here by hand in the target."""
+    want = target.identity()
+    for i, s in spec:
+        want = target.product(
+            want, images[i] if s > 0 else target.inverse(images[i]))
+    assert model.image(e, images, target) == want
