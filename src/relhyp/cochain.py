@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cayley import truncated_ball
 from .errors import LpSolverError
@@ -428,6 +427,13 @@ class Primitive:
 @dataclass(frozen=True)
 class Infeasible:
     witness: tuple
+
+
+def linprog(c, **kwargs):
+    """scipy's linprog, imported at the first LP: most commands never solve
+    one, and importing scipy.optimize dominates start-up."""
+    from scipy.optimize import linprog as solve
+    return solve(c, **kwargs)
 
 
 def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):

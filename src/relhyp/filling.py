@@ -10,6 +10,20 @@ filling it describes.  Peripheral-letter merges, splits, and free
 cancellations cost nothing and are folded into canonicalization; certificates
 record them as explicit zero-cost moves so a dumb interpreter can replay the
 whole trace.
+
+The search kernel works on ints.  Each call interns its letters in a small
+alphabet (letter to code and back), so states and the ``dist``/``parent``
+keys are tuples of ints, and it memoizes the letter algebra (merge, cancel,
+syllable remainders) per pair of codes.  Relator rotations and the inverses
+of their tails are interned at the first expansion, so loops that never
+expand pay nothing for them.  A splice is reduced only at its seams: the
+state, hence its prefix and suffix, is already reduced, so the middle is
+pushed onto the prefix and the suffix only while it combines with the top;
+the result equals ``free_reduce`` of the whole word.  ``parent`` records each
+step as (variant, position, matched length, remainders), and the trace moves
+are built only for the winning path.  Successors are generated in a fixed
+order, so areas, certificates and state counts are deterministic.
+``replay_certificate`` works on letters and shares nothing with the kernel.
 """
 
 from __future__ import annotations
@@ -153,102 +167,177 @@ class _FreePartLattice:
 
 
 # ---------------------------------------------------------------------------
-# match enumeration
+# the search kernel
+
+_APART = -1    # combine: the letters neither cancel nor merge
+_CANCEL = -2   # combine: the letters cancel
+_NO_MATCH = -1  # remainder: the word letter does not contain the relator letter
 
 
-def _candidates(P: RelativePresentation, w: Word, variants):
-    """Yield (splice_letters, move_plan) successor descriptions.
+class _Alphabet:
+    """One search's letters interned as ints, with the letter algebra the
+    search needs memoized per pair of codes.
 
-    move_plan is (splits, rcell) in replay order against the current word.
+    ``combine(a, b)`` gives the code of the merged letter, ``_CANCEL`` or
+    ``_APART``.  ``remainder(w, f, left)`` gives the code of w f^-1 (left)
+    or f^-1 w for same-label peripheral letters w != f: what is left of
+    word letter w when relator letter f is split off it, on its left or
+    right end; otherwise ``_NO_MATCH``.
     """
-    letters = w.letters
-    n = len(letters)
-    for idx, inverted, rot, r in variants:
-        m = len(r)
-        inv_cache = {}
 
-        def inv_tail(k):
-            if k not in inv_cache:
-                inv_cache[k] = P.inverse_word(Word(r[k:])).letters
-            return inv_cache[k]
+    def __init__(self, P: RelativePresentation):
+        self.P = P
+        self.letters: list = []
+        self.codes: dict = {}
+        self._combined: dict = {}
+        self._remainders: dict = {}
 
-        for k in range(m, 0, -1):
-            p = r[:k]
-            q_inv = inv_tail(k)
-            for i in range(0, n - k + 1):
-                for plan in _match_at(P, letters, i, p):
-                    if plan is None:
+    def intern(self, letter) -> int:
+        code = self.codes.get(letter)
+        if code is None:
+            code = self.codes[letter] = len(self.letters)
+            self.letters.append(letter)
+        return code
+
+    def encode(self, letters) -> tuple:
+        return tuple(map(self.intern, letters))
+
+    def decode(self, codes) -> tuple:
+        return tuple(map(self.letters.__getitem__, codes))
+
+    def combine(self, a: int, b: int) -> int:
+        out = self._combined.get((a, b))
+        if out is None:
+            la, lb = self.letters[a], self.letters[b]
+            if not combinable(la, lb):
+                out = _APART
+            elif isinstance(la, XLetter):
+                out = _CANCEL
+            else:
+                model = self.P.models[la.lam]
+                prod = model.product(la.elem, lb.elem)
+                out = _CANCEL if model.is_identity(prod) \
+                    else self.intern(HLetter(la.lam, prod))
+            self._combined[a, b] = out
+        return out
+
+    def remainder(self, w: int, f: int, left: bool) -> int:
+        out = self._remainders.get((w, f, left))
+        if out is None:
+            lw, lf = self.letters[w], self.letters[f]
+            out = _NO_MATCH
+            if isinstance(lw, HLetter) and isinstance(lf, HLetter) \
+                    and lw.lam == lf.lam:
+                model = self.P.models[lw.lam]
+                inv = model.inverse(lf.elem)
+                rest = model.product(lw.elem, inv) if left \
+                    else model.product(inv, lw.elem)
+                if not model.is_identity(rest):
+                    out = self.intern(HLetter(lw.lam, rest))
+            self._remainders[w, f, left] = out
+        return out
+
+    def splice(self, state: tuple, i: int, j: int, mid) -> tuple:
+        """free_reduce(state[:i] + mid + state[j:]) for a reduced state: the
+        reduced prefix is copied, mid is pushed letter by letter, and the
+        reduced suffix only while its letters combine with the top."""
+        stack = list(state[:i])
+        combine = self.combine
+        for c in mid:
+            while stack:
+                r = combine(stack[-1], c)
+                if r == _APART:
+                    break
+                stack.pop()
+                c = None if r == _CANCEL else r
+                if c is None:
+                    break
+            if c is not None:
+                stack.append(c)
+        n = len(state)
+        while j < n and stack:
+            r = combine(stack[-1], state[j])
+            if r == _APART:
+                break
+            stack.pop()
+            if r != _CANCEL:
+                # a merged letter is apart from what lies under it
+                stack.append(r)
+            j += 1
+        stack.extend(state[j:])
+        return tuple(stack)
+
+
+def _interned_variants(P: RelativePresentation, alphabet: _Alphabet,
+                       rel_vecs):
+    """Each distinct rotation r of a relator or its inverse as
+    (r, tails, cell vector, relator, inverted, rotation), r and tails in
+    codes, where tails[k] is (r[k:])^-1 and the cell vector is r's exponent
+    vector, which a cell subtracts."""
+    out = []
+    for idx, inverted, rot, ls in _variants(P):
+        tails = tuple(alphabet.encode(P.inverse_word(Word(ls[k:])).letters)
+                      for k in range(len(ls) + 1))
+        vec = tuple(-c if inverted else c for c in rel_vecs[idx])
+        out.append((alphabet.encode(ls), tails, vec, idx, inverted, rot))
+    return out
+
+
+def _candidates(alphabet: _Alphabet, state: tuple, variants):
+    """Yield (successor, move) for every relator cell spliced into state.
+
+    For each variant, longest match first, a prefix p = r[:k] is matched at
+    position i and replaced by tails[k]; p's interior letters must match
+    exactly, its first and last may match the trailing / leading part of a
+    peripheral syllable, whose remainder stays in the word.  Then come the
+    pure insertions of the whole inverted rotation.  The move is
+    (variant, i, k, left remainder, right remainder), remainders being codes
+    or None.
+    """
+    n = len(state)
+    splice, remainder = alphabet.splice, alphabet.remainder
+    for v, (r, tails, *_) in enumerate(variants):
+        for k in range(len(r), 0, -1):
+            q_inv = tails[k]
+            first, last = r[0], r[k - 1]
+            inner = r[1:k - 1]
+            for i in range(n - k + 1):
+                wf = state[i]
+                if k == 1:
+                    if wf == first:
+                        yield splice(state, i, i + 1, q_inv), \
+                            (v, i, 1, None, None)
                         continue
-                    left_rem, right_rem = plan
-                    mid = []
-                    if left_rem is not None:
-                        mid.append(left_rem)
-                    new = letters[:i] + tuple(mid) + q_inv \
-                        + ((right_rem,) if right_rem is not None else ()) \
-                        + letters[i + k:]
-                    splits = []
-                    shift = 0
-                    if left_rem is not None:
-                        splits.append(HSplit(i, left_rem.elem))
-                        shift = 1
-                    if right_rem is not None:
-                        splits.append(HSplit(i + k - 1 + shift, p[-1].elem))
-                    yield new, (tuple(splits),
-                                RCell(idx, inverted, rot, i + shift, k))
-        # pure insertion of the whole inverted rotation
+                    a = remainder(wf, first, True)
+                    if a != _NO_MATCH:
+                        yield splice(state, i, i + 1, (a,) + q_inv), \
+                            (v, i, 1, a, None)
+                    b = remainder(wf, first, False)
+                    if b != _NO_MATCH:
+                        yield splice(state, i, i + 1, q_inv + (b,)), \
+                            (v, i, 1, None, b)
+                    continue
+                if inner and state[i + 1:i + k - 1] != inner:
+                    continue
+                a = None
+                if wf != first:
+                    a = remainder(wf, first, True)
+                    if a == _NO_MATCH:
+                        continue
+                b = None
+                wl = state[i + k - 1]
+                if wl != last:
+                    b = remainder(wl, last, False)
+                    if b == _NO_MATCH:
+                        continue
+                mid = q_inv
+                if a is not None:
+                    mid = (a,) + mid
+                if b is not None:
+                    mid = mid + (b,)
+                yield splice(state, i, i + k, mid), (v, i, k, a, b)
         for i in range(n + 1):
-            yield (letters[:i] + inv_tail(0) + letters[i:]),\
-                ((), RCell(idx, inverted, rot, i, 0))
-
-
-def _match_at(P: RelativePresentation, letters, i, p):
-    """Ways p can match at position i consuming len(p) letters.
-
-    Yields (left_remainder_letter | None, right_remainder_letter | None); the
-    interior of p must match exactly, the first and last letter may match the
-    trailing / leading part of a peripheral syllable.
-    """
-    k = len(p)
-    # interior letters must be strictly equal
-    for j in range(1, k - 1):
-        if letters[i + j] != p[j]:
-            return
-    first, last = p[0], p[k - 1]
-    wf, wl = letters[i], letters[i + k - 1]
-    if k == 1:
-        if wf == first:
-            yield (None, None)
-        elif isinstance(first, HLetter) and isinstance(wf, HLetter) \
-                and first.lam == wf.lam:
-            model = P.models[first.lam]
-            a = model.product(wf.elem, model.inverse(first.elem))
-            if not model.is_identity(a):
-                yield (HLetter(first.lam, a), None)
-            b = model.product(model.inverse(first.elem), wf.elem)
-            if not model.is_identity(b):
-                yield (None, HLetter(first.lam, b))
-        return
-    lefts = [None] if wf == first else []
-    if not lefts and isinstance(first, HLetter) and isinstance(wf, HLetter) \
-            and first.lam == wf.lam:
-        model = P.models[first.lam]
-        a = model.product(wf.elem, model.inverse(first.elem))
-        if not model.is_identity(a):
-            lefts = [HLetter(first.lam, a)]
-    rights = [None] if wl == last else []
-    if not rights and isinstance(last, HLetter) and isinstance(wl, HLetter) \
-            and last.lam == wl.lam:
-        model = P.models[last.lam]
-        b = model.product(model.inverse(last.elem), wl.elem)
-        if not model.is_identity(b):
-            rights = [HLetter(last.lam, b)]
-    for lr in lefts:
-        for rr in rights:
-            yield (lr, rr)
-
-
-# ---------------------------------------------------------------------------
-# the search
+            yield splice(state, i, i, tails[0]), (v, i, 0, None, None)
 
 
 def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
@@ -266,57 +355,54 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
     if not lattice.fillable(eps0):
         return Unknown("exponent vector outside the relator lattice",
                        max_area, max_len, 0)
-    cell_vecs = {(i, inverted): tuple(-c if inverted else c for c in v)
-                 for i, v in enumerate(lattice.rel_vecs)
-                 for inverted in (False, True)}
     cap_len = max(max_len, len(start))
-    variants = _variants(P)
+    alphabet = _Alphabet(P)
+    variants = None  # interned at the first expansion
     counter = itertools.count()
-    dist: dict[tuple, int] = {start.letters: 0}
+    key0 = alphabet.encode(start.letters)
+    dist: dict[tuple, int] = {key0: 0}
     parent: dict[tuple, tuple] = {}
     h0 = lattice.lower_bound(eps0)
-    heap = [(h0, len(start), next(counter), 0, start.letters, eps0)]
+    heap = [(h0, len(start), next(counter), 0, key0, eps0)]
     explored = 0
     while heap:
         f, _, _, g, state, eps = heapq.heappop(heap)
         if dist.get(state, -1) != g:
             continue
         if not state:
-            return _reconstruct(P, c, start, state, parent, g,
-                                max_area, max_len)
+            return _reconstruct(P, c, alphabet, variants, key0, state,
+                                parent, g, max_area, max_len)
         explored += 1
         if max_states is not None and explored > max_states:
             return Unknown("state budget exhausted", max_area, max_len,
                            explored)
         if g + 1 > max_area:
             continue
-        w = Word(state)
-        for new_letters, plan in _candidates(P, w, variants):
-            nxt = free_reduce(P, Word(new_letters))
-            if len(nxt) > cap_len:
+        if variants is None:
+            variants = _interned_variants(P, alphabet, lattice.rel_vecs)
+        for key, move in _candidates(alphabet, state, variants):
+            if len(key) > cap_len:
                 continue
-            key = nxt.letters
             if dist.get(key, max_area + 1) <= g + 1:
                 continue
-            rcell = plan[1]
-            nxt_eps = tuple(map(operator.sub, eps,
-                                cell_vecs[rcell.relator, rcell.inverted]))
+            nxt_eps = tuple(map(operator.sub, eps, variants[move[0]][2]))
             hh = lattice.lower_bound(nxt_eps)
             if g + 1 + hh > max_area:
                 continue
             dist[key] = g + 1
-            parent[key] = (state, plan)
-            heapq.heappush(heap, (g + 1 + hh, len(nxt), next(counter),
+            parent[key] = (state,) + move
+            heapq.heappush(heap, (g + 1 + hh, len(key), next(counter),
                                   g + 1, key, nxt_eps))
     return Unknown("no filling within caps", max_area, max_len, explored)
 
 
-def _reconstruct(P, loop, start, state, parent, area, max_area, max_len):
+def _reconstruct(P, loop, alphabet, variants, key0, state, parent, area,
+                 max_area, max_len):
     steps = []
     key = state
-    while key != start.letters:
-        prev, plan = parent[key]
-        steps.append((prev, plan))
+    while key != key0:
+        prev, *move = parent[key]
+        steps.append((prev, move))
         key = prev
     steps.reverse()
     trace: list[Move] = []
@@ -324,21 +410,28 @@ def _reconstruct(P, loop, start, state, parent, area, max_area, max_len):
     events: list = []
     cur = free_reduce(P, loop, _trace=events)
     trace.extend(_events_to_moves(events))
-    assert cur == start
-    for prev, (splits, rcell) in steps:
-        assert cur.letters == prev
+    assert cur.letters == alphabet.decode(key0)
+    for prev, (v, i, k, left, right) in steps:
+        assert cur.letters == alphabet.decode(prev)
+        r, tails, _, idx, inverted, rot = variants[v]
+        # the moves of this step, built only now that it is on the path
+        splits = []
+        if left is not None:
+            splits.append(HSplit(i, alphabet.letters[left].elem))
+            i += 1
+        if right is not None:
+            splits.append(HSplit(i + k - 1, alphabet.letters[r[k - 1]].elem))
+        rcell = RCell(idx, inverted, rot, i, k)
         work = list(cur.letters)
         for s in splits:
             trace.append(s)
             l = work[s.pos]
             model = P.models[l.lam]
-            right = model.product(model.inverse(s.left), l.elem)
+            rest = model.product(model.inverse(s.left), l.elem)
             work[s.pos:s.pos + 1] = [HLetter(l.lam, s.left),
-                                     HLetter(l.lam, right)]
+                                     HLetter(l.lam, rest)]
         trace.append(rcell)
-        r = rotation_letters(P, rcell.relator, rcell.inverted, rcell.rotation)
-        q_inv = P.inverse_word(Word(r[rcell.matched:])).letters
-        work[rcell.pos:rcell.pos + rcell.matched] = list(q_inv)
+        work[i:i + k] = alphabet.decode(tails[k])
         events = []
         cur = free_reduce(P, Word(tuple(work)), _trace=events)
         trace.extend(_events_to_moves(events))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import reduce
 import json
 import subprocess
-import threading
 
 from .errors import OracleInvalidError, ParseError
 from .presentation import (
@@ -604,7 +603,6 @@ class PluginOracle(NormalFormOracle):
         self.command = list(command)
         self.config = config or {"kind": self.kind, "command": self.command}
         self._proc: subprocess.Popen | None = None
-        self._lock = threading.Lock()
         self._cache: dict[tuple, Word] = {}
         _check_relators(P, self)
 
@@ -634,15 +632,14 @@ class PluginOracle(NormalFormOracle):
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        with self._lock:
-            self._ensure()
-            line = json.dumps(encode_word(self.P, w))
-            try:
-                self._proc.stdin.write(line + "\n")
-                self._proc.stdin.flush()
-                reply = self._proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise OracleInvalidError(f"plugin pipe failed: {exc}") from None
+        self._ensure()
+        line = json.dumps(encode_word(self.P, w))
+        try:
+            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.flush()
+            reply = self._proc.stdout.readline()
+        except (BrokenPipeError, OSError) as exc:
+            raise OracleInvalidError(f"plugin pipe failed: {exc}") from None
         if not reply:
             raise OracleInvalidError("plugin closed its output stream")
         try:

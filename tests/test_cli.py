@@ -343,14 +343,25 @@ def test_version_flag(capsys):
     assert "relhyp" in capsys.readouterr().out
 
 
-def test_module_entry_point_runs_without_warnings():
+def _fresh_python(*args):
+    """Run a new interpreter that imports relhyp from this checkout."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    got = subprocess.run([sys.executable, "-m", "relhyp.cli", "--version"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert (got.returncode, got.stdout, got.stderr) == (0, "relhyp 0.1.0\n",
-                                                        "")
+    got = subprocess.run([sys.executable, *args], capture_output=True,
+                         text=True, env=env, timeout=60)
+    return got.returncode, got.stdout, got.stderr
+
+
+def test_module_entry_point_runs_without_warnings():
+    assert _fresh_python("-m", "relhyp.cli", "--version") == \
+        (0, "relhyp 0.1.0\n", "")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported at the first LP, not at start-up
+    probe = "import sys, relhyp.cli; print('scipy.optimize' in sys.modules)"
+    assert _fresh_python("-c", probe) == (0, "False\n", "")
 
 
 # ---------------------------------------------------------------------------

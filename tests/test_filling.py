@@ -1,9 +1,12 @@
 """Filling search, certificates, Dehn profiles, and asymptotic comparisons."""
 
 import dataclasses
+import hashlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from relhyp.cli import loop_literal_parse
 from relhyp.filling import (
     DehnProfile,
     FillingCertificate,
@@ -17,7 +20,7 @@ from relhyp.filling import (
     replay_certificate,
     rho_escalation,
 )
-from relhyp.presentation import EMPTY_WORD, Word
+from relhyp.presentation import EMPTY_WORD, Word, XLetter
 from relhyp.presets import free_product_zz, hz, x_squared, xw, z_example
 
 
@@ -94,6 +97,65 @@ def test_search_is_deterministic():
     a = relative_area(P, O, w, max_area=8, max_len=16)
     b = relative_area(P, O, w, max_area=8, max_len=16)
     assert a == b
+
+
+# The seven heavy loops of the perfbench `fill` workload (areas 4 and 5).
+HEAVY_LOOPS = ("h1^-2 h2^2 h1^2 h2^-2", "h1^2 h2^-2 h1^-2 h2^2",
+               "h2^-1 h1^-1 h2^3 h1^3", "h2^-3 h1^1 h2^1 h1^-3",
+               "h2^3 h1^-1 h2^-1 h1^3", "h1^2 h2^-3 h1^-3 h2^2",
+               "h2^2 h1^-3 h2^-3 h1^2")
+
+
+def test_search_enumeration_order_is_pinned():
+    # the certificates (trace included) and state counts depend on the order
+    # in which successors are visited; a kernel change must not move them
+    P, O = z_example()
+    digest = hashlib.sha256()
+    for text in HEAVY_LOOPS:
+        out = relative_area(P, O, loop_literal_parse(P, text), max_area=6,
+                            max_len=8)
+        digest.update(repr(out).encode())
+    assert digest.hexdigest() == \
+        "0cec051e8318bffec722086e600bd24f0a0ee76c4ffc137c2053ce80782c7bbb"
+    w = loop_literal_parse(P, HEAVY_LOOPS[5])
+    out = relative_area(P, O, w, max_area=6, max_len=8, max_states=30)
+    assert out == Unknown("state budget exhausted", 6, 8, 31)
+    out = relative_area(P, O, w, max_area=4, max_len=8)
+    assert out == Unknown("no filling within caps", 4, 8, 726)
+
+
+@st.composite
+def _trivial_cyclic_loops(draw):
+    """A cyclically reduced trivial loop: z_example of at most 4 letters with
+    exponents in [-3, 3], or x^(2m) in x_squared."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        sign = draw(st.sampled_from([1, -1]))
+        return x_squared(), Word((XLetter("x", sign),) * (2 * m))
+    n = draw(st.sampled_from([2, 4]))
+    lam = draw(st.sampled_from([1, 2]))
+    ks = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n - 1,
+                       max_size=n - 1))
+    # labels alternate; h1^k counts +k and h2^k counts -k in the quotient Z
+    sign = [1 if (lam + j) % 2 else -1 for j in range(n)]
+    last = -sum(s * k for s, k in zip(sign, ks)) * sign[-1]
+    assume(last and abs(last) <= 3)
+    labels = [1 + (lam + j + 1) % 2 for j in range(n)]
+    return z_example(), Word(tuple(map(hz, labels, ks + [last])))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_trivial_cyclic_loops(), st.integers(0, 3))
+def test_area_is_invariant_under_rotation_and_inversion(loop, j):
+    (P, O), w = loop
+    j %= len(w)
+    rotated = Word(w.letters[j:] + w.letters[:j])
+    areas = []
+    for v in (w, rotated, P.inverse_word(w)):
+        cert = _area(P, O, v, max_area=6, max_len=8)
+        assert replay_certificate(P, cert).is_empty
+        areas.append(cert.area)
+    assert areas[0] == areas[1] == areas[2]
 
 
 def test_replay_rejects_tampered_certificates():
