@@ -40,7 +40,6 @@ from .filling import Unknown, dehn_profile, relative_area
 from .oracle import build_oracle
 from .presentation import (
     FiniteTableModel,
-    FreeAbelianModel,
     FreeGroupModel,
     HLetter,
     RelativePresentation,
@@ -349,6 +348,23 @@ def _int_list(text: str) -> list:
     return values
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") \
+                from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}")
+        return value
+    return parse
+
+
+_count = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relhyp",
@@ -363,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ball", help="truncated relative Cayley ball")
     _add_common(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--peripheral-bound", type=int, default=1,
+    p.add_argument("--radius", type=_count, required=True)
+    p.add_argument("--peripheral-bound", type=_count, default=1,
                    help="max model length of peripheral letters")
-    p.add_argument("--max-vertices", type=int)
+    p.add_argument("--max-vertices", type=_count)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_ball)
 
@@ -376,18 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("area", help="minimal relative filling area")
     _add_common(p, loop=True)
-    p.add_argument("--max-area", type=int, default=16)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--max-states", type=int)
+    p.add_argument("--max-area", type=_count, default=16)
+    p.add_argument("--max-len", type=_count, default=64)
+    p.add_argument("--max-states", type=_count)
     p.set_defaults(func=_cmd_area)
 
     p = subs.add_parser("dehn-profile",
                         help="max filling area by loop length (CSV)")
     _add_common(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--peripheral-bound", type=int, default=2)
-    p.add_argument("--max-area", type=int, default=16)
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--n-max", type=_count, required=True)
+    p.add_argument("--peripheral-bound", type=_count, default=2)
+    p.add_argument("--max-area", type=_count, default=16)
+    p.add_argument("--max-len", type=_count, default=64)
     p.set_defaults(func=_cmd_dehn_profile)
 
     p = subs.add_parser("window-lp",
@@ -396,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--radii", type=_int_list, required=True,
                    help="comma-separated window widths, e.g. 4,8,16")
-    p.add_argument("--peripheral-bound", type=int, default=1)
+    p.add_argument("--peripheral-bound", type=_count, default=1)
     p.add_argument("--exact", action="store_true",
                    help="rational optimum, certified by an exact "
                         "primal/dual check, instead of floating point")
@@ -412,21 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tree distance of the compared pair")
     p.add_argument("--min-length", type=int, required=True,
                    help="only test corridor positions at least this long")
-    p.add_argument("--g-radius", type=int, default=4,
+    p.add_argument("--g-radius", type=_count, default=4,
                    help="sample group elements from the ball of this radius")
-    p.add_argument("--peripheral-bound", type=int, default=1)
-    p.add_argument("--sample-size", type=int,
+    p.add_argument("--peripheral-bound", type=_count, default=1)
+    p.add_argument("--sample-size", type=_int_at_least(1),
                    help="random subsample instead of the full ball")
     p.add_argument("--corridor-wide", action="store_true",
                    help="test every corridor position, not just the base")
-    p.add_argument("--w-radius", type=int,
+    p.add_argument("--w-radius", type=_count,
                    help="corridor-position radius (implies --corridor-wide)")
     p.set_defaults(func=_cmd_flare)
 
     p = subs.add_parser("corridor", help="corridor length field of a word")
     _add_common(p, loop=True)
     p.add_argument("--action", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.set_defaults(func=_cmd_corridor)
 
     return parser

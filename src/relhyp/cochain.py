@@ -19,14 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .cayley import truncated_ball
 from .errors import LpSolverError
 from .presentation import (
-    EMPTY_WORD,
     FiniteTableModel,
-    HLetter,
     RelativePresentation,
     Word,
     XLetter,
@@ -443,6 +439,7 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     HiGHS solves the program in floating point.  With exact=True the answer
     is a rational Primitive or Infeasible only when an exact certificate
     checks (see _certified); otherwise LpSolverError is raised."""
+    import numpy as np
     if z.dim != 2:
         raise ValueError("target must be a 2-cochain")
     if not z.is_relative:
@@ -541,6 +538,7 @@ def _certified(variables, rows, z, faces, res, A_eq, b_eq):
                 return Primitive(m=Cochain(1, _clean(dict(zip(variables, m)))),
                                  norm=norm, exact=True)
     elif res.status == 2:
+        import numpy as np
         B = A_eq[:, :n]
         residual = b_eq - B @ np.linalg.lstsq(B, b_eq, rcond=None)[0]
         for bound in _DENOMINATOR_LADDER:
@@ -567,6 +565,7 @@ def growth_scan(P: RelativePresentation, O, z_builder, widths, rho: int = 1,
                 exact: bool = False) -> GrowthScan:
     """Optimal primitive norms across windows of the given widths (window
     width w means ball radius w // 2)."""
+    import numpy as np
     widths = list(widths)
     norms = []
     for width in widths:

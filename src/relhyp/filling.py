@@ -11,19 +11,23 @@ cancellations cost nothing and are folded into canonicalization; certificates
 record them as explicit zero-cost moves so a dumb interpreter can replay the
 whole trace.
 
-The search kernel works on ints.  Each call interns its letters in a small
-alphabet (letter to code and back), so states and the ``dist``/``parent``
-keys are tuples of ints, and it memoizes the letter algebra (merge, cancel,
-syllable remainders) per pair of codes.  Relator rotations and the inverses
-of their tails are interned at the first expansion, so loops that never
-expand pay nothing for them.  A splice is reduced only at its seams: the
-state, hence its prefix and suffix, is already reduced, so the middle is
-pushed onto the prefix and the suffix only while it combines with the top;
-the result equals ``free_reduce`` of the whole word.  ``parent`` records each
-step as (variant, position, matched length, remainders), and the trace moves
-are built only for the winning path.  Successors are generated in a fixed
-order, so areas, certificates and state counts are deterministic.
-``replay_certificate`` works on letters and shares nothing with the kernel.
+The search kernel works on ints.  Each presentation builds one
+``SearchTable`` at its first search and keeps it: its letters interned as
+ints (letter to code and back) with the letter algebra (merge, cancel,
+syllable remainders) memoized per pair of codes, every distinct relator
+rotation with the inverses of its tails and its cell vector, and the relator
+lattice that rejects unfillable loops before any search.  A call builds only
+its start word, exponent vector and heap; states and the ``dist``/``parent``
+keys are tuples of codes, and codes are never compared, so results do not
+depend on which loops were searched before.  A splice is reduced only at its
+seams: the state, hence its prefix and suffix, is already reduced, so the
+middle is pushed onto the prefix and the suffix only while it combines with
+the top; the result equals ``free_reduce`` of the whole word.  ``parent``
+records each step as (variant, position, matched length, remainders), and
+the trace moves are built only for the winning path.  Successors are
+generated in a fixed order, so areas, certificates and state counts are
+deterministic.  ``replay_certificate`` works on letters and shares nothing
+with the kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import heapq
 import itertools
 import math
 import operator
-
-import numpy as np
 
 from .cayley import ball_alphabet, truncated_ball
 from .oracle import reduce_mod, row_echelon_lattice
@@ -109,7 +111,7 @@ class Unknown:
 
 
 # ---------------------------------------------------------------------------
-# relator rotations and abelianization pruning
+# relator rotations
 
 
 def rotation_letters(P: RelativePresentation, relator: int, inverted: bool,
@@ -121,38 +123,62 @@ def rotation_letters(P: RelativePresentation, relator: int, inverted: bool,
     return ls[rotation:] + ls[:rotation]
 
 
-def _variants(P: RelativePresentation):
-    """All distinct rotations of each relator and its inverse, in a fixed
-    enumeration order."""
-    out = []
-    seen = set()
-    for idx in range(len(P.relators)):
-        for inverted in (False, True):
-            n = len(P.relators[idx])
-            for rot in range(n):
-                ls = rotation_letters(P, idx, inverted, rot)
-                if ls in seen:
-                    continue
-                seen.add(ls)
-                out.append((idx, inverted, rot, ls))
-    return out
+# ---------------------------------------------------------------------------
+# the search table and kernel
+
+_APART = -1    # combine: the letters neither cancel nor merge
+_CANCEL = -2   # combine: the letters cancel
+_NO_MATCH = -1  # remainder: the word letter does not contain the relator letter
 
 
-class _FreePartLattice:
-    """The relators' exponent vectors in the presentation's generator slots.
+class SearchTable:
+    """Everything the filling search needs that depends only on P, built at
+    P's first search and kept on it as ``P.search_table``.
 
-    A word can only fill if its exponent vector lies in the lattice they
-    span; for a single relator with nonzero vector the coefficient is an
-    admissible remaining-cell count.
+    Letters are interned as ints (``codes`` and ``letters``), and the letter
+    algebra is memoized per pair of codes: ``combine(a, b)`` gives the code
+    of the merged letter, ``_CANCEL`` or ``_APART``; ``remainder(w, f,
+    left)`` gives the code of w f^-1 (left) or f^-1 w for same-label
+    peripheral letters w != f, what is left of word letter w when relator
+    letter f is split off it on its left or right end, otherwise
+    ``_NO_MATCH``.
+
+    ``variants`` lists each distinct rotation r of a relator or its inverse,
+    in a fixed order, as (r, tails, cell vector, relator, inverted,
+    rotation): r and tails in codes, tails[k] being (r[k:])^-1, and the cell
+    vector r's exponent vector, which a cell subtracts.  A word can only
+    fill if its exponent vector lies in the lattice the relators' vectors
+    span (``fillable``); ``lower_bound`` counts the cells it still needs.
     """
 
     def __init__(self, P: RelativePresentation):
-        self.rel_vecs = [P.slots.epsilon(r) for r in P.relators]
-        nonzero = [v for v in self.rel_vecs if any(v)]
+        self.P = P
+        self.letters: list = []
+        self.codes: dict = {}
+        self._combined: dict = {}
+        self._remainders: dict = {}
+        rel_vecs = [P.slots.epsilon(r) for r in P.relators]
+        nonzero = [v for v in rel_vecs if any(v)]
         self._ech = row_echelon_lattice(nonzero)
         self._pivot = None  # (slot, entry) of the single relator's vector
-        if len(self.rel_vecs) == 1 and nonzero:
+        if len(rel_vecs) == 1 and nonzero:
             self._pivot = next((j, c) for j, c in enumerate(nonzero[0]) if c)
+        self.variants = []
+        seen = set()
+        for idx, vec in enumerate(rel_vecs):
+            for inverted in (False, True):
+                for rot in range(len(P.relators[idx])):
+                    ls = rotation_letters(P, idx, inverted, rot)
+                    if ls in seen:
+                        continue
+                    seen.add(ls)
+                    tails = tuple(
+                        self.encode(P.inverse_word(Word(ls[k:])).letters)
+                        for k in range(len(ls) + 1))
+                    self.variants.append(
+                        (self.encode(ls), tails,
+                         tuple(-c for c in vec) if inverted else vec,
+                         idx, inverted, rot))
 
     def fillable(self, eps) -> bool:
         return not any(reduce_mod(self._ech, eps))
@@ -164,33 +190,6 @@ class _FreePartLattice:
             return 0
         j, c = self._pivot
         return abs(eps[j] // c)
-
-
-# ---------------------------------------------------------------------------
-# the search kernel
-
-_APART = -1    # combine: the letters neither cancel nor merge
-_CANCEL = -2   # combine: the letters cancel
-_NO_MATCH = -1  # remainder: the word letter does not contain the relator letter
-
-
-class _Alphabet:
-    """One search's letters interned as ints, with the letter algebra the
-    search needs memoized per pair of codes.
-
-    ``combine(a, b)`` gives the code of the merged letter, ``_CANCEL`` or
-    ``_APART``.  ``remainder(w, f, left)`` gives the code of w f^-1 (left)
-    or f^-1 w for same-label peripheral letters w != f: what is left of
-    word letter w when relator letter f is split off it, on its left or
-    right end; otherwise ``_NO_MATCH``.
-    """
-
-    def __init__(self, P: RelativePresentation):
-        self.P = P
-        self.letters: list = []
-        self.codes: dict = {}
-        self._combined: dict = {}
-        self._remainders: dict = {}
 
     def intern(self, letter) -> int:
         code = self.codes.get(letter)
@@ -268,22 +267,7 @@ class _Alphabet:
         return tuple(stack)
 
 
-def _interned_variants(P: RelativePresentation, alphabet: _Alphabet,
-                       rel_vecs):
-    """Each distinct rotation r of a relator or its inverse as
-    (r, tails, cell vector, relator, inverted, rotation), r and tails in
-    codes, where tails[k] is (r[k:])^-1 and the cell vector is r's exponent
-    vector, which a cell subtracts."""
-    out = []
-    for idx, inverted, rot, ls in _variants(P):
-        tails = tuple(alphabet.encode(P.inverse_word(Word(ls[k:])).letters)
-                      for k in range(len(ls) + 1))
-        vec = tuple(-c if inverted else c for c in rel_vecs[idx])
-        out.append((alphabet.encode(ls), tails, vec, idx, inverted, rot))
-    return out
-
-
-def _candidates(alphabet: _Alphabet, state: tuple, variants):
+def _candidates(table: SearchTable, state: tuple):
     """Yield (successor, move) for every relator cell spliced into state.
 
     For each variant, longest match first, a prefix p = r[:k] is matched at
@@ -295,8 +279,8 @@ def _candidates(alphabet: _Alphabet, state: tuple, variants):
     or None.
     """
     n = len(state)
-    splice, remainder = alphabet.splice, alphabet.remainder
-    for v, (r, tails, *_) in enumerate(variants):
+    splice, remainder = table.splice, table.remainder
+    for v, (r, tails, *_) in enumerate(table.variants):
         for k in range(len(r), 0, -1):
             q_inv = tails[k]
             first, last = r[0], r[k - 1]
@@ -348,21 +332,20 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
     if check_trivial and O is not None and not O.is_trivial(c):
         raise ValueError("loop does not represent the identity")
     start = free_reduce(P, c)
-    lattice = _FreePartLattice(P)
+    table = P.search_table
     eps0 = P.slots.epsilon(start)
     # every successor stays fillable: free reduction and splits keep the
     # exponent vector, and a cell moves it by minus its rotation's vector
-    if not lattice.fillable(eps0):
+    if not table.fillable(eps0):
         return Unknown("exponent vector outside the relator lattice",
                        max_area, max_len, 0)
     cap_len = max(max_len, len(start))
-    alphabet = _Alphabet(P)
-    variants = None  # interned at the first expansion
+    variants = table.variants
     counter = itertools.count()
-    key0 = alphabet.encode(start.letters)
+    key0 = table.encode(start.letters)
     dist: dict[tuple, int] = {key0: 0}
     parent: dict[tuple, tuple] = {}
-    h0 = lattice.lower_bound(eps0)
+    h0 = table.lower_bound(eps0)
     heap = [(h0, len(start), next(counter), 0, key0, eps0)]
     explored = 0
     while heap:
@@ -370,23 +353,21 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
         if dist.get(state, -1) != g:
             continue
         if not state:
-            return _reconstruct(P, c, alphabet, variants, key0, state,
-                                parent, g, max_area, max_len)
+            return _reconstruct(table, c, key0, state, parent, g,
+                                max_area, max_len)
         explored += 1
         if max_states is not None and explored > max_states:
             return Unknown("state budget exhausted", max_area, max_len,
                            explored)
         if g + 1 > max_area:
             continue
-        if variants is None:
-            variants = _interned_variants(P, alphabet, lattice.rel_vecs)
-        for key, move in _candidates(alphabet, state, variants):
+        for key, move in _candidates(table, state):
             if len(key) > cap_len:
                 continue
             if dist.get(key, max_area + 1) <= g + 1:
                 continue
             nxt_eps = tuple(map(operator.sub, eps, variants[move[0]][2]))
-            hh = lattice.lower_bound(nxt_eps)
+            hh = table.lower_bound(nxt_eps)
             if g + 1 + hh > max_area:
                 continue
             dist[key] = g + 1
@@ -396,8 +377,9 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
     return Unknown("no filling within caps", max_area, max_len, explored)
 
 
-def _reconstruct(P, loop, alphabet, variants, key0, state, parent, area,
-                 max_area, max_len):
+def _reconstruct(table, loop, key0, state, parent, area, max_area,
+                 max_len):
+    P = table.P
     steps = []
     key = state
     while key != key0:
@@ -410,17 +392,17 @@ def _reconstruct(P, loop, alphabet, variants, key0, state, parent, area,
     events: list = []
     cur = free_reduce(P, loop, _trace=events)
     trace.extend(_events_to_moves(events))
-    assert cur.letters == alphabet.decode(key0)
+    assert cur.letters == table.decode(key0)
     for prev, (v, i, k, left, right) in steps:
-        assert cur.letters == alphabet.decode(prev)
-        r, tails, _, idx, inverted, rot = variants[v]
+        assert cur.letters == table.decode(prev)
+        r, tails, _, idx, inverted, rot = table.variants[v]
         # the moves of this step, built only now that it is on the path
         splits = []
         if left is not None:
-            splits.append(HSplit(i, alphabet.letters[left].elem))
+            splits.append(HSplit(i, table.letters[left].elem))
             i += 1
         if right is not None:
-            splits.append(HSplit(i + k - 1, alphabet.letters[r[k - 1]].elem))
+            splits.append(HSplit(i + k - 1, table.letters[r[k - 1]].elem))
         rcell = RCell(idx, inverted, rot, i, k)
         work = list(cur.letters)
         for s in splits:
@@ -431,7 +413,7 @@ def _reconstruct(P, loop, alphabet, variants, key0, state, parent, area,
             work[s.pos:s.pos + 1] = [HLetter(l.lam, s.left),
                                      HLetter(l.lam, rest)]
         trace.append(rcell)
-        work[i:i + k] = alphabet.decode(tails[k])
+        work[i:i + k] = table.decode(tails[k])
         events = []
         cur = free_reduce(P, Word(tuple(work)), _trace=events)
         trace.extend(_events_to_moves(events))
@@ -650,6 +632,7 @@ def linear_fit(profile: DehnProfile) -> LinearFit:
     differences (at least two of them) are all positive; oscillating or flat
     tails read as "linear-consistent".
     """
+    import numpy as np
     pts = [(n, e.max_area) for n, e in sorted(profile.entries.items())
            if e.exact]
     if len(pts) < 3:

@@ -451,6 +451,12 @@ class RelativePresentation:
         """The exponent-vector layout of the generators, built once."""
         return SlotLayout(self)
 
+    @cached_property
+    def search_table(self):
+        """The filling search's relator table, built at the first search."""
+        from .filling import SearchTable
+        return SearchTable(self)
+
 
 class SlotLayout:
     """Exponent vectors of words in the torsion-free generator slots.

@@ -8,14 +8,7 @@ CLI.
 from __future__ import annotations
 
 from .oracle import build_oracle
-from .presentation import (
-    FiniteTableModel,
-    FreeAbelianModel,
-    HLetter,
-    RelativePresentation,
-    Word,
-    XLetter,
-)
+from .presentation import HLetter, Word, XLetter
 
 
 def z_example_doc() -> dict:

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: golden outputs, the word-literal
 grammar, exit codes, and byte-determinism of artifacts."""
 
+import ast
 import json
 import os
 from pathlib import Path
@@ -330,6 +331,34 @@ def test_lp_failure_exits_5(docs, capsys, monkeypatch):
     assert code == 5 and "backend gave up" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ball", "--input", "{f2}", "--radius", "-1"),
+    ("ball", "--input", "{f2}", "--radius", "2", "--max-vertices", "-1"),
+    ("ball", "--input", "{f2}", "--radius", "2", "--peripheral-bound", "-1"),
+    ("area", "--input", "{z}", "--loop", "h1 h2", "--max-area", "-1"),
+    ("area", "--input", "{z}", "--loop", "h1 h2", "--max-len", "-5"),
+    ("area", "--input", "{z}", "--loop", "h1 h2", "--max-states", "-1"),
+    ("dehn-profile", "--input", "{z}", "--n-max", "-2"),
+    ("window-lp", "--input", "{z}", "--radii", "4", "--peripheral-bound",
+     "-1"),
+    ("flare", "--input", "{f2}", "--action", "{action}", "--factor", "1.2",
+     "--distance", "2", "--min-length", "3", "--g-radius", "-1"),
+    ("flare", "--input", "{f2}", "--action", "{action}", "--factor", "1.2",
+     "--distance", "2", "--min-length", "3", "--w-radius", "-1"),
+    ("flare", "--input", "{f2}", "--action", "{action}", "--factor", "1.2",
+     "--distance", "2", "--min-length", "3", "--sample-size", "0"),
+    ("corridor", "--input", "{f2}", "--action", "{action}", "--loop", "x y",
+     "--depth", "-1"),
+    ("ball", "--input", "{f2}", "--radius", "two"),
+], ids=lambda a: f"{a[0]}{a[-2]}={a[-1]}")
+def test_out_of_range_counts_exit_2(argv, docs, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([a.format(**docs) for a in argv])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and argv[-2] in captured.err
+
+
 def test_nontrivial_loop_exits_2(docs, capsys):
     code, _, err = run_cli(capsys, "area", "--input", docs["z"],
                            "--loop", "h1^2 h2^1")
@@ -359,9 +388,30 @@ def test_module_entry_point_runs_without_warnings():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported at the first LP, not at start-up
-    probe = "import sys, relhyp.cli; print('scipy.optimize' in sys.modules)"
-    assert _fresh_python("-c", probe) == (0, "False\n", "")
+    # scipy.optimize and numpy are imported at their first use, not at
+    # start-up
+    probe = ("import sys, relhyp.cli; "
+             "print('scipy.optimize' in sys.modules, 'numpy' in sys.modules)")
+    assert _fresh_python("-c", probe) == (0, "False False\n", "")
+
+
+def test_every_imported_name_is_used():
+    # __init__ is exempt: it imports names to re-export them
+    unused = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------

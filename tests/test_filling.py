@@ -124,6 +124,38 @@ def test_search_enumeration_order_is_pinned():
     assert out == Unknown("no filling within caps", 4, 8, 726)
 
 
+def test_results_do_not_depend_on_earlier_searches():
+    # the search table is built once and kept on the presentation; the
+    # letters earlier calls interned must not change a later result
+    calls = [(text, {}) for text in HEAVY_LOOPS + (
+        "", "h1^1 h2^-1 h2^1 h1^-1", "h1^3 h2^3", "h2^-2 h1^-2")]
+    calls += [("h1^1 h2^-1", {}), ("h1^2 h2^2 h1^1", {}),  # off the lattice
+              (HEAVY_LOOPS[5], {"max_states": 30}),
+              (HEAVY_LOOPS[0], {"max_states": 3}),
+              (HEAVY_LOOPS[5], {"max_area": 4})]
+
+    def run(P, order):
+        out = {}
+        for i in order:
+            text, kw = calls[i]
+            out[i] = relative_area(P, None, loop_literal_parse(P, text),
+                                   **{"max_area": 6, "max_len": 8, **kw},
+                                   check_trivial=False)
+        return [out[i] for i in range(len(calls))]
+
+    P, _ = z_example()
+    order = range(len(calls))
+    forward = run(P, order)
+    assert [out.area for out in forward[:11]] == \
+        [4, 4, 4, 4, 4, 5, 5, 0, 0, 3, 2]
+    assert [out.reason.split()[0] for out in forward[11:]] == \
+        ["exponent", "exponent", "state", "state", "no"]
+    assert list(map(repr, run(P, reversed(order)))) == \
+        list(map(repr, forward))
+    assert list(map(repr, run(z_example()[0], reversed(order)))) == \
+        list(map(repr, forward))
+
+
 @st.composite
 def _trivial_cyclic_loops(draw):
     """A cyclically reduced trivial loop: z_example of at most 4 letters with
