@@ -24,7 +24,7 @@ from .presentation import (
     XLetter,
     encode_letter,
     encode_word,
-    free_reduce,
+    free_step,
     letter_key,
 )
 
@@ -79,7 +79,7 @@ def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
     for i, v in enumerate(vertices):
         depth = depths[i] + 1
         for l in alphabet:
-            t = O.normal_form(v + Word((l,)))
+            t = O.step(v, l)
             j = index.get(t)
             if j is None and depth <= radius:
                 if max_vertices is not None and \
@@ -161,7 +161,7 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
         nxt = []
         for word, _ in frontier:
             for l in alphabet:
-                cand = free_reduce(P, word + Word((l,)))
+                cand = free_step(P, word, l)
                 k = O.element_key(cand)
                 if k in seen:
                     continue

@@ -58,6 +58,14 @@ class CellId:
     kind: str
     translate: Word
     data: tuple = ()
+    _hash = None  # not a field: kept at the first hash(), as Word keeps its
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.translate, self.data))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def dim(self) -> int:
@@ -128,10 +136,29 @@ class Window:
     def cells_of_dim(self, dim: int) -> tuple:
         return self.cells.get(dim, ())
 
-    @property
+    @cached_property
     def interior_relator_faces(self) -> tuple:
         return tuple(c for c in self.cells_of_dim(2)
                      if c in self.interior and c.kind == RELATOR_FACE)
+
+    @cached_property
+    def adjacency(self) -> dict:
+        """vertex -> its (1-cell, +-1, other end) steps, sorted by cell; an
+        edge whose boundary is not one head and one tail is left out
+        (weight-zero peripheral loops never change a path gain)."""
+        adj: dict[CellId, list] = {}
+        for e in self.cells_of_dim(1):
+            bd = self.boundary.get(e, ())
+            pos = [c for c, s in bd if s > 0]
+            neg = [c for c, s in bd if s < 0]
+            if len(pos) != 1 or len(neg) != 1:
+                continue
+            head, tail = pos[0], neg[0]
+            adj.setdefault(tail, []).append((e, +1, head))
+            adj.setdefault(head, []).append((e, -1, tail))
+        for v in adj:
+            adj[v].sort(key=lambda t: (t[0].sort_key(), t[1]))
+        return adj
 
     def coset_rep(self, lam: int, g: Word) -> Word:
         return _coset_rep(self.O, self.coset_reps, lam, g)
@@ -160,12 +187,14 @@ def _signed(terms) -> tuple:
                         key=lambda kv: kv[0].sort_key()))
 
 
-def _trace_relator(P: RelativePresentation, O, reps, r_idx: int, g: Word):
-    """Signed boundary 1-chain of the relator 2-cell at translate g."""
+def _trace_relator(P: RelativePresentation, O, reps, times, r_idx: int,
+                   g: Word):
+    """Signed boundary 1-chain of the relator 2-cell at translate g; times(v,
+    l) is the normal form of v l."""
     terms = []
     cur = g
     for l in P.relators[r_idx]:
-        nxt = O.normal_form(cur + Word((l,)))
+        nxt = times(cur, l)
         if isinstance(l, XLetter):
             terms.append((gen_edge(l.sym, cur if l.sign > 0 else nxt), l.sign))
         else:
@@ -186,10 +215,21 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     home = V[0]
     labels = sorted(P.models)
 
+    # every product v l is taken once, starting from the ball's own edges,
+    # so that products land on the ball's vertex objects
+    products = {(V[i], l): V[j] for i, l, j in ball.edges}
+
+    def times(v: Word, l) -> Word:
+        t = products.get((v, l))
+        if t is None:
+            t = products[(v, l)] = O.step(v, l)
+        return t
+
+    forward = {sym: XLetter(sym, 1) for sym in P.x_symbols}
     bases: dict[Word, None] = dict.fromkeys(V)
     for g in V:
-        for sym in P.x_symbols:
-            bases.setdefault(O.normal_form(g + Word((XLetter(sym, 1),))))
+        for l in forward.values():
+            bases.setdefault(times(g, l))
     base_list = list(bases)
 
     reps: dict[int, dict] = {}
@@ -203,14 +243,14 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     def boundary_of(c: CellId) -> tuple:
         g = c.translate
         if c.kind == GEN_EDGE:
-            t = O.normal_form(g + Word((XLetter(c.data[0], 1),)))
+            t = times(g, forward[c.data[0]])
             return ((base_vertex(t), +1), (base_vertex(g), -1))
         if c.kind == COSET_EDGE:
             lam = c.data[0]
             return ((coset_vertex(lam, _coset_rep(O, reps, lam, g)), +1),
                     (base_vertex(g), -1))
         if c.kind == RELATOR_FACE:
-            return _trace_relator(P, O, reps, c.data[0], g)
+            return _trace_relator(P, O, reps, times, c.data[0], g)
         if c.kind == PERIPHERAL_FACE:
             lam, a, b = c.data
             model = P.models[lam]
@@ -438,8 +478,10 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
 
     HiGHS solves the program in floating point.  With exact=True the answer
     is a rational Primitive or Infeasible only when an exact certificate
-    checks (see _certified); otherwise LpSolverError is raised."""
+    checks (see _certified); otherwise LpSolverError is raised.  The
+    constraint matrices go to HiGHS as scipy.sparse arrays."""
     import numpy as np
+    from scipy.sparse import coo_array
     if z.dim != 2:
         raise ValueError("target must be a 2-cochain")
     if not z.is_relative:
@@ -458,17 +500,18 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
         rows.append(row)
         rhs.append(z.get(f))
     n = len(variables)
-    A_eq = np.zeros((len(rows), n + 1))
-    for i, row in enumerate(rows):
-        for j, s in row.items():
-            A_eq[i, j] = s
+    # |m_j| <= t as rows 2j: m_j - t <= 0 and 2j+1: -m_j - t <= 0, where t
+    # is column n
+    var, tcol = np.arange(n), np.full(n, n)
+    A_ub = coo_array((np.tile([1.0, -1.0, -1.0, -1.0], n),
+                      (np.repeat(np.arange(2 * n), 2),
+                       np.column_stack([var, tcol, var, tcol]).ravel())),
+                     shape=(2 * n, n + 1))
+    A_eq = coo_array(([float(s) for row in rows for s in row.values()],
+                      ([i for i, row in enumerate(rows) for _ in row],
+                       [col for row in rows for col in row])),
+                     shape=(len(rows), n + 1))
     b_eq = np.array([float(v) for v in rhs])
-    A_ub = np.zeros((2 * n, n + 1))
-    for j in range(n):
-        A_ub[2 * j, j] = 1.0
-        A_ub[2 * j, n] = -1.0
-        A_ub[2 * j + 1, j] = -1.0
-        A_ub[2 * j + 1, n] = -1.0
     b_ub = np.zeros(2 * n)
     c = np.zeros(n + 1)
     c[n] = 1.0
@@ -539,7 +582,7 @@ def _certified(variables, rows, z, faces, res, A_eq, b_eq):
                                  norm=norm, exact=True)
     elif res.status == 2:
         import numpy as np
-        B = A_eq[:, :n]
+        B = A_eq.toarray()[:, :n]
         residual = b_eq - B @ np.linalg.lstsq(B, b_eq, rcond=None)[0]
         for bound in _DENOMINATOR_LADDER:
             y = _rounded(residual, bound)
@@ -606,24 +649,6 @@ def path_gain(W: Window, path, m: Cochain, z: Cochain, C):
     return total_m - C * z.norm * total_len
 
 
-def _adjacency(W: Window):
-    adj: dict[CellId, list] = {}
-    for e in W.cells_of_dim(1):
-        bd = W.boundary.get(e, ())
-        if not bd:
-            continue  # weight-zero loops never change a path gain
-        pos = [c for c, s in bd if s > 0]
-        neg = [c for c, s in bd if s < 0]
-        if len(pos) != 1 or len(neg) != 1:
-            continue
-        head, tail = pos[0], neg[0]
-        adj.setdefault(tail, []).append((e, +1, head))
-        adj.setdefault(head, []).append((e, -1, tail))
-    for v in adj:
-        adj[v].sort(key=lambda t: (t[0].sort_key(), t[1]))
-    return adj
-
-
 def windowed_max_nu(W: Window, m: Cochain, z: Cochain, C, start: CellId,
                     end: CellId, cap: int):
     """Maximum gain over simple edge paths (each 1-cell used once) from
@@ -632,7 +657,7 @@ def windowed_max_nu(W: Window, m: Cochain, z: Cochain, C, start: CellId,
     for v in (start, end):
         if v.dim != 0 or v not in W.cell_set:
             raise ValueError(f"endpoint {v} is not a window vertex")
-    adj = _adjacency(W)
+    adj = W.adjacency
     znorm = z.norm
     best: list = [None, None]   # value, path
 

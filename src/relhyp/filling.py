@@ -49,6 +49,7 @@ from .presentation import (
     combinable,
     exact_number,
     free_reduce,
+    free_step,
     letter_count,
     letter_key,
 )
@@ -540,7 +541,7 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
         for l in alphabet:
             if path and combinable(path[-1], l):
                 continue
-            nxt = free_reduce(P, elem + Word((l,)))
+            nxt = free_step(P, elem, l)
             t = O.element_key(nxt)
             d = distance.get(t)
             if d is None or d > remaining - 1:

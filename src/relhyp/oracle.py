@@ -2,10 +2,13 @@
 
 An oracle answers normal-form, equality, relative-length and geodesic queries
 for the presented group; each derives from NormalFormOracle, whose defaults
-read the answers off normal forms.  Four kinds are supported: the ambient
-free product itself (valid only when there are no relators), homomorphisms
-onto subgroups of Z^d, finite quotients given by a multiplication table, and
-external plugin executables speaking a line-delimited JSON protocol.
+read the answers off normal forms.  ``step`` multiplies a normal form by one
+letter, the move of every ball and window enumeration; the free product
+oracle does it at the seam alone, the others normalize the product.  Four
+kinds are supported: the ambient free product itself (valid only when there
+are no relators), homomorphisms onto subgroups of Z^d, finite quotients given
+by a multiplication table, and external plugin executables speaking a
+line-delimited JSON protocol.
 Construction checks that every relator maps to the identity; everything else
 is the caller's trust boundary.
 """
@@ -30,6 +33,7 @@ from .presentation import (
     encode_word,
     expect_json,
     free_reduce,
+    free_step,
     int_label,
     letter_count,
 )
@@ -197,7 +201,11 @@ class NormalFormOracle:
     """Base of every oracle.  Subclasses provide normal_form, which sends
     equal group elements to the same word; every other query defaults to an
     answer read off canonical words, and oracles that know more override it.
+    step(nf, l) is normal_form(nf + l) for a word nf already in normal form.
     """
+
+    def step(self, nf: Word, l) -> Word:
+        return self.normal_form(nf + Word((l,)))
 
     def element_key(self, w: Word):
         return self.normal_form(w)
@@ -256,6 +264,9 @@ class FreeProductOracle(NormalFormOracle):
 
     def normal_form(self, w: Word) -> Word:
         return free_reduce(self.P, w)
+
+    def step(self, nf: Word, l) -> Word:
+        return free_step(self.P, nf, l)
 
     def rel_length(self, w: Word) -> RelLength:
         return RelLength.exact(letter_count(self.normal_form(w)))

@@ -321,14 +321,26 @@ PeripheralModel = Union[FreeAbelianModel, FiniteTableModel, FreeGroupModel]
 # letters and words
 
 
+# Letters and words are hashed over and over as dict keys, so each keeps its
+# hash, computed at the first hash() from the field tuple the dataclass hash
+# would use.  ``_hash`` has no annotation, so it is not a field and never
+# enters __eq__ or __repr__.
 @dataclass(frozen=True)
 class XLetter:
     sym: str
     sign: int = 1
+    _hash = None
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.sym, self.sign))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def inverse(self) -> "XLetter":
         return XLetter(self.sym, -self.sign)
@@ -338,6 +350,14 @@ class XLetter:
 class HLetter:
     lam: int
     elem: object  # int or tuple, owned by the model with this label
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.lam, self.elem))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 Letter = Union[XLetter, HLetter]
@@ -359,6 +379,15 @@ def letter_key(letter: Letter):
 @dataclass(frozen=True)
 class Word:
     letters: tuple[Letter, ...] = ()
+    _hash = None
+    _sort_key = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.letters,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -378,7 +407,11 @@ class Word:
         return not self.letters
 
     def sort_key(self):
-        return (len(self.letters), tuple(letter_key(l) for l in self.letters))
+        k = self._sort_key
+        if k is None:
+            k = (len(self.letters), tuple(letter_key(l) for l in self.letters))
+            object.__setattr__(self, "_sort_key", k)
+        return k
 
 
 EMPTY_WORD = Word()
@@ -558,6 +591,20 @@ def combinable(a: Letter, b: Letter) -> bool:
     if isinstance(a, XLetter):
         return isinstance(b, XLetter) and a.sym == b.sym and a.sign == -b.sign
     return isinstance(b, HLetter) and a.lam == b.lam
+
+
+def free_step(P: RelativePresentation, w: Word, l: Letter) -> Word:
+    """free_reduce(P, w + l) for a freely reduced w: l cancels or merges
+    with w's last letter, and a merged syllable cannot combine further."""
+    if not (w.letters and combinable(w.letters[-1], l)):
+        return Word(w.letters + (l,))
+    a, rest = w.letters[-1], w.letters[:-1]
+    if isinstance(a, XLetter):
+        return Word(rest)
+    model = P.models[a.lam]
+    prod = model.product(a.elem, l.elem)
+    return Word(rest) if model.is_identity(prod) \
+        else Word(rest + (HLetter(a.lam, prod),))
 
 
 def cyclically_reduce(P: RelativePresentation, w: Word) -> Word:

@@ -73,6 +73,18 @@ def zmod2_star_doc() -> dict:
     }
 
 
+def z2_doc() -> dict:
+    """Z^2 = <x, y | [x, y]>, through its identity map onto Z^2."""
+    return {
+        "x": ["x", "y"],
+        "models": [],
+        "relators": [[{"x": "x", "sign": 1}, {"x": "y", "sign": 1},
+                      {"x": "x", "sign": -1}, {"x": "y", "sign": -1}]],
+        "oracle": {"kind": "integer_quotient", "dim": 2,
+                   "x_images": {"x": [1, 0], "y": [0, 1]}},
+    }
+
+
 def _build(doc):
     from .presentation import parse_document
     import json
@@ -99,6 +111,10 @@ def f2():
 
 def zmod2_star():
     return _build(zmod2_star_doc())
+
+
+def z2():
+    return _build(z2_doc())
 
 
 def f2_stretch_action_doc() -> dict:

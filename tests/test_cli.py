@@ -388,11 +388,12 @@ def test_module_entry_point_runs_without_warnings():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize and numpy are imported at their first use, not at
-    # start-up
+    # scipy.optimize, scipy.sparse and numpy are imported at their first
+    # use, not at start-up
     probe = ("import sys, relhyp.cli; "
-             "print('scipy.optimize' in sys.modules, 'numpy' in sys.modules)")
-    assert _fresh_python("-c", probe) == (0, "False False\n", "")
+             "print(*(m in sys.modules for m in "
+             "('scipy.optimize', 'scipy.sparse', 'numpy')))")
+    assert _fresh_python("-c", probe) == (0, "False False False\n", "")
 
 
 def test_every_imported_name_is_used():

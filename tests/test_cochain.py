@@ -2,6 +2,8 @@
 growth scans, and path-gain potentials."""
 
 from fractions import Fraction
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -16,6 +18,7 @@ from relhyp.cochain import (
     PERIPHERAL_EDGE,
     PERIPHERAL_FACE,
     RELATOR_FACE,
+    CellId,
     Chain,
     Cochain,
     Infeasible,
@@ -44,10 +47,11 @@ from relhyp.cochain import (
     windowed_max_nu,
     zero_family,
 )
+from relhyp.cayley import ball_to_csv, ball_to_json, truncated_ball
 from relhyp.errors import LpSolverError
 from relhyp.presentation import EMPTY_WORD, Word
 from relhyp.presets import (
-    f2, free_product_zz, hz, x_squared, z_example, zmod2_star)
+    f2, free_product_zz, hz, x_squared, z2, z_example, zmod2_star)
 
 
 def _strip_m(W, O):
@@ -181,6 +185,52 @@ def test_window_build_is_deterministic():
     assert W1.boundary == W2.boundary
     assert W1.interior == W2.interior
     assert window_to_json(W1) == window_to_json(W2)
+
+
+def _solution_text(cert) -> str:
+    if isinstance(cert, Infeasible):
+        return repr(("infeasible", sorted(f.sort_key() for f in cert.witness)))
+    return repr(("primitive", repr(cert.norm), cert.exact,
+                 sorted((c.sort_key(), repr(v))
+                        for c, v in cert.m.values.items())))
+
+
+def test_window_and_lp_outputs_are_pinned():
+    # cells, boundaries, interiors, float and exact optima and infeasibility
+    # verdicts of a few small windows, and the f2 radius-5 ball exports; the
+    # window and LP kernels may change how they compute these, not what
+    digest = hashlib.sha256()
+    cases = [(z_example, 2, 1), (z_example, 3, 2), (x_squared, 2, 0),
+             (zmod2_star, 2, 1), (free_product_zz, 2, 1), (z2, 3, 1)]
+    for build, radius, rho in cases:
+        P, O = build()
+        W = build_window(P, O, radius=radius, rho=rho)
+        digest.update(json.dumps(window_to_json(W), sort_keys=True).encode())
+        faces = sorted(W.interior_relator_faces, key=lambda c: c.sort_key())
+        targets = [relator_indicator_family()(W),
+                   Cochain(2, {f: 1 + i % 2 for i, f in enumerate(faces)})]
+        for z in targets:
+            for exact in (False, True):
+                digest.update(_solution_text(
+                    min_linf_primitive(W, z, exact=exact)).encode())
+    assert digest.hexdigest() == \
+        "a8cf5d68d98af82fd1c483b82c32056926ca839730472c43f6962db3fa9ed6d8"
+    P, O = f2()
+    ball = truncated_ball(P, O, 5, 1)
+    text = json.dumps(ball_to_json(P, ball), sort_keys=True) + \
+        ball_to_csv(P, ball)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7779d4d9b15d131cccd8f297ae834027ada22b7c667dd88dbb685f9fb766fe6b"
+
+
+def test_cells_keep_the_hash_of_their_fields():
+    P, O = z_example()
+    W = build_window(P, O, radius=2, rho=1)
+    for c in W.cell_set:
+        first = hash(c)
+        fresh = CellId(c.kind, Word(tuple(c.translate)), c.data)
+        assert fresh == c and hash(fresh) == first == hash(c)
+        assert first == hash((c.kind, c.translate, c.data))
 
 
 def test_window_json_export_shape():

@@ -7,23 +7,27 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relhyp import filling
 from relhyp import oracle as ora
-from relhyp.cayley import geodesic_witness, rel_length
+from relhyp.cayley import ball_alphabet, geodesic_witness, rel_length
 from relhyp.errors import OracleInvalidError, ParseError
 from relhyp.presentation import (
     EMPTY_WORD,
     HLetter,
     Word,
     XLetter,
+    free_reduce,
     parse_document,
 )
 from relhyp.presets import (
+    f2,
     free_product_zz,
     hz,
     x_squared,
     xw,
+    z2,
     z_example,
     zmod2_star,
 )
@@ -414,3 +418,64 @@ def test_budgeted_never_contradicts_the_oracle():
             assert isinstance(verdict, (ora.Trivial, filling.Unknown))
         else:
             assert isinstance(verdict, ora.NontrivialCertified)
+
+
+# ---------------------------------------------------------------------------
+# one-letter steps
+
+
+class _ReducingOracle(ora.NormalFormOracle):
+    """The smallest oracle: free reduction, and every other query, step
+    included, left to the base class."""
+
+    def __init__(self, P):
+        self.P = P
+
+    def normal_form(self, w: Word) -> Word:
+        return free_reduce(self.P, w)
+
+
+def _bare_free_product():
+    P, _ = free_product_zz()
+    return P, _ReducingOracle(P)
+
+
+# free product (f2, free_product_zz, zmod2_star, whose factors are finite
+# tables), integer (z_example, z2), finite (x_squared) and the base default
+STEP_GROUPS = {build.__name__: build() for build in (
+    f2, free_product_zz, zmod2_star, z_example, z2, x_squared,
+    _bare_free_product)}
+
+
+@st.composite
+def _step_case(draw):
+    name = draw(st.sampled_from(sorted(STEP_GROUPS)))
+    P, O = STEP_GROUPS[name]
+    alphabet = ball_alphabet(P, 3)
+    letters = draw(st.lists(st.sampled_from(alphabet), max_size=10))
+    nf = O.normal_form(Word(tuple(letters)))
+    # the inverse of nf's last letter cancels it, or merges it away
+    inverse_last = [P.inverse_letter(nf[-1])] if nf.letters else []
+    l = draw(st.sampled_from(alphabet + inverse_last * len(alphabet)))
+    return name, nf, l
+
+
+@given(_step_case())
+@settings(max_examples=300, deadline=None)
+def test_step_equals_the_normal_form_of_the_product(case):
+    name, nf, l = case
+    P, O = STEP_GROUPS[name]
+    assert O.step(nf, l) == O.normal_form(nf + Word((l,)))
+
+
+def test_step_cancels_and_merges_at_the_seam():
+    P, O = free_product_zz()
+    nf = O.normal_form(Word((hz(1, 2), hz(2, -1))))
+    assert O.step(nf, hz(2, 1)) == Word((hz(1, 2),))
+    assert O.step(nf, hz(2, 3)) == Word((hz(1, 2), hz(2, 2)))
+    assert O.step(nf, hz(1, 1)) == Word(nf.letters + (hz(1, 1),))
+    P, O = f2()
+    assert O.step(xw("x", "y"), XLetter("y", -1)) == xw("x")
+    assert O.step(EMPTY_WORD, XLetter("y", -1)) == xw("y-")
+    P, O = zmod2_star()
+    assert O.step(Word((HLetter(1, 1),)), HLetter(1, 1)) == EMPTY_WORD

@@ -9,7 +9,8 @@ from relhyp import (
     free_reduce, cyclically_reduce, letter_count,
     parse_presentation, serialize_presentation, ParseError,
 )
-from relhyp.presentation import parse_document, presentation_to_doc
+from relhyp.presentation import (
+    free_step, letter_key, parse_document, presentation_to_doc)
 
 
 Z_EXAMPLE_DOC = json.dumps({
@@ -262,6 +263,41 @@ def test_cyclic_reduction_length_is_rotation_invariant(w, k):
     k %= len(w)
     rotated = Word(w.letters[k:] + w.letters[:k])
     assert len(cyclically_reduce(_P, rotated)) == len(cyclically_reduce(_P, w))
+
+
+@given(words, _letters())
+@settings(deadline=None)
+def test_free_step_equals_reducing_the_product(w, l):
+    nf = free_reduce(_P, w)
+    assert free_step(_P, nf, l) == free_reduce(_P, nf + Word((l,)))
+    # l's inverse cancels or merges away whatever l added
+    assert free_step(_P, free_step(_P, nf, l), _P.inverse_letter(l)) == nf
+
+
+def _rebuilt(w: Word) -> Word:
+    return Word(tuple(XLetter(l.sym, l.sign) if isinstance(l, XLetter)
+                      else HLetter(l.lam, l.elem) for l in w))
+
+
+@given(words)
+@settings(deadline=None)
+def test_kept_hashes_and_sort_keys_equal_fresh_ones(w):
+    # hash and sort_key are kept at their first use; a copy built from the
+    # same fields, hashed fresh, must agree with them (and so must the field
+    # tuples the dataclass hash is defined on)
+    first = (hash(w), w.sort_key(), [hash(l) for l in w])
+    assert (hash(w), w.sort_key(), [hash(l) for l in w]) == first
+    fresh = _rebuilt(w)
+    assert fresh == w and fresh is not w
+    assert (hash(fresh), fresh.sort_key(), [hash(l) for l in fresh]) == first
+    assert hash(w) == hash((w.letters,))
+    assert w.sort_key() == (len(w), tuple(letter_key(l) for l in w))
+    for l in w:
+        fields = (l.sym, l.sign) if isinstance(l, XLetter) else (l.lam, l.elem)
+        assert hash(l) == hash(fields)
+    # the kept values stay out of equality and repr
+    assert repr(fresh) == repr(w)
+    assert "_hash" not in repr(w) and "_sort_key" not in repr(w)
 
 
 S3 = FiniteTableModel(
