@@ -13,6 +13,7 @@ breadth-first geodesic search for oracles that give no geodesic themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 
 from .errors import GeodesicNotFoundError, ResourceCapError
 from .oracle import RelLength
@@ -23,7 +24,6 @@ from .presentation import (
     Word,
     XLetter,
     encode_letter,
-    encode_word,
     free_step,
     letter_key,
 )
@@ -97,23 +97,29 @@ def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
 
 
 def ball_to_json(P: RelativePresentation, ball: BallGraph) -> dict:
+    # one dict per distinct letter, shared by every vertex and edge that
+    # holds the letter, so that dump_json renders each letter once
+    code = functools.cache(lambda l: encode_letter(P, l))
     return {
         "radius": ball.radius,
         "peripheral_bound": ball.rho,
-        "vertices": [encode_word(P, v) for v in ball.vertices],
+        "vertices": [[code(l) for l in v] for v in ball.vertices],
         "depths": list(ball.depths),
-        "edges": [[s, encode_letter(P, l), t] for s, l, t in ball.edges],
+        "edges": [[s, code(l), t] for s, l, t in ball.edges],
     }
 
 
 def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:
     import json as _json
 
-    lines = ["source,letter,target"]
-    for s, l, t in ball.edges:
+    @functools.cache
+    def cell(l) -> str:
         enc = _json.dumps(encode_letter(P, l), sort_keys=True,
                           separators=(",", ":"))
-        lines.append(f"{s},\"{enc.replace(chr(34), chr(34) * 2)}\",{t}")
+        return '"' + enc.replace('"', '""') + '"'
+
+    lines = ["source,letter,target"]
+    lines.extend(f"{s},{cell(l)},{t}" for s, l, t in ball.edges)
     return "\n".join(lines) + "\n"
 
 

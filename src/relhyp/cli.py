@@ -14,6 +14,7 @@ truncation exhausted, 5 LP solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import random
@@ -45,6 +46,7 @@ from .presentation import (
     RelativePresentation,
     Word,
     XLetter,
+    dump_json,
     encode_word,
     parse_document,
     presentation_to_doc,
@@ -170,8 +172,7 @@ def _meta(args) -> dict:
 
 
 def _json_out(args, payload: dict) -> str:
-    return json.dumps({"meta": _meta(args), **payload},
-                      sort_keys=True, indent=2) + "\n"
+    return dump_json({"meta": _meta(args), **payload}) + "\n"
 
 
 def _csv_head(args, extra: dict) -> list:
@@ -448,8 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse keeps no state between parse_args calls, so one parser
+    # serves every main() call of a process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.func(args)
         if args.output:

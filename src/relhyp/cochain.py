@@ -53,12 +53,17 @@ _DIM = {
 _LBAR_KINDS = frozenset({PERIPHERAL_EDGE, PERIPHERAL_FACE})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellId:
     kind: str
     translate: Word
     data: tuple = ()
-    _hash = None  # not a field: kept at the first hash(), as Word keeps its
+    # kept at first use, as Word keeps its own; slots, because with two
+    # attributes set after __init__ each instance would carry a dict of its
+    # own (about 300 bytes more per cell)
+    _hash: int = field(default=None, init=False, repr=False, compare=False)
+    _sort_key: tuple = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __hash__(self):
         h = self._hash
@@ -76,7 +81,11 @@ class CellId:
         return self.kind in _LBAR_KINDS
 
     def sort_key(self):
-        return (self.dim, self.kind, self.translate.sort_key(), self.data)
+        k = self._sort_key
+        if k is None:
+            k = (self.dim, self.kind, self.translate.sort_key(), self.data)
+            object.__setattr__(self, "_sort_key", k)
+        return k
 
 
 def base_vertex(g: Word) -> CellId:

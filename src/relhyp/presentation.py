@@ -833,4 +833,99 @@ def presentation_to_doc(P: RelativePresentation, oracle: dict | None = None) -> 
 
 
 def serialize_presentation(P: RelativePresentation, oracle: dict | None = None) -> str:
-    return json.dumps(presentation_to_doc(P, oracle), sort_keys=True, indent=2)
+    return dump_json(presentation_to_doc(P, oracle))
+
+
+_INF = float("inf")
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    """A dict key as ``json`` writes it: converted to a string first."""
+    if isinstance(k, str):
+        return _json_string(k)
+    if isinstance(k, float):
+        return f'"{_float_text(k)}"'
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return f'"{int.__repr__(k)}"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def dump_json(obj) -> str:
+    """Exactly the text of ``json.dumps`` with sorted keys and an indent of
+    two, the form of every JSON artifact.
+
+    With any ``indent`` the standard library encodes through a pure-Python
+    generator that renders a container again at each of its occurrences.
+    Here a list, tuple or dict is rendered once per depth it occurs at: its
+    text is kept under ``(id, depth)`` for the call, which is sound because
+    ``obj`` keeps every object it contains alive until the call returns.  A
+    payload that shares one dict among many places, as a ball shares its
+    letters, pays for that dict once.  Cyclic input is not detected.
+    """
+    memo = {}
+
+    def text(o, depth: int) -> str:
+        cls = o.__class__
+        if cls is int:
+            return int.__repr__(o)
+        if cls is str:
+            return _json_string(o)
+        if cls is list or cls is dict or cls is tuple:
+            key = (id(o), depth)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = container(o, depth)
+            return got
+        # the rest in the order json tests them (bool before int); the
+        # texts of container subclasses are not kept
+        if isinstance(o, str):
+            return _json_string(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if isinstance(o, (list, tuple, dict)):
+            return container(o, depth)
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")
+
+    def container(o, depth: int) -> str:
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner = depth + 1
+        sep = "\n" + "  " * inner
+        if isinstance(o, dict):
+            body = [f"{_key_text(k)}: {text(v, inner)}"
+                    for k, v in sorted(o.items())]
+            opening, closing = "{", "}"
+        else:
+            body = [text(v, inner) for v in o]
+            opening, closing = "[", "]"
+        return (opening + sep + ("," + sep).join(body) + "\n"
+                + "  " * depth + closing)
+
+    return text(obj, 0)

@@ -455,3 +455,41 @@ def test_output_file_matches_stdout(docs, capsys, tmp_path):
     assert code == code2 == 0
     assert target.read_text() == out
 
+
+JSON_ARTIFACTS = tuple(a for a in DETERMINISM_MATRIX
+                       if a[0] not in ("dehn-profile", "window-lp")
+                       and "csv" not in a)
+
+
+@pytest.mark.parametrize("argv", JSON_ARTIFACTS, ids=lambda a: a[0])
+def test_json_artifacts_are_sorted_and_indented_by_two(argv, docs, capsys):
+    code, out, _ = run_cli(capsys, *[a.format(**docs) for a in argv])
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+def test_parser_reuse_leaks_nothing_between_calls(docs, capsys, monkeypatch):
+    sequence = (
+        ["ball", "--input", docs["f2"], "--radius", "3", "--format", "csv"],
+        ["ball", "--input", docs["f2"], "--radius", "two"],
+        ["--version"],
+        ["ball", "--input", docs["f2"], "--radius", "2"],
+    )
+
+    def run_all():
+        got = []
+        for argv in sequence:
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    assert cli._parser() is cli._parser()
+    reused = run_all()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all()
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+    assert reused == fresh
