@@ -1,0 +1,83 @@
+"""The walks that step group elements one letter at a time: truncated balls,
+the loop classes of Dehn profiles and the breadth-first geodesic search,
+pinned over every oracle kind."""
+
+import hashlib
+import json
+
+from relhyp import oracle as ora
+from relhyp.cayley import geodesic_witness, truncated_ball
+from relhyp.errors import GeodesicNotFoundError
+from relhyp.filling import _loop_classes
+from relhyp.presentation import Word, free_reduce, parse_document
+from relhyp.presets import (
+    f2,
+    free_product_zz,
+    x_squared,
+    z2,
+    z_example,
+    zmod2_star,
+)
+
+# S_3 on the sorted permutations of (0, 1, 2); x maps to (0 1), y to a
+# 3-cycle, the Z factor to the other 3-cycle and the order-2 factor to (0 2)
+S3_DOC = {
+    "x": ["x", "y"],
+    "models": [{"label": 1, "kind": "Z^d", "rank": 1},
+               {"label": 2, "kind": "finite", "size": 2,
+                "table": [[0, 1], [1, 0]]}],
+    "relators": [[{"x": "x", "sign": 1}] * 2,
+                 [{"h": {"lambda": 1, "elem": 3}}]],
+    "oracle": {"kind": "finite_quotient", "size": 6,
+               "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3],
+                         [2, 3, 0, 1, 5, 4], [3, 2, 5, 4, 0, 1],
+                         [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
+               "x_images": {"x": 2, "y": 3},
+               "model_images": {"1": [4], "2": [0, 5]}},
+}
+
+
+class _PluginStyleOracle(ora.NormalFormOracle):
+    """An oracle written outside the package: normal forms only, every
+    other query left to the base class."""
+
+    def __init__(self, P):
+        self.P = P
+
+    def normal_form(self, w: Word) -> Word:
+        return free_reduce(self.P, w)
+
+
+def _s3():
+    P, cfg = parse_document(json.dumps(S3_DOC))
+    return P, ora.build_oracle(P, cfg)
+
+
+def _plugin_style():
+    P, _ = free_product_zz()
+    return P, _PluginStyleOracle(P)
+
+
+# (group, ball radius, ball rho)
+CASES = [(f2, 4, 1), (free_product_zz, 3, 2), (zmod2_star, 5, 1),
+         (z_example, 3, 2), (z2, 4, 1), (x_squared, 3, 0), (_s3, 3, 1),
+         (_plugin_style, 3, 1)]
+
+
+def test_walks_are_pinned():
+    digest = hashlib.sha256()
+    for build, radius, rho in CASES:
+        P, O = build()
+        ball = truncated_ball(P, O, radius, rho)
+        digest.update(repr((ball.vertices, ball.depths, ball.edges)).encode())
+        for loop_rho in (0, 1, 2):
+            classes = _loop_classes(P, O, 4, loop_rho)
+            digest.update(repr(list(classes.items())).encode())
+        for v in truncated_ball(P, O, 2, 1).vertices:
+            try:
+                out = repr(geodesic_witness(P, O, v))
+            except GeodesicNotFoundError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "732af35ebcbfb023fe8ce47ae7d05d3c700440e545f059038766321f1b3f2b91"
