@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .presentation import (
     FreeAbelianModel,
     FiniteTableModel,
@@ -94,29 +96,7 @@ from .corridor import (
     validate_relaut,
 )
 
-__all__ = [
-    "FreeAbelianModel", "FiniteTableModel", "FreeGroupModel",
-    "XLetter", "HLetter", "Word", "EMPTY_WORD", "RelativePresentation",
-    "free_reduce", "cyclically_reduce", "letter_count",
-    "parse_presentation", "parse_document", "serialize_presentation",
-    "RelhypError", "ParseError", "OracleInvalidError", "ResourceCapError",
-    "LpSolverError", "GeodesicNotFoundError",
-    "FreeProductOracle", "IntegerQuotientOracle", "FiniteQuotientOracle",
-    "PluginOracle", "Trivial", "NontrivialCertified", "build_oracle",
-    "budgeted_word_problem",
-    "BallGraph", "RelLength", "ball_to_csv", "ball_to_json",
-    "geodesic_witness", "rel_length", "truncated_ball",
-    "DehnProfile", "FillingCertificate", "Unknown",
-    "check_asymptotic_dominance", "dehn_profile", "linear_fit",
-    "relative_area", "replay_certificate", "rho_escalation",
-    "CellId", "Chain", "Cochain", "GrowthScan", "Infeasible", "Primitive",
-    "Window", "boundary_chain", "build_window", "coboundary", "growth_scan",
-    "min_linf_primitive", "pair", "path_gain", "relative_correction",
-    "relator_indicator_family", "window_to_json", "windowed_max_nu",
-    "Corridor", "FreeAction", "RelAutomorphism", "SeparationReport",
-    "apply_action", "apply_automorphism", "build_corridor",
-    "check_separated", "check_uniform_flare", "corridor_cocycle_pairing",
-    "encode_action", "identity_automorphism", "parse_action",
-    "validate_action", "validate_relaut",
-    "__version__",
-]
+# the public names are the ones imported above, each listed once there
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -8,11 +8,13 @@ length queries answer with a closed interval that collapses to a point
 whenever the oracle can answer exactly.  Each oracle answers relative length
 and geodesics itself (``rel_length`` and ``geodesic``); this module adds the
 breadth-first geodesic search for oracles that give no geodesic themselves.
+Balls and searches walk element keys, one ``O.step`` per edge, and write a
+key out as a word only for what they return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 
 from .errors import GeodesicNotFoundError, ResourceCapError
@@ -24,7 +26,7 @@ from .presentation import (
     Word,
     XLetter,
     encode_letter,
-    free_step,
+    free_reduce,
     letter_key,
 )
 
@@ -53,46 +55,52 @@ class BallGraph:
     edges: tuple[tuple[int, object, int], ...]  # (source idx, letter, target idx)
     radius: int
     rho: int
-    index: dict = field(compare=False, repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index",
-                           {v: i for i, v in enumerate(self.vertices)})
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
 
 
-def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
-                   max_vertices: int | None = None) -> BallGraph:
-    """BFS ball around the identity using free letters and peripheral
-    letters of model length <= rho, vertices deduplicated by normal form."""
-    alphabet = ball_alphabet(P, rho)
-    home = O.normal_form(EMPTY_WORD)
-    vertices = [home]
+def walk_ball(O, alphabet, radius: int, max_vertices: int | None = None):
+    """Breadth-first walk from the identity by one ``O.step`` per edge.
+
+    Returns (index, depths, edges): index maps each element key reached to
+    its vertex number, in discovery order; edges are (source, letter,
+    target) by vertex number, the last layer adding only edges back into
+    the ball.
+    """
+    step = O.step
+    index = {O.element_key(EMPTY_WORD): 0}
+    keys = list(index)
     depths = [0]
-    index = {home: 0}
     edges = []
-    # vertices grows while it is scanned, so this is the BFS queue; the last
-    # layer only records edges back into the ball
-    for i, v in enumerate(vertices):
+    # keys grows while it is scanned, so it is the BFS queue
+    for i, key in enumerate(keys):
         depth = depths[i] + 1
         for l in alphabet:
-            t = O.step(v, l)
+            t = step(key, l)
             j = index.get(t)
             if j is None and depth <= radius:
-                if max_vertices is not None and \
-                        len(vertices) >= max_vertices:
+                if max_vertices is not None and len(keys) >= max_vertices:
                     raise ResourceCapError(
                         f"ball exceeded the vertex budget {max_vertices} "
                         f"at radius {depth}", "max_vertices", max_vertices)
-                j = index[t] = len(vertices)
-                vertices.append(t)
+                j = index[t] = len(keys)
+                keys.append(t)
                 depths.append(depth)
             if j is not None:
                 edges.append((i, l, j))
-    return BallGraph(vertices=tuple(vertices), depths=tuple(depths),
+    return index, depths, edges
+
+
+def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
+                   max_vertices: int | None = None) -> BallGraph:
+    """BFS ball around the identity using free letters and peripheral
+    letters of model length <= rho, vertices deduplicated by element key and
+    written as normal forms."""
+    index, depths, edges = walk_ball(O, ball_alphabet(P, rho), radius,
+                                     max_vertices)
+    return BallGraph(vertices=tuple(map(O.word, index)), depths=tuple(depths),
                      edges=tuple(edges), radius=radius, rho=rho)
 
 
@@ -160,26 +168,26 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
         return direct
     alphabet = _witness_alphabet(P, O, w, rho, closure_depth)
     target = O.element_key(w)
-    frontier = [(EMPTY_WORD, O.element_key(EMPTY_WORD))]
-    seen = {frontier[0][1]}
+    home = O.element_key(EMPTY_WORD)
+    frontier = [((), home)]
+    seen = {home}
     states = 1
     for depth in range(1, n + 1):
         nxt = []
-        for word, _ in frontier:
+        for path, key in frontier:
             for l in alphabet:
-                cand = free_step(P, word, l)
-                k = O.element_key(cand)
+                k = O.step(key, l)
                 if k in seen:
                     continue
                 if k == target:
-                    return cand
+                    return free_reduce(P, Word(path + (l,)))
                 states += 1
                 if states > max_states:
                     raise GeodesicNotFoundError(
                         f"geodesic search exceeded {max_states} states "
                         f"under truncation {rho}", rho)
                 seen.add(k)
-                nxt.append((cand, k))
+                nxt.append((path + (l,), k))
         frontier = nxt
     raise GeodesicNotFoundError(
         f"no representative of length {n} found under truncation {rho}", rho)

@@ -58,12 +58,10 @@ class CellId:
     kind: str
     translate: Word
     data: tuple = ()
-    # kept at first use, as Word keeps its own; slots, because with two
-    # attributes set after __init__ each instance would carry a dict of its
+    # kept at first use, as Word keeps its own; slots, because with an
+    # attribute set after __init__ each instance would carry a dict of its
     # own (about 300 bytes more per cell)
     _hash: int = field(default=None, init=False, repr=False, compare=False)
-    _sort_key: tuple = field(default=None, init=False, repr=False,
-                             compare=False)
 
     def __hash__(self):
         h = self._hash
@@ -81,11 +79,7 @@ class CellId:
         return self.kind in _LBAR_KINDS
 
     def sort_key(self):
-        k = self._sort_key
-        if k is None:
-            k = (self.dim, self.kind, self.translate.sort_key(), self.data)
-            object.__setattr__(self, "_sort_key", k)
-        return k
+        return (self.dim, self.kind, self.translate.sort_key(), self.data)
 
 
 def base_vertex(g: Word) -> CellId:
@@ -231,7 +225,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     def times(v: Word, l) -> Word:
         t = products.get((v, l))
         if t is None:
-            t = products[(v, l)] = O.step(v, l)
+            t = products[(v, l)] = O.normal_form(v + Word((l,)))
         return t
 
     forward = {sym: XLetter(sym, 1) for sym in P.x_symbols}

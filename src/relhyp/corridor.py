@@ -13,7 +13,6 @@ basis automorphism, -i its inverse).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cayley import geodesic_witness, rel_length
 from .errors import GeodesicNotFoundError, ParseError
@@ -334,32 +333,6 @@ def check_uniform_flare(P: RelativePresentation, O, action: FreeAction,
     """The corridor-base slice of the separation test: positions anchored at
     the identity of the acting group."""
     return check_separated(P, O, action, g_sample, factor, N, M, w_radius=0)
-
-
-def side_retention_report(P: RelativePresentation, O, action: FreeAction,
-                          g: Word, factor, N: int) -> dict:
-    """For each tree direction reaching distance N, the minimal ratio
-    entry(prefix)/entry(base) along the way — at least one direction should
-    stay above 1/factor when the flare inequality holds."""
-    lam = exact_number(factor)
-    corridor = build_corridor(P, O, action, g, N)
-    base = corridor.entries[()]
-    out = {}
-    if not base.is_exact or base.value == 0:
-        return out
-    for a in corridor.entries:
-        if len(a) != N:
-            continue
-        ratios = []
-        for k in range(1, N + 1):
-            L = corridor.entries[a[:k]]
-            if not L.is_exact:
-                ratios = None
-                break
-            ratios.append(Fraction(L.value, base.value))
-        if ratios is not None:
-            out[a] = (min(ratios), min(ratios) >= 1 / lam)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,18 @@ cancellations cost nothing and are folded into canonicalization; certificates
 record them as explicit zero-cost moves so a dumb interpreter can replay the
 whole trace.
 
-The search kernel works on ints.  Each presentation builds one
-``SearchTable`` at its first search and keeps it: its letters interned as
-ints (letter to code and back) with the letter algebra (merge, cancel,
-syllable remainders) memoized per pair of codes, every distinct relator
-rotation with the inverses of its tails and its cell vector, and the relator
-lattice that rejects unfillable loops before any search.  A call builds only
-its start word, exponent vector and heap; states and the ``dist``/``parent``
-keys are tuples of codes, and codes are never compared, so results do not
-depend on which loops were searched before.  A splice is reduced only at its
-seams: the state, hence its prefix and suffix, is already reduced, so the
-middle is pushed onto the prefix and the suffix only while it combines with
-the top; the result equals ``free_reduce`` of the whole word.  ``parent``
+The search kernel works on the letter codes of ``P.alphabet``, whose
+letter algebra (merge, cancel, syllable remainders) is memoized per pair of
+codes.  Each presentation builds one ``SearchTable`` at its first search and
+keeps it: every distinct relator rotation with the inverses of its tails and
+its cell vector, and the relator lattice that rejects unfillable loops
+before any search.  A call builds only its start word, exponent vector and
+heap; states and the ``dist``/``parent`` keys are tuples of codes, and codes
+are never ordered, so results do not depend on which loops were searched
+before.  A splice (``Alphabet.splice``) is reduced only at its seams: the
+state, hence its prefix and suffix, is already reduced, so the middle is
+pushed onto the prefix and the suffix only while it combines with the top;
+the result equals ``free_reduce`` of the whole word.  ``parent``
 records each step as (variant, position, matched length, remainders), and
 the trace moves are built only for the winning path.  Successors are
 generated in a fixed order, so areas, certificates and state counts are
@@ -38,18 +38,18 @@ import itertools
 import math
 import operator
 
-from .cayley import ball_alphabet, truncated_ball
+from .cayley import ball_alphabet, walk_ball
 from .oracle import reduce_mod, row_echelon_lattice
 from .presentation import (
     EMPTY_WORD,
     HLetter,
+    NO_MATCH,
     RelativePresentation,
     Word,
     XLetter,
     combinable,
     exact_number,
     free_reduce,
-    free_step,
     letter_count,
     letter_key,
 )
@@ -127,22 +127,11 @@ def rotation_letters(P: RelativePresentation, relator: int, inverted: bool,
 # ---------------------------------------------------------------------------
 # the search table and kernel
 
-_APART = -1    # combine: the letters neither cancel nor merge
-_CANCEL = -2   # combine: the letters cancel
-_NO_MATCH = -1  # remainder: the word letter does not contain the relator letter
-
 
 class SearchTable:
-    """Everything the filling search needs that depends only on P, built at
-    P's first search and kept on it as ``P.search_table``.
-
-    Letters are interned as ints (``codes`` and ``letters``), and the letter
-    algebra is memoized per pair of codes: ``combine(a, b)`` gives the code
-    of the merged letter, ``_CANCEL`` or ``_APART``; ``remainder(w, f,
-    left)`` gives the code of w f^-1 (left) or f^-1 w for same-label
-    peripheral letters w != f, what is left of word letter w when relator
-    letter f is split off it on its left or right end, otherwise
-    ``_NO_MATCH``.
+    """The relator rotations and lattice the filling search needs, built at
+    P's first search and kept on it as ``P.search_table``; letters are codes
+    of ``P.alphabet``.
 
     ``variants`` lists each distinct rotation r of a relator or its inverse,
     in a fixed order, as (r, tails, cell vector, relator, inverted,
@@ -154,10 +143,7 @@ class SearchTable:
 
     def __init__(self, P: RelativePresentation):
         self.P = P
-        self.letters: list = []
-        self.codes: dict = {}
-        self._combined: dict = {}
-        self._remainders: dict = {}
+        encode = P.alphabet.encode
         rel_vecs = [P.slots.epsilon(r) for r in P.relators]
         nonzero = [v for v in rel_vecs if any(v)]
         self._ech = row_echelon_lattice(nonzero)
@@ -174,10 +160,10 @@ class SearchTable:
                         continue
                     seen.add(ls)
                     tails = tuple(
-                        self.encode(P.inverse_word(Word(ls[k:])).letters)
+                        encode(P.inverse_word(Word(ls[k:])).letters)
                         for k in range(len(ls) + 1))
                     self.variants.append(
-                        (self.encode(ls), tails,
+                        (encode(ls), tails,
                          tuple(-c for c in vec) if inverted else vec,
                          idx, inverted, rot))
 
@@ -192,81 +178,6 @@ class SearchTable:
         j, c = self._pivot
         return abs(eps[j] // c)
 
-    def intern(self, letter) -> int:
-        code = self.codes.get(letter)
-        if code is None:
-            code = self.codes[letter] = len(self.letters)
-            self.letters.append(letter)
-        return code
-
-    def encode(self, letters) -> tuple:
-        return tuple(map(self.intern, letters))
-
-    def decode(self, codes) -> tuple:
-        return tuple(map(self.letters.__getitem__, codes))
-
-    def combine(self, a: int, b: int) -> int:
-        out = self._combined.get((a, b))
-        if out is None:
-            la, lb = self.letters[a], self.letters[b]
-            if not combinable(la, lb):
-                out = _APART
-            elif isinstance(la, XLetter):
-                out = _CANCEL
-            else:
-                model = self.P.models[la.lam]
-                prod = model.product(la.elem, lb.elem)
-                out = _CANCEL if model.is_identity(prod) \
-                    else self.intern(HLetter(la.lam, prod))
-            self._combined[a, b] = out
-        return out
-
-    def remainder(self, w: int, f: int, left: bool) -> int:
-        out = self._remainders.get((w, f, left))
-        if out is None:
-            lw, lf = self.letters[w], self.letters[f]
-            out = _NO_MATCH
-            if isinstance(lw, HLetter) and isinstance(lf, HLetter) \
-                    and lw.lam == lf.lam:
-                model = self.P.models[lw.lam]
-                inv = model.inverse(lf.elem)
-                rest = model.product(lw.elem, inv) if left \
-                    else model.product(inv, lw.elem)
-                if not model.is_identity(rest):
-                    out = self.intern(HLetter(lw.lam, rest))
-            self._remainders[w, f, left] = out
-        return out
-
-    def splice(self, state: tuple, i: int, j: int, mid) -> tuple:
-        """free_reduce(state[:i] + mid + state[j:]) for a reduced state: the
-        reduced prefix is copied, mid is pushed letter by letter, and the
-        reduced suffix only while its letters combine with the top."""
-        stack = list(state[:i])
-        combine = self.combine
-        for c in mid:
-            while stack:
-                r = combine(stack[-1], c)
-                if r == _APART:
-                    break
-                stack.pop()
-                c = None if r == _CANCEL else r
-                if c is None:
-                    break
-            if c is not None:
-                stack.append(c)
-        n = len(state)
-        while j < n and stack:
-            r = combine(stack[-1], state[j])
-            if r == _APART:
-                break
-            stack.pop()
-            if r != _CANCEL:
-                # a merged letter is apart from what lies under it
-                stack.append(r)
-            j += 1
-        stack.extend(state[j:])
-        return tuple(stack)
-
 
 def _candidates(table: SearchTable, state: tuple):
     """Yield (successor, move) for every relator cell spliced into state.
@@ -280,7 +191,8 @@ def _candidates(table: SearchTable, state: tuple):
     or None.
     """
     n = len(state)
-    splice, remainder = table.splice, table.remainder
+    A = table.P.alphabet
+    splice, remainder = A.splice, A.remainder
     for v, (r, tails, *_) in enumerate(table.variants):
         for k in range(len(r), 0, -1):
             q_inv = tails[k]
@@ -294,11 +206,11 @@ def _candidates(table: SearchTable, state: tuple):
                             (v, i, 1, None, None)
                         continue
                     a = remainder(wf, first, True)
-                    if a != _NO_MATCH:
+                    if a != NO_MATCH:
                         yield splice(state, i, i + 1, (a,) + q_inv), \
                             (v, i, 1, a, None)
                     b = remainder(wf, first, False)
-                    if b != _NO_MATCH:
+                    if b != NO_MATCH:
                         yield splice(state, i, i + 1, q_inv + (b,)), \
                             (v, i, 1, None, b)
                     continue
@@ -307,13 +219,13 @@ def _candidates(table: SearchTable, state: tuple):
                 a = None
                 if wf != first:
                     a = remainder(wf, first, True)
-                    if a == _NO_MATCH:
+                    if a == NO_MATCH:
                         continue
                 b = None
                 wl = state[i + k - 1]
                 if wl != last:
                     b = remainder(wl, last, False)
-                    if b == _NO_MATCH:
+                    if b == NO_MATCH:
                         continue
                 mid = q_inv
                 if a is not None:
@@ -343,7 +255,7 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
     cap_len = max(max_len, len(start))
     variants = table.variants
     counter = itertools.count()
-    key0 = table.encode(start.letters)
+    key0 = P.alphabet.encode(start.letters)
     dist: dict[tuple, int] = {key0: 0}
     parent: dict[tuple, tuple] = {}
     h0 = table.lower_bound(eps0)
@@ -381,6 +293,7 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
 def _reconstruct(table, loop, key0, state, parent, area, max_area,
                  max_len):
     P = table.P
+    A = P.alphabet
     steps = []
     key = state
     while key != key0:
@@ -393,17 +306,17 @@ def _reconstruct(table, loop, key0, state, parent, area, max_area,
     events: list = []
     cur = free_reduce(P, loop, _trace=events)
     trace.extend(_events_to_moves(events))
-    assert cur.letters == table.decode(key0)
+    assert cur.letters == A.decode(key0)
     for prev, (v, i, k, left, right) in steps:
-        assert cur.letters == table.decode(prev)
+        assert cur.letters == A.decode(prev)
         r, tails, _, idx, inverted, rot = table.variants[v]
         # the moves of this step, built only now that it is on the path
         splits = []
         if left is not None:
-            splits.append(HSplit(i, table.letters[left].elem))
+            splits.append(HSplit(i, A.letters[left].elem))
             i += 1
         if right is not None:
-            splits.append(HSplit(i + k - 1, table.letters[r[k - 1]].elem))
+            splits.append(HSplit(i + k - 1, A.letters[r[k - 1]].elem))
         rcell = RCell(idx, inverted, rot, i, k)
         work = list(cur.letters)
         for s in splits:
@@ -414,7 +327,7 @@ def _reconstruct(table, loop, key0, state, parent, area, max_area,
             work[s.pos:s.pos + 1] = [HLetter(l.lam, s.left),
                                      HLetter(l.lam, rest)]
         trace.append(rcell)
-        work[i:i + k] = table.decode(tails[k])
+        work[i:i + k] = A.decode(tails[k])
         events = []
         cur = free_reduce(P, Word(tuple(work)), _trace=events)
         trace.extend(_events_to_moves(events))
@@ -509,9 +422,7 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
     """Distinct reduced-loop classes (up to rotation and inversion) of
     relative length <= n_max at the basepoint, via distance-pruned DFS."""
     alphabet = ball_alphabet(P, rho)
-    ball = truncated_ball(P, O, (n_max + 1) // 2, rho)
-    distance = {O.element_key(v): d
-                for v, d in zip(ball.vertices, ball.depths)}
+    index, depths, _ = walk_ball(O, alphabet, (n_max + 1) // 2)
     home = O.element_key(EMPTY_WORD)
 
     classes: dict[tuple, Word] = {}
@@ -528,7 +439,7 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
                     best_letters = seq[i:] + seq[:i]
         return best, best_letters
 
-    def dfs(path: list, elem, key):
+    def dfs(path: list, key):
         depth = len(path)
         if depth and key == home and \
                 (depth == 1 or not combinable(path[-1], path[0])):
@@ -541,16 +452,15 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
         for l in alphabet:
             if path and combinable(path[-1], l):
                 continue
-            nxt = free_step(P, elem, l)
-            t = O.element_key(nxt)
-            d = distance.get(t)
-            if d is None or d > remaining - 1:
+            t = O.step(key, l)
+            i = index.get(t)
+            if i is None or depths[i] > remaining - 1:
                 continue
             path.append(l)
-            dfs(path, nxt, t)
+            dfs(path, t)
             path.pop()
 
-    dfs([], EMPTY_WORD, home)
+    dfs([], home)
     return classes
 
 

@@ -2,10 +2,15 @@
 
 An oracle answers normal-form, equality, relative-length and geodesic queries
 for the presented group; each derives from NormalFormOracle, whose defaults
-read the answers off normal forms.  ``step`` multiplies a normal form by one
-letter, the move of every ball and window enumeration; the free product
-oracle does it at the seam alone, the others normalize the product.  Four
-kinds are supported: the ambient free product itself (valid only when there
+read the answers off normal forms.  ``element_key`` names an element by a
+hashable key, ``word`` writes a key back as the normal form, and
+``step(key, l)`` is the key of the element times the letter l: the one move
+of every ball, loop and geodesic walk.  Each oracle steps on its own key: a
+normal form by default, a tuple of ``P.alphabet`` codes reduced at the seam
+for the free product (codes depend on interning history, so these keys are
+compared for equality only and never ordered), a reduced exponent vector
+for an integer quotient and an element index for a finite one.  Four kinds
+are supported: the ambient free product itself (valid only when there
 are no relators), homomorphisms onto subgroups of Z^d, finite quotients given
 by a multiplication table, and external plugin executables speaking a
 line-delimited JSON protocol.
@@ -18,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 import json
+import operator
 import subprocess
 
 from .errors import OracleInvalidError, ParseError
 from .presentation import (
+    APART,
+    CANCEL,
+    EMPTY_WORD,
     FiniteTableModel,
     FreeAbelianModel,
     HLetter,
@@ -33,7 +42,6 @@ from .presentation import (
     encode_word,
     expect_json,
     free_reduce,
-    free_step,
     int_label,
     letter_count,
 )
@@ -201,20 +209,30 @@ class NormalFormOracle:
     """Base of every oracle.  Subclasses provide normal_form, which sends
     equal group elements to the same word; every other query defaults to an
     answer read off canonical words, and oracles that know more override it.
-    step(nf, l) is normal_form(nf + l) for a word nf already in normal form.
+    By default an element's key is its normal form: ``word`` returns it and
+    ``step(key, l)`` normalizes the product.  An oracle with another key
+    overrides ``element_key``, ``word`` and ``step``, keeping
+    word(element_key(w)) == normal_form(w) and step(element_key(w), l) ==
+    element_key(w + l); its normal_form may then be left to the base.
     """
 
-    def step(self, nf: Word, l) -> Word:
-        return self.normal_form(nf + Word((l,)))
+    def normal_form(self, w: Word) -> Word:
+        return self.word(self.element_key(w))
 
     def element_key(self, w: Word):
         return self.normal_form(w)
 
+    def word(self, key) -> Word:
+        return key
+
+    def step(self, key, l):
+        return self.element_key(self.word(key) + Word((l,)))
+
     def equal(self, a: Word, b: Word) -> bool:
-        return self.normal_form(a + self.P.inverse_word(b)).is_empty
+        return self.element_key(a) == self.element_key(b)
 
     def is_trivial(self, w: Word) -> bool:
-        return self.normal_form(w).is_empty
+        return self.element_key(w) == self.element_key(EMPTY_WORD)
 
     def in_peripheral(self, w: Word, lam: int) -> bool:
         # certificate-style approximation: a canonical form that is a single
@@ -265,8 +283,22 @@ class FreeProductOracle(NormalFormOracle):
     def normal_form(self, w: Word) -> Word:
         return free_reduce(self.P, w)
 
-    def step(self, nf: Word, l) -> Word:
-        return free_step(self.P, nf, l)
+    def element_key(self, w: Word) -> tuple:
+        return self.P.alphabet.encode(self.normal_form(w).letters)
+
+    def word(self, key) -> Word:
+        return Word(self.P.alphabet.decode(key))
+
+    def step(self, key, l) -> tuple:
+        # l cancels or merges with the key's last letter, and a merged
+        # syllable cannot combine further
+        A = self.P.alphabet
+        c = A.intern(l)
+        if key:
+            r = A.combine(key[-1], c)
+            if r != APART:
+                return key[:-1] if r == CANCEL else key[:-1] + (r,)
+        return key + (c,)
 
     def rel_length(self, w: Word) -> RelLength:
         return RelLength.exact(letter_count(self.normal_form(w)))
@@ -324,6 +356,7 @@ class IntegerQuotientOracle(NormalFormOracle):
                 columns.append(self._vec(g, f"model {lam} generator {i}"))
 
         self._slots = P.slots
+        self._letter_vecs: dict = {}
         self._A = [[col[i] for col in columns] for i in range(dim)]
         self._kernel_ech = row_echelon_lattice(integer_kernel(self._A))
         self._perip_lattices = {
@@ -352,14 +385,16 @@ class IntegerQuotientOracle(NormalFormOracle):
     def element_key(self, w: Word):
         return reduce_mod(self._kernel_ech, self._slots.epsilon(w))
 
-    def normal_form(self, w: Word) -> Word:
-        return self._slots.word(self.element_key(w))
+    def word(self, key) -> Word:
+        return self._slots.word(key)
 
-    def equal(self, a: Word, b: Word) -> bool:
-        return self.element_key(a) == self.element_key(b)
-
-    def is_trivial(self, w: Word) -> bool:
-        return not any(self.element_key(w))
+    def step(self, key, l):
+        # word is a section of epsilon, so the product's vector is the
+        # key's plus the letter's
+        vec = self._letter_vecs.get(l)
+        if vec is None:
+            vec = self._letter_vecs[l] = self._slots.epsilon(Word((l,)))
+        return reduce_mod(self._kernel_ech, map(operator.add, key, vec))
 
     def in_peripheral(self, w: Word, lam: int) -> bool:
         return not any(self.coset_key(w, lam))
@@ -562,21 +597,17 @@ class FiniteQuotientOracle(NormalFormOracle):
             out = self.Q.product(out, self.eval_letter(l))
         return out
 
-    def normal_form(self, w: Word) -> Word:
-        g = self.eval_word(w)
-        if g not in self._canonical:
-            # unreachable from generators cannot occur for genuine words
-            raise OracleInvalidError(f"element {g} not generated")
-        return self._canonical[g]
-
     def element_key(self, w: Word):
         return self.eval_word(w)
 
-    def equal(self, a: Word, b: Word) -> bool:
-        return self.eval_word(a) == self.eval_word(b)
+    def word(self, key) -> Word:
+        if key not in self._canonical:
+            # unreachable from generators cannot occur for genuine words
+            raise OracleInvalidError(f"element {key} not generated")
+        return self._canonical[key]
 
-    def is_trivial(self, w: Word) -> bool:
-        return self.eval_word(w) == self.Q.identity_index
+    def step(self, key, l):
+        return self.Q.product(key, self.eval_letter(l))
 
     def in_peripheral(self, w: Word, lam: int) -> bool:
         return self.eval_word(w) in self._subgroups[lam]

@@ -4,7 +4,9 @@ A presentation holds a finite list of free-group symbols, a family of
 peripheral models indexed by integer labels, and a list of relator words.
 Words mix two letter kinds: signed free-group letters and peripheral letters
 carrying a nonidentity model element.  A peripheral letter always counts as a
-single letter regardless of how large its model element is.
+single letter regardless of how large its model element is.  Kernels that
+reduce many words intern a presentation's letters as int codes
+(``P.alphabet``) and work on tuples of codes.
 """
 
 from __future__ import annotations
@@ -485,6 +487,11 @@ class RelativePresentation:
         return SlotLayout(self)
 
     @cached_property
+    def alphabet(self) -> "Alphabet":
+        """The letters interned as ints, with their algebra, built once."""
+        return Alphabet(self)
+
+    @cached_property
     def search_table(self):
         """The filling search's relator table, built at the first search."""
         from .filling import SearchTable
@@ -593,26 +600,118 @@ def combinable(a: Letter, b: Letter) -> bool:
     return isinstance(b, HLetter) and a.lam == b.lam
 
 
-def free_step(P: RelativePresentation, w: Word, l: Letter) -> Word:
-    """free_reduce(P, w + l) for a freely reduced w: l cancels or merges
-    with w's last letter, and a merged syllable cannot combine further."""
-    if not (w.letters and combinable(w.letters[-1], l)):
-        return Word(w.letters + (l,))
-    a, rest = w.letters[-1], w.letters[:-1]
-    if isinstance(a, XLetter):
-        return Word(rest)
-    model = P.models[a.lam]
-    prod = model.product(a.elem, l.elem)
-    return Word(rest) if model.is_identity(prod) \
-        else Word(rest + (HLetter(a.lam, prod),))
-
-
 def cyclically_reduce(P: RelativePresentation, w: Word) -> Word:
     """Freely reduce, then fold combinable first/last letters around the seam."""
     w = free_reduce(P, w)
     while len(w) >= 2 and combinable(w.letters[-1], w.letters[0]):
         w = free_reduce(P, Word((w.letters[-1],) + w.letters[:-1]))
     return w
+
+
+# ---------------------------------------------------------------------------
+# the letter algebra on interned codes
+
+APART = -1     # combine: the letters neither cancel nor merge
+CANCEL = -2    # combine: the letters cancel
+NO_MATCH = -1  # remainder: the word letter does not contain the relator letter
+
+
+class Alphabet:
+    """A presentation's letters interned as ints, built at the first use and
+    kept on it as ``P.alphabet``.
+
+    ``codes`` maps a letter to its code and ``letters`` maps back.  Codes
+    are handed out in the order letters are first met, so they depend on
+    call history: they are compared for equality only and never ordered.
+    The letter algebra is memoized per pair of codes: ``combine(a, b)``
+    gives the code of the merged letter, ``CANCEL`` or ``APART``;
+    ``remainder(w, f, left)`` gives the code of w f^-1 (left) or f^-1 w for
+    same-label peripheral letters w != f, what is left of word letter w when
+    relator letter f is split off it on its left or right end, otherwise
+    ``NO_MATCH``.
+    """
+
+    def __init__(self, P: RelativePresentation):
+        self.P = P
+        self.letters: list = []
+        self.codes: dict = {}
+        self._combined: dict = {}
+        self._remainders: dict = {}
+
+    def intern(self, letter) -> int:
+        code = self.codes.get(letter)
+        if code is None:
+            code = self.codes[letter] = len(self.letters)
+            self.letters.append(letter)
+        return code
+
+    def encode(self, letters) -> tuple:
+        return tuple(map(self.intern, letters))
+
+    def decode(self, codes) -> tuple:
+        return tuple(map(self.letters.__getitem__, codes))
+
+    def combine(self, a: int, b: int) -> int:
+        out = self._combined.get((a, b))
+        if out is None:
+            la, lb = self.letters[a], self.letters[b]
+            if not combinable(la, lb):
+                out = APART
+            elif isinstance(la, XLetter):
+                out = CANCEL
+            else:
+                model = self.P.models[la.lam]
+                prod = model.product(la.elem, lb.elem)
+                out = CANCEL if model.is_identity(prod) \
+                    else self.intern(HLetter(la.lam, prod))
+            self._combined[a, b] = out
+        return out
+
+    def remainder(self, w: int, f: int, left: bool) -> int:
+        out = self._remainders.get((w, f, left))
+        if out is None:
+            lw, lf = self.letters[w], self.letters[f]
+            out = NO_MATCH
+            if isinstance(lw, HLetter) and isinstance(lf, HLetter) \
+                    and lw.lam == lf.lam:
+                model = self.P.models[lw.lam]
+                inv = model.inverse(lf.elem)
+                rest = model.product(lw.elem, inv) if left \
+                    else model.product(inv, lw.elem)
+                if not model.is_identity(rest):
+                    out = self.intern(HLetter(lw.lam, rest))
+            self._remainders[w, f, left] = out
+        return out
+
+    def splice(self, state: tuple, i: int, j: int, mid) -> tuple:
+        """free_reduce(state[:i] + mid + state[j:]) in codes, for a reduced
+        state: the reduced prefix is copied, mid is pushed letter by letter,
+        and the reduced suffix only while its letters combine with the top."""
+        stack = list(state[:i])
+        combine = self.combine
+        for c in mid:
+            while stack:
+                r = combine(stack[-1], c)
+                if r == APART:
+                    break
+                stack.pop()
+                c = None if r == CANCEL else r
+                if c is None:
+                    break
+            if c is not None:
+                stack.append(c)
+        n = len(state)
+        while j < n and stack:
+            r = combine(stack[-1], state[j])
+            if r == APART:
+                break
+            stack.pop()
+            if r != CANCEL:
+                # a merged letter is apart from what lies under it
+                stack.append(r)
+            j += 1
+        stack.extend(state[j:])
+        return tuple(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import relhyp
 from relhyp import cli
 from relhyp.errors import LpSolverError, ParseError
 from relhyp.presentation import HLetter, XLetter, parse_document
@@ -413,6 +414,34 @@ def test_every_imported_name_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+PACKAGE_EXPORTS = frozenset("""
+    __version__ BallGraph CellId Chain Cochain Corridor DehnProfile EMPTY_WORD
+    FillingCertificate FiniteQuotientOracle FiniteTableModel FreeAbelianModel
+    FreeAction FreeGroupModel FreeProductOracle GeodesicNotFoundError
+    GrowthScan HLetter Infeasible IntegerQuotientOracle LpSolverError
+    NontrivialCertified OracleInvalidError ParseError PluginOracle Primitive
+    RelAutomorphism RelLength RelativePresentation RelhypError
+    ResourceCapError SeparationReport Trivial Unknown Window Word XLetter
+    apply_action apply_automorphism ball_to_csv ball_to_json boundary_chain
+    budgeted_word_problem build_corridor build_oracle build_window
+    check_asymptotic_dominance check_separated check_uniform_flare coboundary
+    corridor_cocycle_pairing cyclically_reduce dehn_profile encode_action
+    free_reduce geodesic_witness growth_scan identity_automorphism
+    letter_count linear_fit min_linf_primitive pair parse_action
+    parse_document parse_presentation path_gain rel_length relative_area
+    relative_correction relator_indicator_family replay_certificate
+    rho_escalation serialize_presentation truncated_ball validate_action
+    validate_relaut window_to_json windowed_max_nu
+""".split())
+
+
+def test_package_exports_are_pinned():
+    assert len(PACKAGE_EXPORTS) == 78
+    assert sorted(relhyp.__all__) == sorted(PACKAGE_EXPORTS)
+    for name in relhyp.__all__:
+        assert hasattr(relhyp, name), name
 
 
 # ---------------------------------------------------------------------------

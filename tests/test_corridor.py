@@ -3,7 +3,6 @@ flare separation checks, and the corridor pairing identity."""
 
 import copy
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -22,7 +21,6 @@ from relhyp.corridor import (
     identity_automorphism,
     link_inverses,
     parse_action,
-    side_retention_report,
     validate_action,
     validate_relaut,
 )
@@ -407,16 +405,6 @@ def test_base_slice_violations_embed_in_corridor_wide_check():
     assert {v[:4] for v in base.violations} <= {v[:4] for v in wide.violations}
     if wide.separated:
         assert base.separated
-
-
-def test_side_retention_ratios():
-    P, O, action = _stretch()
-    report = side_retention_report(P, O, action, xw("x", "x", "x"), 1.2, 2)
-    assert report == {(-1, -1): (Fraction(2), True),
-                      (1, 1): (Fraction(1), True)}
-    comm = side_retention_report(P, O, action, _commutator(P), 1.2, 2)
-    assert comm[(1, 1)] == (Fraction(1), True)
-    assert side_retention_report(P, O, action, Word(()), 1.2, 2) == {}
 
 
 # ---------------------------------------------------------------------------

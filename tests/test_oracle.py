@@ -15,7 +15,11 @@ from relhyp.cayley import ball_alphabet, geodesic_witness, rel_length
 from relhyp.errors import OracleInvalidError, ParseError
 from relhyp.presentation import (
     EMPTY_WORD,
+    FiniteTableModel,
+    FreeAbelianModel,
+    FreeGroupModel,
     HLetter,
+    RelativePresentation,
     Word,
     XLetter,
     free_reduce,
@@ -425,8 +429,8 @@ def test_budgeted_never_contradicts_the_oracle():
 
 
 class _ReducingOracle(ora.NormalFormOracle):
-    """The smallest oracle: free reduction, and every other query, step
-    included, left to the base class."""
+    """The smallest oracle: free reduction, and every other query, keys and
+    step included, left to the base class."""
 
     def __init__(self, P):
         self.P = P
@@ -440,11 +444,28 @@ def _bare_free_product():
     return P, _ReducingOracle(P)
 
 
+def _mixed_free_product():
+    P = RelativePresentation(
+        x_symbols=("x", "y"),
+        models={1: FreeAbelianModel(1), 3: FreeGroupModel(2),
+                2: FiniteTableModel(size=2, table=((0, 1), (1, 0)),
+                                    inverse_table=(0, 1), identity_index=0)},
+        relators=())
+    return P, ora.FreeProductOracle(P)
+
+
+def _s3_quotient():
+    P, cfg = parse_document(json.dumps(S3_QUOTIENT_DOC))
+    return P, ora.build_oracle(P, cfg)
+
+
 # free product (f2, free_product_zz, zmod2_star, whose factors are finite
-# tables), integer (z_example, z2), finite (x_squared) and the base default
+# tables, and one with free letters and every model kind), integer
+# (z_example, z2), finite (x_squared, and S_3 with every model kind) and the
+# base default
 STEP_GROUPS = {build.__name__: build() for build in (
-    f2, free_product_zz, zmod2_star, z_example, z2, x_squared,
-    _bare_free_product)}
+    f2, free_product_zz, zmod2_star, _mixed_free_product, z_example, z2,
+    x_squared, _s3_quotient, _bare_free_product)}
 
 
 @st.composite
@@ -452,30 +473,39 @@ def _step_case(draw):
     name = draw(st.sampled_from(sorted(STEP_GROUPS)))
     P, O = STEP_GROUPS[name]
     alphabet = ball_alphabet(P, 3)
-    letters = draw(st.lists(st.sampled_from(alphabet), max_size=10))
-    nf = O.normal_form(Word(tuple(letters)))
+    w = Word(tuple(draw(st.lists(st.sampled_from(alphabet), max_size=10))))
+    nf = O.normal_form(w)
     # the inverse of nf's last letter cancels it, or merges it away
     inverse_last = [P.inverse_letter(nf[-1])] if nf.letters else []
     l = draw(st.sampled_from(alphabet + inverse_last * len(alphabet)))
-    return name, nf, l
+    return name, w, l
 
 
 @given(_step_case())
 @settings(max_examples=300, deadline=None)
 def test_step_equals_the_normal_form_of_the_product(case):
-    name, nf, l = case
+    name, w, l = case
     P, O = STEP_GROUPS[name]
-    assert O.step(nf, l) == O.normal_form(nf + Word((l,)))
+    key = O.element_key(w)
+    assert O.word(key) == O.normal_form(w)
+    product = w + Word((l,))
+    assert O.step(key, l) == O.element_key(product)
+    assert O.word(O.step(key, l)) == O.normal_form(product)
+    # l's inverse cancels or merges away whatever l added
+    assert O.step(O.step(key, l), P.inverse_letter(l)) == key
 
 
 def test_step_cancels_and_merges_at_the_seam():
+    def times(O, w, l):
+        return O.word(O.step(O.element_key(w), l))
+
     P, O = free_product_zz()
     nf = O.normal_form(Word((hz(1, 2), hz(2, -1))))
-    assert O.step(nf, hz(2, 1)) == Word((hz(1, 2),))
-    assert O.step(nf, hz(2, 3)) == Word((hz(1, 2), hz(2, 2)))
-    assert O.step(nf, hz(1, 1)) == Word(nf.letters + (hz(1, 1),))
+    assert times(O, nf, hz(2, 1)) == Word((hz(1, 2),))
+    assert times(O, nf, hz(2, 3)) == Word((hz(1, 2), hz(2, 2)))
+    assert times(O, nf, hz(1, 1)) == Word(nf.letters + (hz(1, 1),))
     P, O = f2()
-    assert O.step(xw("x", "y"), XLetter("y", -1)) == xw("x")
-    assert O.step(EMPTY_WORD, XLetter("y", -1)) == xw("y-")
+    assert times(O, xw("x", "y"), XLetter("y", -1)) == xw("x")
+    assert times(O, EMPTY_WORD, XLetter("y", -1)) == xw("y-")
     P, O = zmod2_star()
-    assert O.step(Word((HLetter(1, 1),)), HLetter(1, 1)) == EMPTY_WORD
+    assert times(O, Word((HLetter(1, 1),)), HLetter(1, 1)) == EMPTY_WORD

@@ -11,7 +11,7 @@ from relhyp import (
     parse_presentation, serialize_presentation, ParseError,
 )
 from relhyp.presentation import (
-    dump_json, free_step, letter_key, parse_document, presentation_to_doc)
+    dump_json, letter_key, parse_document, presentation_to_doc)
 
 
 Z_EXAMPLE_DOC = json.dumps({
@@ -264,15 +264,6 @@ def test_cyclic_reduction_length_is_rotation_invariant(w, k):
     k %= len(w)
     rotated = Word(w.letters[k:] + w.letters[:k])
     assert len(cyclically_reduce(_P, rotated)) == len(cyclically_reduce(_P, w))
-
-
-@given(words, _letters())
-@settings(deadline=None)
-def test_free_step_equals_reducing_the_product(w, l):
-    nf = free_reduce(_P, w)
-    assert free_step(_P, nf, l) == free_reduce(_P, nf + Word((l,)))
-    # l's inverse cancels or merges away whatever l added
-    assert free_step(_P, free_step(_P, nf, l), _P.inverse_letter(l)) == nf
 
 
 def _rebuilt(w: Word) -> Word:
