@@ -33,7 +33,9 @@ from .presentation import (
 
 def ball_alphabet(P: RelativePresentation, rho: int) -> list:
     """Every edge letter with model length at most rho, plus all free
-    letters, in a fixed deterministic order."""
+    letters, in a fixed deterministic order.  The letters are the
+    presentation's interned objects, the same on every call, so that
+    lookups keyed by them hit by identity."""
     letters = []
     for sym in P.x_symbols:
         letters.append(XLetter(sym, 1))
@@ -41,7 +43,8 @@ def ball_alphabet(P: RelativePresentation, rho: int) -> list:
     for lam in sorted(P.models):
         for e in P.models[lam].elements_up_to(rho):
             letters.append(HLetter(lam, e))
-    return sorted(letters, key=letter_key)
+    A = P.alphabet
+    return sorted((A.letters[A.intern(l)] for l in letters), key=letter_key)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,15 @@ boundary inside the fragment; linear programs and path searches only ever
 constrain those interior cells.  Every cell takes its boundary from one
 rule, applied to the window's cells and then to the rim edges that its
 faces reference.
+
+A window is built on integers.  Its vertices are numbered by element key,
+starting from the ball's walk, and every product with a letter is one
+``O.step`` on a key; each vertex is written out as a word once, and each
+(vertex, label) pair asks the oracle for its coset once.  Cells are numbered
+in sorted order and boundaries are kept as compressed rows of cell numbers
+and signs, on which coboundaries, boundary chains and the linear programs
+run.  A CellId is made once per window cell; ``Window.boundary``, the same
+boundaries keyed by CellId, is built at its first read.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .cayley import truncated_ball
+from .cayley import ball_alphabet, walk_ball
 from .errors import LpSolverError
 from .presentation import (
     FiniteTableModel,
@@ -52,23 +61,18 @@ _DIM = {
 # cochains and carrying zero length)
 _LBAR_KINDS = frozenset({PERIPHERAL_EDGE, PERIPHERAL_FACE})
 
+# the kinds in CellId.sort_key order, (dim, kind); a window numbers its
+# cells by (kind code, vertex rank, data), which is the same order
+_KINDS = (BASE_VERTEX, COSET_VERTEX, COSET_EDGE, GEN_EDGE, PERIPHERAL_EDGE,
+          PERIPHERAL_FACE, RELATOR_FACE)
+_BV, _CV, _CE, _GE, _PE, _PF, _RF = range(len(_KINDS))
+
 
 @dataclass(frozen=True, slots=True)
 class CellId:
     kind: str
     translate: Word
     data: tuple = ()
-    # kept at first use, as Word keeps its own; slots, because with an
-    # attribute set after __init__ each instance would carry a dict of its
-    # own (about 300 bytes more per cell)
-    _hash: int = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.kind, self.translate, self.data))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def dim(self) -> int:
@@ -116,14 +120,53 @@ def peripheral_face(lam: int, rep: Word, a, b) -> CellId:
 
 @dataclass(frozen=True)
 class Window:
+    """A window of the complex.  Its cells are numbered in ``cells`` order,
+    dimensions 0, 1 and 2 in turn, and then come the rim cells that its
+    faces reach, sorted likewise.  ``cell_key[n]`` is cell n as (kind code,
+    vertex, data), and vertex v is the element ``words[v]``.  The boundary
+    of cell n is ``bd_cell``/``bd_sign`` over ``indptr[n]:indptr[n + 1]``:
+    an edge's is (head, +1), (tail, -1), a face's is summed and sorted by
+    cell.  ``inner`` lists the interior 2-cells by number."""
+
     P: RelativePresentation = field(compare=False)
     O: object = field(compare=False)
     radius: int
     rho: int
     cells: dict = field(compare=False)      # dim -> tuple of CellId, sorted
-    boundary: dict = field(compare=False)   # CellId -> ((CellId, sign), ...)
     coset_reps: dict = field(compare=False)  # lam -> {coset key -> Word}
-    home: Word = field(compare=False, default=None)
+    home: Word = field(compare=False)
+    words: tuple = field(compare=False, repr=False)
+    cell_key: tuple = field(compare=False, repr=False)
+    indptr: tuple = field(compare=False, repr=False)
+    bd_cell: tuple = field(compare=False, repr=False)
+    bd_sign: tuple = field(compare=False, repr=False)
+    inner: tuple = field(compare=False, repr=False)
+
+    def terms(self, n: int):
+        """The boundary of cell n as (cell number, sign) pairs."""
+        a, b = self.indptr[n], self.indptr[n + 1]
+        return zip(self.bd_cell[a:b], self.bd_sign[a:b])
+
+    @cached_property
+    def cell_ids(self) -> tuple:
+        """CellId by cell number, the rim's made at the first read."""
+        window = self.cells_of_dim(0) + self.cells_of_dim(1) + \
+            self.cells_of_dim(2)
+        return window + tuple(CellId(_KINDS[k], self.words[v], data)
+                              for k, v, data in self.cell_key[len(window):])
+
+    @cached_property
+    def numbers(self) -> dict:
+        """CellId -> cell number."""
+        return {c: n for n, c in enumerate(self.cell_ids)}
+
+    @cached_property
+    def boundary(self) -> dict:
+        """CellId -> ((CellId, sign), ...) for the window's 1- and 2-cells and
+        the rim edges that its faces reach."""
+        ids = self.cell_ids
+        return {ids[n]: tuple((ids[b], s) for b, s in self.terms(n))
+                for n, (k, _, _) in enumerate(self.cell_key) if k >= _CE}
 
     @cached_property
     def cell_set(self) -> frozenset:
@@ -132,26 +175,27 @@ class Window:
     @cached_property
     def interior(self) -> frozenset:
         """The 2-cells whose whole boundary lies in the window."""
-        cset = self.cell_set
-        return frozenset(f for f in self.cells_of_dim(2)
-                         if all(c in cset for c, _ in self.boundary[f]))
+        ids = self.cell_ids
+        return frozenset(ids[f] for f in self.inner)
 
     def cells_of_dim(self, dim: int) -> tuple:
         return self.cells.get(dim, ())
 
     @cached_property
     def interior_relator_faces(self) -> tuple:
-        return tuple(c for c in self.cells_of_dim(2)
-                     if c in self.interior and c.kind == RELATOR_FACE)
+        ids = self.cell_ids
+        return tuple(ids[f] for f in self.inner
+                     if self.cell_key[f][0] == _RF)
 
     @cached_property
     def adjacency(self) -> dict:
         """vertex -> its (1-cell, +-1, other end) steps, sorted by cell; an
         edge whose boundary is not one head and one tail is left out
         (weight-zero peripheral loops never change a path gain)."""
-        adj: dict[CellId, list] = {}
-        for e in self.cells_of_dim(1):
-            bd = self.boundary.get(e, ())
+        adj: dict[int, list] = {}
+        first = len(self.cells_of_dim(0))
+        for e in range(first, first + len(self.cells_of_dim(1))):
+            bd = list(self.terms(e))
             pos = [c for c, s in bd if s > 0]
             neg = [c for c, s in bd if s < 0]
             if len(pos) != 1 or len(neg) != 1:
@@ -159,12 +203,15 @@ class Window:
             head, tail = pos[0], neg[0]
             adj.setdefault(tail, []).append((e, +1, head))
             adj.setdefault(head, []).append((e, -1, tail))
-        for v in adj:
-            adj[v].sort(key=lambda t: (t[0].sort_key(), t[1]))
-        return adj
+        ids = self.cell_ids
+        return {ids[v]: [(ids[e], s, ids[t]) for e, s, t in sorted(steps)]
+                for v, steps in adj.items()}
 
     def coset_rep(self, lam: int, g: Word) -> Word:
-        return _coset_rep(self.O, self.coset_reps, lam, g)
+        """The chosen representative of the coset g H_lam, else g's normal
+        form."""
+        rep = self.coset_reps[lam].get(self.O.coset_key(g, lam))
+        return self.O.normal_form(g) if rep is None else rep
 
     def boundary_l1_bound(self) -> int:
         """Finite bound on the l1 norm of any 2-cell boundary: free letters
@@ -175,158 +222,212 @@ class Window:
         return max(per_rel + finite)
 
 
-def _coset_rep(O, reps: dict, lam: int, g: Word) -> Word:
-    """The chosen representative of the coset g H_lam, else g's normal form."""
-    rep = reps[lam].get(O.coset_key(g, lam))
-    return O.normal_form(g) if rep is None else rep
-
-
-def _signed(terms) -> tuple:
-    """(cell, sign) terms as a boundary chain: summed, zeros dropped, sorted."""
-    coeffs: dict[CellId, int] = {}
-    for cell, s in terms:
-        coeffs[cell] = coeffs.get(cell, 0) + s
-    return tuple(sorted(((c, s) for c, s in coeffs.items() if s),
-                        key=lambda kv: kv[0].sort_key()))
-
-
-def _trace_relator(P: RelativePresentation, O, reps, times, r_idx: int,
-                   g: Word):
-    """Signed boundary 1-chain of the relator 2-cell at translate g; times(v,
-    l) is the normal form of v l."""
-    terms = []
-    cur = g
-    for l in P.relators[r_idx]:
-        nxt = times(cur, l)
-        if isinstance(l, XLetter):
-            terms.append((gen_edge(l.sym, cur if l.sign > 0 else nxt), l.sign))
-        else:
-            rep = _coset_rep(O, reps, l.lam, cur)
-            terms += [(coset_edge(l.lam, cur), +1),
-                      (peripheral_edge(l.lam, rep, l.elem), +1),
-                      (coset_edge(l.lam, nxt), -1)]
-        cur = nxt
-    return _signed(terms)
+def _inverse(perm: list) -> list:
+    """The inverse of a permutation of range(len(perm))."""
+    inv = [0] * len(perm)
+    for k, n in enumerate(perm):
+        inv[n] = k
+    return inv
 
 
 def build_window(P: RelativePresentation, O, radius: int, rho: int,
                  max_vertices: int | None = None) -> Window:
     """All cell translates over the ball of the given radius; peripheral
     edges carry only elements of model length <= rho."""
-    ball = truncated_ball(P, O, radius, rho, max_vertices=max_vertices)
-    V = list(ball.vertices)
-    home = V[0]
+    index, _, ball_edges = walk_ball(O, ball_alphabet(P, rho), radius,
+                                     max_vertices)
+    keys = list(index)
+    words = list(map(O.word, keys))
+    n_ball = len(keys)
     labels = sorted(P.models)
+    # the ball's letters are the alphabet's own objects; the other letters
+    # are mapped to them, so that product lookups hit by identity
+    A = P.alphabet
+    forward = {sym: A.letters[A.intern(XLetter(sym, 1))]
+               for sym in P.x_symbols}
+    relators = [[A.letters[A.intern(l)] for l in R] for R in P.relators]
+    products = {(i, l): j for i, l, j in ball_edges}
 
-    # every product v l is taken once, starting from the ball's own edges,
-    # so that products land on the ball's vertex objects
-    products = {(V[i], l): V[j] for i, l, j in ball.edges}
-
-    def times(v: Word, l) -> Word:
-        t = products.get((v, l))
+    def times(i: int, l) -> int:
+        """The vertex v_i l, numbered when first met."""
+        t = products.get((i, l))
         if t is None:
-            t = products[(v, l)] = O.normal_form(v + Word((l,)))
+            key = O.step(keys[i], l)
+            t = index.get(key)
+            if t is None:
+                t = index[key] = len(keys)
+                keys.append(key)
+                words.append(O.word(key))
+            products[(i, l)] = t
         return t
 
-    forward = {sym: XLetter(sym, 1) for sym in P.x_symbols}
-    bases: dict[Word, None] = dict.fromkeys(V)
-    for g in V:
+    for i in range(n_ball):
         for l in forward.values():
-            bases.setdefault(times(g, l))
-    base_list = list(bases)
+            times(i, l)
+    n_base = len(keys)
 
-    reps: dict[int, dict] = {}
+    # each coset met by a base vertex is represented by its least one
+    reps: dict[int, dict] = {}      # lam -> {coset key: vertex}
+    rep_of: dict[int, dict] = {}    # lam -> {vertex: its representative}
     for lam in labels:
-        groups: dict = {}
-        for g in base_list:
-            groups.setdefault(O.coset_key(g, lam), []).append(g)
-        reps[lam] = {key: min(ws, key=Word.sort_key)
-                     for key, ws in groups.items()}
+        cosets = [O.coset_key(words[i], lam) for i in range(n_base)]
+        best: dict = {}
+        for i, k in enumerate(cosets):
+            j = best.get(k)
+            if j is None or words[i].sort_key() < words[j].sort_key():
+                best[k] = i
+        reps[lam] = best
+        rep_of[lam] = {i: best[k] for i, k in enumerate(cosets)}
 
-    def boundary_of(c: CellId) -> tuple:
-        g = c.translate
-        if c.kind == GEN_EDGE:
-            t = times(g, forward[c.data[0]])
-            return ((base_vertex(t), +1), (base_vertex(g), -1))
-        if c.kind == COSET_EDGE:
-            lam = c.data[0]
-            return ((coset_vertex(lam, _coset_rep(O, reps, lam, g)), +1),
-                    (base_vertex(g), -1))
-        if c.kind == RELATOR_FACE:
-            return _trace_relator(P, O, reps, times, c.data[0], g)
-        if c.kind == PERIPHERAL_FACE:
-            lam, a, b = c.data
-            model = P.models[lam]
-            terms = [(peripheral_edge(lam, g, a), +1),
-                     (peripheral_edge(lam, g, b), +1)]
-            ab = model.product(a, b)
-            if not model.is_identity(ab):
-                terms.append((peripheral_edge(lam, g, ab), -1))
-            return _signed(terms)
-        return ()
+    def rep(lam: int, i: int) -> int:
+        memo = rep_of[lam]
+        r = memo.get(i)
+        if r is None:
+            r = memo[i] = reps[lam].get(O.coset_key(words[i], lam), i)
+        return r
 
-    seen_cosets = {lam: sorted({_coset_rep(O, reps, lam, g) for g in V},
-                               key=Word.sort_key) for lam in labels}
-    zero = [base_vertex(g) for g in base_list]
-    zero += [coset_vertex(lam, rep) for lam in labels
-             for rep in seen_cosets[lam]]
+    number: dict = {}   # (kind code, vertex, data) -> cell number
+    raw: list = []
 
-    one: list[CellId] = []
-    for g in V:
-        one += [gen_edge(sym, g) for sym in P.x_symbols]
-        one += [coset_edge(lam, g) for lam in labels]
+    def cell(c) -> int:
+        n = number.get(c)
+        if n is None:
+            n = number[c] = len(raw)
+            raw.append(c)
+        return n
+
+    seen = {lam: sorted({rep(lam, i) for i in range(n_ball)})
+            for lam in labels}
+    for i in range(n_base):
+        cell((_BV, i, ()))
+    for lam in labels:
+        for r in seen[lam]:
+            cell((_CV, r, (lam,)))
+    for i in range(n_ball):
+        for sym in P.x_symbols:
+            cell((_GE, i, (sym,)))
+        for lam in labels:
+            cell((_CE, i, (lam,)))
     for lam in labels:
         elems = list(P.models[lam].elements_up_to(rho))
-        one += [peripheral_edge(lam, rep, h)
-                for rep in seen_cosets[lam] for h in elems]
-
-    two = [relator_face(r_idx, g)
-           for g in V for r_idx in range(len(P.relators))]
+        for r in seen[lam]:
+            for h in elems:
+                cell((_PE, r, (lam, h)))
+    for i in range(n_ball):
+        for k in range(len(relators)):
+            cell((_RF, i, (k,)))
     for lam in labels:
-        if isinstance(P.models[lam], FiniteTableModel):
-            elems = P.models[lam].generators()
-            two += [peripheral_face(lam, rep, a, b)
-                    for rep in seen_cosets[lam] for a in elems for b in elems]
+        model = P.models[lam]
+        if isinstance(model, FiniteTableModel):
+            gens = model.generators()
+            for r in seen[lam]:
+                for a in gens:
+                    for b in gens:
+                        cell((_PF, r, (lam, a, b)))
+    n_window = len(raw)
 
-    boundary = {c: boundary_of(c) for c in one + two}
-    # faces on the rim reference edges past the window; give those edges
-    # their boundaries too so that dd = 0 holds on every face
-    for f in two:
-        for e, _ in boundary[f]:
-            if e not in boundary:
-                boundary[e] = boundary_of(e)
+    def face(terms) -> list:
+        coeffs: dict[int, int] = {}
+        for c, s in terms:
+            coeffs[c] = coeffs.get(c, 0) + s
+        return [(c, s) for c, s in coeffs.items() if s]
 
-    cells = {
-        0: tuple(sorted(set(zero), key=CellId.sort_key)),
-        1: tuple(sorted(set(one), key=CellId.sort_key)),
-        2: tuple(sorted(set(two), key=CellId.sort_key)),
-    }
-    return Window(P=P, O=O, radius=radius, rho=rho, cells=cells,
-                  boundary=boundary, coset_reps=reps, home=home)
+    def boundary_of(kind: int, g: int, data: tuple) -> list:
+        if kind == _GE:
+            return [(cell((_BV, times(g, forward[data[0]]), ())), +1),
+                    (cell((_BV, g, ())), -1)]
+        if kind == _CE:
+            return [(cell((_CV, rep(data[0], g), data)), +1),
+                    (cell((_BV, g, ())), -1)]
+        if kind == _RF:
+            terms = []
+            cur = g
+            for l in relators[data[0]]:
+                nxt = times(cur, l)
+                if isinstance(l, XLetter):
+                    terms.append((cell((_GE, cur if l.sign > 0 else nxt,
+                                        (l.sym,))), l.sign))
+                else:
+                    lam = l.lam
+                    terms += [(cell((_CE, cur, (lam,))), +1),
+                              (cell((_PE, rep(lam, cur), (lam, l.elem))), +1),
+                              (cell((_CE, nxt, (lam,))), -1)]
+                cur = nxt
+            return face(terms)
+        if kind == _PF:
+            lam, a, b = data
+            model = P.models[lam]
+            terms = [(cell((_PE, g, (lam, a))), +1),
+                     (cell((_PE, g, (lam, b))), +1)]
+            ab = model.product(a, b)
+            if not model.is_identity(ab):
+                terms.append((cell((_PE, g, (lam, ab))), -1))
+            return face(terms)
+        return []
+
+    # faces on the rim reference edges past the window; those edges get
+    # their boundaries too, so that dd = 0 holds on every face
+    bounds = []
+    while len(bounds) < len(raw):
+        bounds.append(boundary_of(*raw[len(bounds)]))
+
+    # cells sort as CellId.sort_key does: vertices by the rank of their word
+    rank = _inverse(sorted(range(len(words)),
+                           key=lambda v: words[v].sort_key()))
+    order = sorted(range(len(raw)),
+                   key=lambda n: (raw[n][0], rank[raw[n][1]], raw[n][2]))
+    place = _inverse(order)
+    order = [n for n in order if n < n_window] + \
+        [n for n in order if n >= n_window]
+    final = _inverse(order)
+
+    indptr = [0]
+    bd_cell: list[int] = []
+    bd_sign: list[int] = []
+    inner = []
+    for n in order:
+        terms = bounds[n]
+        if raw[n][0] >= _PF:
+            terms = sorted(terms, key=lambda t: place[t[0]])
+            if all(c < n_window for c, _ in terms):
+                inner.append(final[n])
+        for c, s in terms:
+            bd_cell.append(final[c])
+            bd_sign.append(s)
+        indptr.append(len(bd_cell))
+
+    ids = [[], [], []]
+    for n in order[:n_window]:
+        k, v, data = raw[n]
+        ids[_DIM[_KINDS[k]]].append(CellId(_KINDS[k], words[v], data))
+    return Window(P=P, O=O, radius=radius, rho=rho,
+                  cells={dim: tuple(cs) for dim, cs in enumerate(ids)},
+                  coset_reps={lam: {k: words[v] for k, v in reps[lam].items()}
+                              for lam in labels},
+                  home=words[0], words=tuple(words),
+                  cell_key=tuple(raw[n] for n in order),
+                  indptr=tuple(indptr), bd_cell=tuple(bd_cell),
+                  bd_sign=tuple(bd_sign), inner=tuple(inner))
 
 
 def window_to_json(W: Window) -> dict:
-    idx: dict[CellId, int] = {}
     cell_docs = []
-    for dim in (0, 1, 2):
-        for c in W.cells_of_dim(dim):
-            idx[c] = len(cell_docs)
-            data = [list(d) if isinstance(d, tuple) else d for d in c.data]
-            cell_docs.append({"dim": dim, "kind": c.kind,
-                              "translate": encode_word(W.P, c.translate),
-                              "data": data,
-                              "lbar": c.is_lbar})
-    triplets = []
-    for c in list(W.cells_of_dim(1)) + list(W.cells_of_dim(2)):
-        for b, s in W.boundary.get(c, ()):
-            if b in idx:
-                triplets.append([idx[c], idx[b], s])
+    for c in W.cells_of_dim(0) + W.cells_of_dim(1) + W.cells_of_dim(2):
+        data = [list(d) if isinstance(d, tuple) else d for d in c.data]
+        cell_docs.append({"dim": c.dim, "kind": c.kind,
+                          "translate": encode_word(W.P, c.translate),
+                          "data": data,
+                          "lbar": c.is_lbar})
+    size = len(cell_docs)
+    triplets = [[c, b, s]
+                for c in range(len(W.cells_of_dim(0)), size)
+                for b, s in W.terms(c) if b < size]
     return {
         "radius": W.radius,
         "peripheral_bound": W.rho,
         "cells": cell_docs,
         "boundary": triplets,
-        "interior": sorted(idx[c] for c in W.interior),
+        "interior": list(W.inner),
     }
 
 
@@ -380,8 +481,13 @@ def cochain_scale(a: Cochain, s) -> Cochain:
 
 def boundary_chain(W: Window, D: Chain) -> Chain:
     out: dict[CellId, object] = {}
+    ids, numbers = W.cell_ids, W.numbers
     for cell, coef in D.coeffs.items():
-        for b, s in W.boundary.get(cell, ()):
+        n = numbers.get(cell)
+        if n is None:
+            continue
+        for b, s in W.terms(n):
+            b = ids[b]
             out[b] = out.get(b, 0) + s * coef
     return Chain(D.dim - 1, _clean(out))
 
@@ -389,18 +495,22 @@ def boundary_chain(W: Window, D: Chain) -> Chain:
 def coboundary(W: Window, c: Cochain) -> Cochain:
     """(delta c)(e) = c(boundary e), on window cells whose boundary stays in
     the window."""
-    out: dict[CellId, object] = {}
+    n0 = len(W.cells_of_dim(0))
     if c.dim == 0:
-        targets = W.cells_of_dim(1)
+        first, targets = 0, range(n0, n0 + len(W.cells_of_dim(1)))
     elif c.dim == 1:
-        targets = [f for f in W.cells_of_dim(2) if f in W.interior]
+        first, targets = n0, W.inner
     else:
         return Cochain(c.dim + 1, {})
+    get = c.values.get
+    values = [get(cell, 0) for cell in W.cells_of_dim(c.dim)]
+    ids = W.cell_ids
+    out: dict[CellId, object] = {}
     # by construction every boundary cell of these targets is in the window
     for e in targets:
-        val = sum(s * c.get(b) for b, s in W.boundary[e])
+        val = sum(s * values[b - first] for b, s in W.terms(e))
         if val:
-            out[e] = val
+            out[ids[e]] = val
     return Cochain(c.dim + 1, out)
 
 
@@ -482,26 +592,37 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     HiGHS solves the program in floating point.  With exact=True the answer
     is a rational Primitive or Infeasible only when an exact certificate
     checks (see _certified); otherwise LpSolverError is raised.  The
-    constraint matrices go to HiGHS as scipy.sparse arrays."""
+    constraint matrices go to HiGHS as scipy.sparse arrays, the equality
+    rows straight from the window's boundary rows."""
     import numpy as np
-    from scipy.sparse import coo_array
+    from scipy.sparse import coo_array, csr_array
     if z.dim != 2:
         raise ValueError("target must be a 2-cochain")
     if not z.is_relative:
         raise ValueError("target cochain must vanish on peripheral cells")
-    variables = [c for c in W.cells_of_dim(1) if not c.is_lbar]
-    var_idx = {c: i for i, c in enumerate(variables)}
-    faces = list(W.interior_relator_faces)
-    rows = []
-    rhs = []
-    for f in faces:
-        row = {}
-        for b, s in W.boundary[f]:
-            if b.is_lbar:
-                continue
-            row[var_idx[b]] = row.get(var_idx[b], 0) + s
-        rows.append(row)
-        rhs.append(z.get(f))
+    # one column per non-peripheral 1-cell, in cell order
+    n0, n1 = len(W.cells_of_dim(0)), len(W.cells_of_dim(1))
+    keys = W.cell_key
+    column: dict[int, int] = {}
+    variables = []
+    for e, cell in enumerate(W.cells_of_dim(1), n0):
+        if keys[e][0] != _PE:
+            column[e] = len(variables)
+            variables.append(cell)
+    # one row per interior relator face, peripheral edges dropped
+    faces, indptr, cols, coefs = [], [0], [], []
+    for f in W.inner:
+        if keys[f][0] != _RF:
+            continue
+        faces.append(W.cells_of_dim(2)[f - n0 - n1])
+        for b, s in W.terms(f):
+            j = column.get(b)
+            if j is not None:
+                cols.append(j)
+                coefs.append(s)
+        indptr.append(len(cols))
+    rows = (indptr, cols, coefs)
+    rhs = [z.get(f) for f in faces]
     n = len(variables)
     # |m_j| <= t as rows 2j: m_j - t <= 0 and 2j+1: -m_j - t <= 0, where t
     # is column n
@@ -510,17 +631,15 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
                       (np.repeat(np.arange(2 * n), 2),
                        np.column_stack([var, tcol, var, tcol]).ravel())),
                      shape=(2 * n, n + 1))
-    A_eq = coo_array(([float(s) for row in rows for s in row.values()],
-                      ([i for i, row in enumerate(rows) for _ in row],
-                       [col for row in rows for col in row])),
-                     shape=(len(rows), n + 1))
+    A_eq = csr_array((np.array(coefs, dtype=float), np.array(cols, dtype=int),
+                      np.array(indptr, dtype=int)), shape=(len(faces), n + 1))
     b_eq = np.array([float(v) for v in rhs])
     b_ub = np.zeros(2 * n)
     c = np.zeros(n + 1)
     c[n] = 1.0
     res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                  A_eq=A_eq if len(rows) else None,
-                  b_eq=b_eq if len(rows) else None,
+                  A_eq=A_eq if faces else None,
+                  b_eq=b_eq if faces else None,
                   bounds=[(None, None)] * n + [(0, None)],
                   method="highs")
     if exact:
@@ -531,7 +650,7 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     if res.status != 0:
         raise LpSolverError(f"solver failed with status {res.status}: "
                             f"{res.message}")
-    m = Cochain(1, _clean({variables[j]: float(res.x[j]) for j in range(n)}))
+    m = Cochain(1, _clean(dict(zip(variables, res.x[:n].tolist()))))
     return Primitive(m=m, norm=float(res.x[n]), exact=False)
 
 
@@ -547,15 +666,18 @@ def _rounded(values, bound: int) -> list:
 
 
 def _apply(rows, m) -> list:
-    """B m, for B given as one {column: coefficient} dict per row."""
-    return [sum(s * m[j] for j, s in row.items()) for row in rows]
+    """B m, for B given as compressed rows (indptr, columns, coefficients)."""
+    indptr, cols, coefs = rows
+    return [sum(coefs[k] * m[cols[k]] for k in range(a, b))
+            for a, b in zip(indptr, indptr[1:])]
 
 
 def _apply_transpose(rows, y, n: int) -> list:
+    indptr, cols, coefs = rows
     out = [0] * n
-    for row, yi in zip(rows, y):
-        for j, s in row.items():
-            out[j] += s * yi
+    for a, b, yi in zip(indptr, indptr[1:], y):
+        for k in range(a, b):
+            out[cols[k]] += coefs[k] * yi
     return out
 
 

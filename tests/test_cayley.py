@@ -81,6 +81,18 @@ def test_ball_edges_follow_the_oracle():
                    for s, _, t in ball.edges)
 
 
+def test_ball_alphabet_hands_out_the_interned_letters():
+    """Repeated calls give the same letter objects, the presentation's own,
+    so that the free-product step finds them by identity."""
+    for build in (f2, zmod2_star):
+        P, _ = build()
+        first = cayley.ball_alphabet(P, 2)
+        second = cayley.ball_alphabet(P, 2)
+        assert first == second
+        assert all(a is b for a, b in zip(first, second))
+        assert all(P.alphabet.letters[P.alphabet.codes[l]] is l for l in first)
+
+
 def test_ball_vertex_budget_cap():
     P, O = z_example()
     with pytest.raises(ResourceCapError) as err:

@@ -177,6 +177,21 @@ def test_multiplication_face_boundary_doubles_involution_edge():
     _check_dd_zero(W)
 
 
+@pytest.mark.parametrize("build, radius", [(z_example, 16), (zmod2_star, 3)])
+def test_window_asks_for_each_coset_once(build, radius):
+    P, O = build()
+    asked = []
+    coset_key = O.coset_key
+
+    def counting(w, lam):
+        asked.append((w, lam))
+        return coset_key(w, lam)
+
+    O.coset_key = counting
+    build_window(P, O, radius=radius, rho=1)
+    assert asked and len(asked) == len(set(asked))
+
+
 def test_window_build_is_deterministic():
     P, O = z_example()
     W1 = build_window(P, O, radius=3, rho=2)
