@@ -327,6 +327,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     n_window = len(raw)
 
     def face(terms) -> list:
+        """(cell, sign) terms summed, zeros dropped."""
         coeffs: dict[int, int] = {}
         for c, s in terms:
             coeffs[c] = coeffs.get(c, 0) + s
