@@ -51,9 +51,7 @@ from .filling import (
     DehnProfile,
     FillingCertificate,
     Unknown,
-    check_asymptotic_dominance,
     dehn_profile,
-    linear_fit,
     relative_area,
     replay_certificate,
     rho_escalation,

@@ -149,14 +149,15 @@ def rel_length(P: RelativePresentation, O, w: Word) -> RelLength:
 
 
 def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
-                     closure_depth: int = 2,
                      max_states: int = 200000) -> Word:
     """A word of minimal letter count representing the same element as w.
 
     Oracles that know a geodesic answer directly; otherwise a BFS over the
     truncated alphabet, enriched with syllables taken from the relators and
-    from w's canonical form (closed under a few model products), must reach
-    the target at the certified distance.
+    from w's canonical form, must reach the target at the certified
+    distance.  The syllables of each label, with their inverses, are closed
+    under model products to a fixed depth of 2: two rounds of pairwise
+    products.
     """
     length = rel_length(P, O, w)
     if not length.is_exact:
@@ -169,7 +170,7 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
     direct = O.geodesic(w, n)
     if direct is not None:
         return direct
-    alphabet = _witness_alphabet(P, O, w, rho, closure_depth)
+    alphabet = _witness_alphabet(P, O, w, rho)
     target = O.element_key(w)
     home = O.element_key(EMPTY_WORD)
     frontier = [((), home)]
@@ -196,8 +197,7 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
         f"no representative of length {n} found under truncation {rho}", rho)
 
 
-def _witness_alphabet(P: RelativePresentation, O, w: Word, rho: int,
-                      closure_depth: int):
+def _witness_alphabet(P: RelativePresentation, O, w: Word, rho: int):
     letters = list(ball_alphabet(P, rho))
     extra: dict[int, set] = {lam: set() for lam in P.models}
     for source in [w, O.normal_form(w), *P.relators]:
@@ -209,7 +209,7 @@ def _witness_alphabet(P: RelativePresentation, O, w: Word, rho: int,
         closed = set(elems)
         for e in list(closed):
             closed.add(model.inverse(e))
-        for _ in range(closure_depth):
+        for _ in range(2):
             for a in list(closed):
                 for b in list(closed):
                     closed.add(model.product(a, b))

@@ -213,14 +213,6 @@ class Window:
         rep = self.coset_reps[lam].get(self.O.coset_key(g, lam))
         return self.O.normal_form(g) if rep is None else rep
 
-    def boundary_l1_bound(self) -> int:
-        """Finite bound on the l1 norm of any 2-cell boundary: free letters
-        contribute one edge, peripheral letters up to three."""
-        per_rel = [sum(1 if isinstance(l, XLetter) else 3 for l in R)
-                   for R in self.P.relators]
-        finite = [3]  # multiplication cells have three boundary edges
-        return max(per_rel + finite)
-
 
 def _inverse(perm: list) -> list:
     """The inverse of a permutation of range(len(perm))."""
@@ -267,6 +259,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     n_base = len(keys)
 
     # each coset met by a base vertex is represented by its least one
+    order_key = [w.sort_key() for w in words]
     reps: dict[int, dict] = {}      # lam -> {coset key: vertex}
     rep_of: dict[int, dict] = {}    # lam -> {vertex: its representative}
     for lam in labels:
@@ -274,7 +267,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
         best: dict = {}
         for i, k in enumerate(cosets):
             j = best.get(k)
-            if j is None or words[i].sort_key() < words[j].sort_key():
+            if j is None or order_key[i] < order_key[j]:
                 best[k] = i
         reps[lam] = best
         rep_of[lam] = {i: best[k] for i, k in enumerate(cosets)}
@@ -373,8 +366,8 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
         bounds.append(boundary_of(*raw[len(bounds)]))
 
     # cells sort as CellId.sort_key does: vertices by the rank of their word
-    rank = _inverse(sorted(range(len(words)),
-                           key=lambda v: words[v].sort_key()))
+    order_key += [w.sort_key() for w in words[len(order_key):]]
+    rank = _inverse(sorted(range(len(words)), key=order_key.__getitem__))
     order = sorted(range(len(raw)),
                    key=lambda n: (raw[n][0], rank[raw[n][1]], raw[n][2]))
     place = _inverse(order)
@@ -542,10 +535,10 @@ def chain_rel_length(D: Chain):
 # cocycle families
 
 
-def relator_indicator_family(value=1):
-    """z assigning `value` to every relator 2-cell of the window."""
+def relator_indicator_family():
+    """z assigning 1 to every relator 2-cell of the window."""
     def build(W: Window) -> Cochain:
-        return Cochain(2, {f: value for f in W.cells_of_dim(2)
+        return Cochain(2, {f: 1 for f in W.cells_of_dim(2)
                            if f.kind == RELATOR_FACE})
     return build
 

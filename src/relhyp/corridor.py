@@ -30,6 +30,7 @@ from .presentation import (
     expect_json,
     free_reduce,
     int_label,
+    is_int,
 )
 
 
@@ -398,7 +399,7 @@ def _decode_automorphism(P: RelativePresentation, doc, path: str,
     sigma = {}
     for key, val in expect_json(doc.get("sigma", {}), dict,
                                 f"{path}.sigma").items():
-        if not isinstance(val, int):
+        if not is_int(val):
             raise ParseError(f"bad sigma entry {key!r}: {val!r}",
                              f"{path}.sigma")
         sigma[int_label(key, f"{path}.sigma")] = val
@@ -439,7 +440,7 @@ def parse_action(P: RelativePresentation, doc) -> FreeAction:
         raise ParseError("action document must be an object", "action")
     basis = doc.get("basis")
     autos = doc.get("automorphisms")
-    if not isinstance(basis, int) or basis < 1:
+    if not is_int(basis) or basis < 1:
         raise ParseError("basis must be a positive integer", "action.basis")
     if not isinstance(autos, list) or len(autos) != basis:
         raise ParseError(f"need exactly {basis} automorphisms",

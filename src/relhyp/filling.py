@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 import itertools
-import math
 import operator
 
 from .cayley import ball_alphabet, walk_ball
@@ -48,7 +47,6 @@ from .presentation import (
     Word,
     XLetter,
     combinable,
-    exact_number,
     free_reduce,
     letter_count,
     letter_key,
@@ -493,71 +491,6 @@ def dehn_profile(P: RelativePresentation, O, n_max: int, rho: int,
         entries[n] = ProfileEntry(max_area=best, loop_count=count, exact=exact)
     return DehnProfile(entries=entries, rho=rho, max_area=max_area,
                        max_len=max_len)
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    holds: bool
-    constants: tuple
-    failures: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_asymptotic_dominance(f: DehnProfile, g: DehnProfile, C: float,
-                               K: float, L: float,
-                               ns=None) -> DominanceReport:
-    """Check f(n) <= g(ceil(C n + K)) + L n pointwise on ns (default: all of
-    f's entries).  Raises ValueError when g does not cover an index."""
-    if ns is None:
-        ns = sorted(f.entries)
-    Cx, Kx, Lx = map(exact_number, (C, K, L))
-    failures = []
-    for n in ns:
-        m = max(1, math.ceil(Cx * n + Kx))
-        if m not in g.entries:
-            raise ValueError(
-                f"dominance index {m} outside the covered range of g")
-        lhs = f.entries[n].max_area
-        rhs = g.entries[m].max_area + Lx * n
-        if lhs > rhs:
-            failures.append((n, lhs, rhs))
-    return DominanceReport(holds=not failures, constants=(C, K, L),
-                           failures=tuple(failures))
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    slope: float
-    intercept: float
-    max_residual: float
-    verdict: str  # "linear-consistent" or "superlinear-witness"
-
-
-def linear_fit(profile: DehnProfile) -> LinearFit:
-    """Least-squares line through the exact profile entries, with a
-    second-difference superlinearity verdict.
-
-    The verdict is "superlinear-witness" only when the trailing second
-    differences (at least two of them) are all positive; oscillating or flat
-    tails read as "linear-consistent".
-    """
-    import numpy as np
-    pts = [(n, e.max_area) for n, e in sorted(profile.entries.items())
-           if e.exact]
-    if len(pts) < 3:
-        raise ValueError("need at least three exact entries to fit")
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.array([p[1] for p in pts], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(np.max(np.abs(ys - (slope * xs + intercept))))
-    d2 = np.diff(ys, 2)
-    tail = d2[-max(2, len(d2) // 2):]
-    verdict = "superlinear-witness" if len(tail) >= 2 and np.all(tail > 0) \
-        else "linear-consistent"
-    return LinearFit(slope=float(slope), intercept=float(intercept),
-                     max_residual=resid, verdict=verdict)
 
 
 @dataclass(frozen=True)

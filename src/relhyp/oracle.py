@@ -40,9 +40,12 @@ from .presentation import (
     decode_finite_table,
     decode_word,
     encode_word,
+    expect_int,
     expect_json,
     free_reduce,
     int_label,
+    int_tuple,
+    is_int,
     letter_count,
 )
 
@@ -234,16 +237,6 @@ class NormalFormOracle:
     def is_trivial(self, w: Word) -> bool:
         return self.element_key(w) == self.element_key(EMPTY_WORD)
 
-    def in_peripheral(self, w: Word, lam: int) -> bool:
-        # certificate-style approximation: a canonical form that is a single
-        # syllable of this label proves membership; anything else is treated
-        # as outside (exact for free-product normal forms, where membership
-        # is exactly that shape)
-        nf = self.normal_form(w)
-        if nf.is_empty:
-            return True
-        return len(nf) == 1 and isinstance(nf[0], HLetter) and nf[0].lam == lam
-
     def coset_key(self, w: Word, lam: int):
         nf = self.normal_form(w)
         if nf.letters and isinstance(nf[-1], HLetter) and nf[-1].lam == lam:
@@ -370,7 +363,7 @@ class IntegerQuotientOracle(NormalFormOracle):
         if v is None:
             return (0,) * self.dim
         v = tuple(v)
-        if len(v) != self.dim or not all(isinstance(c, int) for c in v):
+        if len(v) != self.dim or not all(map(is_int, v)):
             raise OracleInvalidError(f"{what}: expected {self.dim} integers")
         return v
 
@@ -395,9 +388,6 @@ class IntegerQuotientOracle(NormalFormOracle):
         if vec is None:
             vec = self._letter_vecs[l] = self._slots.epsilon(Word((l,)))
         return reduce_mod(self._kernel_ech, map(operator.add, key, vec))
-
-    def in_peripheral(self, w: Word, lam: int) -> bool:
-        return not any(self.coset_key(w, lam))
 
     def coset_key(self, w: Word, lam: int):
         return reduce_mod(self._perip_lattices[lam], self.image_vector(w))
@@ -609,9 +599,6 @@ class FiniteQuotientOracle(NormalFormOracle):
     def step(self, key, l):
         return self.Q.product(key, self.eval_letter(l))
 
-    def in_peripheral(self, w: Word, lam: int) -> bool:
-        return self.eval_word(w) in self._subgroups[lam]
-
     def coset_key(self, w: Word, lam: int):
         g = self.eval_word(w)
         return min(self.Q.product(g, s) for s in self._subgroups[lam])
@@ -700,13 +687,14 @@ def _x_images(config: dict) -> dict:
     return expect_json(config.get("x_images") or {}, dict, "oracle.x_images")
 
 
-def _model_images(config: dict) -> dict:
-    """The document's model_images object: lists keyed by integer labels."""
+def _model_images(config: dict, rows: bool) -> dict:
+    """The document's model_images object: integer lists, of lists when rows
+    is set, keyed by integer labels."""
     out = {}
     path = "oracle.model_images"
     for key, imgs in expect_json(config.get("model_images") or {}, dict,
                                  path).items():
-        out[int_label(key, path)] = expect_json(imgs, list, f"{path}.{key}")
+        out[int_label(key, path)] = int_tuple(imgs, f"{path}.{key}", rows=rows)
     return out
 
 
@@ -719,22 +707,21 @@ def build_oracle(P: RelativePresentation, config: dict) -> NormalFormOracle:
         return FreeProductOracle(P, config)
     if kind == "integer_quotient":
         dim = config.get("dim")
-        if not isinstance(dim, int):
+        if not is_int(dim):
             raise ParseError("integer_quotient needs an integer dim", "oracle.dim")
-        x_images = {sym: tuple(expect_json(v, list, f"oracle.x_images.{sym}"))
+        x_images = {sym: int_tuple(v, f"oracle.x_images.{sym}")
                     for sym, v in _x_images(config).items()}
-        model_images = {
-            lam: [tuple(expect_json(v, list, f"oracle.model_images.{lam}"))
-                  for v in imgs]
-            for lam, imgs in _model_images(config).items()}
-        return IntegerQuotientOracle(P, dim, x_images, model_images, config)
+        return IntegerQuotientOracle(P, dim, x_images,
+                                     _model_images(config, True), config)
     if kind == "finite_quotient":
         try:
             Q = decode_finite_table(config, "oracle")
         except ValueError as exc:
             raise OracleInvalidError(str(exc)) from None
-        return FiniteQuotientOracle(P, Q, _x_images(config),
-                                    _model_images(config), config)
+        x = _x_images(config)
+        return FiniteQuotientOracle(
+            P, Q, {sym: expect_int(x, sym, "oracle.x_images") for sym in x},
+            _model_images(config, False), config)
     if kind == "plugin":
         return PluginOracle(P, config.get("command") or [], config)
     raise ParseError(f"unknown oracle kind {kind!r}", "oracle.kind")

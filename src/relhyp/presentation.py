@@ -28,6 +28,12 @@ def exact_number(x) -> Fraction:
     return Fraction(str(x))
 
 
+def is_int(v) -> bool:
+    """An integer, but not a bool: JSON's true and false decode to bool, a
+    subclass of int, and stand for no integer of a document."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 # ---------------------------------------------------------------------------
 # peripheral models
 
@@ -35,7 +41,7 @@ def exact_number(x) -> Fraction:
 def _reduce_free_tuple(rank: int, letters: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []
     for a in letters:
-        if not isinstance(a, int) or a == 0 or abs(a) > rank:
+        if not is_int(a) or a == 0 or abs(a) > rank:
             raise ValueError(f"free model letter out of range: {a!r}")
         if stack and stack[-1] == -a:
             stack.pop()
@@ -63,7 +69,7 @@ class FreeAbelianModel:
 
     def validate(self, e):
         if not (isinstance(e, tuple) and len(e) == self.rank
-                and all(isinstance(c, int) for c in e)):
+                and all(map(is_int, e))):
             raise ValueError(f"not a Z^{self.rank} element: {e!r}")
         return e
 
@@ -115,10 +121,10 @@ class FreeAbelianModel:
         return e[0] if self.rank == 1 else list(e)
 
     def decode(self, obj, path=""):
-        if self.rank == 1 and isinstance(obj, int):
+        if self.rank == 1 and is_int(obj):
             return (obj,)
         if isinstance(obj, list) and len(obj) == self.rank \
-                and all(isinstance(c, int) for c in obj):
+                and all(map(is_int, obj)):
             return tuple(obj)
         raise ParseError(f"bad Z^{self.rank} element {obj!r}", path)
 
@@ -171,7 +177,7 @@ class FiniteTableModel:
         return e == self.identity_index
 
     def validate(self, e):
-        if not (isinstance(e, int) and 0 <= e < self.size):
+        if not _index_below(e, self.size):
             raise ValueError(f"not an element index: {e!r}")
         return e
 
@@ -200,7 +206,7 @@ class FiniteTableModel:
         return e
 
     def decode(self, obj, path=""):
-        if isinstance(obj, int) and 0 <= obj < self.size:
+        if _index_below(obj, self.size):
             return obj
         if isinstance(obj, str) and self.names and obj in self.names:
             return self.names.index(obj)
@@ -208,7 +214,7 @@ class FiniteTableModel:
 
 
 def _index_below(v, n) -> bool:
-    return isinstance(v, int) and 0 <= v < n
+    return is_int(v) and 0 <= v < n
 
 
 def _non_associative_triple(table):
@@ -304,7 +310,7 @@ class FreeGroupModel:
         return list(e)
 
     def decode(self, obj, path=""):
-        if isinstance(obj, list) and all(isinstance(c, int) for c in obj):
+        if isinstance(obj, list) and all(map(is_int, obj)):
             try:
                 return _reduce_free_tuple(self.rank, obj)
             except ValueError as exc:
@@ -323,10 +329,11 @@ PeripheralModel = Union[FreeAbelianModel, FiniteTableModel, FreeGroupModel]
 # letters and words
 
 
-# Letters and words are hashed over and over as dict keys, so each keeps its
-# hash, computed at the first hash() from the field tuple the dataclass hash
-# would use.  ``_hash`` has no annotation, so it is not a field and never
-# enters __eq__ or __repr__.
+# Letters are hashed over and over as dict keys (interning, pair memos,
+# window products), so each keeps its hash, computed at the first hash()
+# from the field tuple the dataclass hash would use.  ``_hash`` has no
+# annotation, so it is not a field and never enters __eq__ or __repr__.
+# Words keep nothing: they hash and sort from their letters at each call.
 @dataclass(frozen=True)
 class XLetter:
     sym: str
@@ -381,15 +388,6 @@ def letter_key(letter: Letter):
 @dataclass(frozen=True)
 class Word:
     letters: tuple[Letter, ...] = ()
-    _hash = None
-    _sort_key = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.letters,))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -409,11 +407,7 @@ class Word:
         return not self.letters
 
     def sort_key(self):
-        k = self._sort_key
-        if k is None:
-            k = (len(self.letters), tuple(letter_key(l) for l in self.letters))
-            object.__setattr__(self, "_sort_key", k)
-        return k
+        return (len(self.letters), tuple(map(letter_key, self.letters)))
 
 
 EMPTY_WORD = Word()
@@ -441,7 +435,7 @@ class RelativePresentation:
             if not (isinstance(s, str) and s):
                 raise ValueError(f"bad symbol {s!r}")
         for lam in self.models:
-            if not isinstance(lam, int):
+            if not is_int(lam):
                 raise ValueError("model labels must be integers")
         reduced = []
         for r in self.relators:
@@ -724,14 +718,14 @@ def _decode_model(obj, path) -> tuple[int, PeripheralModel]:
     if not isinstance(obj, dict):
         raise ParseError("model must be an object", path)
     label = obj.get("label")
-    if not isinstance(label, int):
+    if not is_int(label):
         raise ParseError("model label must be an integer", path + ".label")
     kind = obj.get("kind")
     try:
         if kind == "Z^d":
-            return label, FreeAbelianModel(rank=_expect_int(obj, "rank", path))
+            return label, FreeAbelianModel(rank=expect_int(obj, "rank", path))
         if kind == "F_k":
-            return label, FreeGroupModel(rank=_expect_int(obj, "rank", path))
+            return label, FreeGroupModel(rank=expect_int(obj, "rank", path))
         if kind == "finite":
             return label, decode_finite_table(obj, path)
     except (ValueError, TypeError) as exc:
@@ -740,9 +734,9 @@ def _decode_model(obj, path) -> tuple[int, PeripheralModel]:
                      path + ".kind")
 
 
-def _expect_int(obj, key, path):
+def expect_int(obj, key, path):
     v = obj.get(key)
-    if not isinstance(v, int):
+    if not is_int(v):
         raise ParseError(f"{key} must be an integer", f"{path}.{key}")
     return v
 
@@ -756,11 +750,12 @@ def expect_json(value, kind, path):
 
 
 def int_label(key, path) -> int:
-    """A JSON object key naming an integer model label, as an int."""
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise ParseError(f"bad model label {key!r}", path) from None
+    """A JSON object key naming an integer model label, as an int.  The key
+    must read as str(label) writes it: "012", " 12" and "1_2" are refused."""
+    ok = isinstance(key, str) and key.removeprefix("-").isdecimal()
+    if not ok or str(int(key)) != key:
+        raise ParseError(f"bad model label {key!r}", path)
+    return int(key)
 
 
 def decode_finite_table(obj: dict, path: str) -> FiniteTableModel:
@@ -768,33 +763,36 @@ def decode_finite_table(obj: dict, path: str) -> FiniteTableModel:
     inverse and names; the identity and the inverses are derived from the
     table when absent.  ParseError on a malformed shape or when none can be
     derived, ValueError when FiniteTableModel rejects the table."""
-    size = _expect_int(obj, "size", path)
-    table = _int_tuple(obj.get("table"), size, path + ".table", rows=True)
+    size = expect_int(obj, "size", path)
+    table = int_tuple(obj.get("table"), path + ".table", size, rows=True)
     if obj.get("identity") is None:
         identity = _find_identity(table, size, path)
     else:
-        identity = _expect_int(obj, "identity", path)
+        identity = expect_int(obj, "identity", path)
     if obj.get("inverse") is None:
         inverse = _derive_inverses(table, size, identity, path)
     else:
-        inverse = _int_tuple(obj["inverse"], size, path + ".inverse")
+        inverse = int_tuple(obj["inverse"], path + ".inverse", size)
     names = obj.get("names")
+    if names is not None:
+        names = tuple(expect_json(names, list, path + ".names"))
+        if not all(isinstance(n, str) for n in names):
+            raise ParseError("names must be strings", path + ".names")
     return FiniteTableModel(
         size=size, table=table, inverse_table=tuple(inverse),
-        identity_index=identity,
-        names=None if names is None
-        else tuple(expect_json(names, list, path + ".names")))
+        identity_index=identity, names=names)
 
 
-def _int_tuple(value, size, path, rows=False) -> tuple:
-    """value as a tuple of size integers, or of size such tuples."""
+def int_tuple(value, path, size=None, rows=False) -> tuple:
+    """value as a tuple of integers, or with rows of such tuples, checked
+    to have size entries (and rows) when size is given."""
     items = expect_json(value, list, path)
-    if len(items) != size:
+    if size is not None and len(items) != size:
         raise ParseError(f"expected {size} entries, got {len(items)}", path)
     if rows:
-        return tuple(_int_tuple(r, size, f"{path}[{i}]")
+        return tuple(int_tuple(r, f"{path}[{i}]", size)
                      for i, r in enumerate(items))
-    if not all(isinstance(v, int) for v in items):
+    if not all(map(is_int, items)):
         raise ParseError("entries must be integers", path)
     return tuple(items)
 
@@ -843,7 +841,7 @@ def decode_letter(P: RelativePresentation, obj, path="") -> Letter:
         if sym not in P.x_symbols:
             raise ParseError(f"unknown free-group symbol {sym!r}", path)
         sign = obj.get("sign", 1)
-        if sign not in (1, -1):
+        if not is_int(sign) or sign not in (1, -1):
             raise ParseError(f"sign must be 1 or -1, got {sign!r}", path + ".sign")
         return XLetter(sym, sign)
     if "h" in obj:
@@ -851,7 +849,7 @@ def decode_letter(P: RelativePresentation, obj, path="") -> Letter:
         if not isinstance(entry, dict) or "lambda" not in entry or "elem" not in entry:
             raise ParseError("peripheral letter needs lambda and elem", path)
         lam = entry["lambda"]
-        model = P.models.get(lam)
+        model = P.models.get(lam) if is_int(lam) else None
         if model is None:
             raise ParseError(f"unknown model label {lam!r}", path)
         elem = model.decode(entry["elem"], path + ".elem")

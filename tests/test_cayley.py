@@ -4,7 +4,6 @@ import pytest
 
 from relhyp import cayley, oracle as ora
 from relhyp.cayley import (
-    RelLength,
     ball_to_csv,
     ball_to_json,
     geodesic_witness,

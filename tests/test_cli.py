@@ -17,6 +17,8 @@ from relhyp.presentation import HLetter, XLetter, parse_document
 from relhyp.presets import (
     f2_doc,
     f2_stretch_action_doc,
+    x_squared_doc,
+    z2_doc,
     z_example_doc,
     zmod2_star_doc,
 )
@@ -317,6 +319,83 @@ def test_finite_tables_decode_cleanly(capsys, tmp_path, where, change, code,
     assert (got, out) == (code, "") and message in err
 
 
+Z1 = {"kind": "Z^d", "rank": 1}
+S2 = {"kind": "finite", "size": 2, "table": [[0, 1], [1, 0]]}
+
+
+def _model_doc(model, *relator):
+    """Free symbol x, one model labelled 1 and at most one relator."""
+    return {"x": ["x"], "models": [{"label": 1, **model}],
+            "relators": [list(relator)] if relator else []}
+
+
+def _h(lam, elem):
+    return {"h": {"lambda": lam, "elem": elem}}
+
+
+def _with_oracle(doc, **change):
+    return {**doc, "oracle": {**doc["oracle"], **change}}
+
+
+def _with_automorphism(**change):
+    action = f2_stretch_action_doc()
+    action["automorphisms"][0].update(change)
+    return action
+
+
+# JSON true and false are no integers, and a label key must read as
+# str(label) writes it: each document exits 2 with the path of its field
+@pytest.mark.parametrize("doc, action, path", [
+    ({"x": ["x"], "relators": [[{"x": "x", "sign": True}]]}, None,
+     "relators[0][0].sign"),
+    (_model_doc({"kind": "Z^d", "rank": True}), None, "models[0].rank"),
+    ({"x": [], "models": [{"label": True, **Z1}]}, None, "models[0].label"),
+    (_model_doc(Z1, _h(1, True)), None, "relators[0][0].elem"),
+    (_model_doc({"kind": "Z^d", "rank": 2}, _h(1, [1, True])), None,
+     "relators[0][0].elem"),
+    (_model_doc({"kind": "F_k", "rank": 2}, _h(1, [True])), None,
+     "relators[0][0].elem"),
+    (_model_doc(S2, _h(1, True)), None, "relators[0][0].elem"),
+    (_model_doc(Z1, _h(True, 1)), None, "relators[0][0]"),
+    (_model_doc({**S2, "table": [[0, True], [True, 0]]}), None,
+     "models[0].table[0]"),
+    (_model_doc({**S2, "names": ["e", 1]}), None, "models[0].names"),
+    (_with_oracle(z_example_doc(), dim=True), None, "oracle.dim"),
+    (_with_oracle(z_example_doc(), model_images={"1": [[True]],
+                                                 "2": [[-1]]}),
+     None, "oracle.model_images.1[0]"),
+    (_with_oracle(z_example_doc(), model_images={"1": [[1]],
+                                                 "1_0": [[-1]]}),
+     None, "oracle.model_images"),
+    (_with_oracle(z_example_doc(), model_images={"1": [[1]],
+                                                 " 2": [[-1]]}),
+     None, "oracle.model_images"),
+    (_with_oracle(z2_doc(), x_images={"x": [1, False], "y": [0, 1]}), None,
+     "oracle.x_images.x"),
+    (_with_oracle(x_squared_doc(), x_images={"x": True}), None,
+     "oracle.x_images.x"),
+    (_quotient_doc("finite_quotient", model_images={"1": [0, True]}), None,
+     "oracle.model_images.1"),
+    (f2_doc(), {**f2_stretch_action_doc(), "basis": True}, "action.basis"),
+    (f2_doc(), _with_automorphism(sigma={"1": True}),
+     "action.automorphisms[0].sigma"),
+], ids=["sign", "rank", "label", "elem", "elem-vector", "elem-free",
+        "elem-finite", "lambda", "table", "names", "dim", "integer-image",
+        "key-underscore", "key-space", "x-vector", "x-index", "finite-image",
+        "basis", "sigma"])
+def test_booleans_and_noncanonical_labels_exit_2(capsys, tmp_path, doc,
+                                                 action, path):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = ["parse", "--input", str(tmp_path / "doc.json")]
+    if action is not None:
+        (tmp_path / "action.json").write_text(json.dumps(action))
+        argv = ["corridor", "--input", str(tmp_path / "doc.json"),
+                "--action", str(tmp_path / "action.json"), "--loop", "x",
+                "--depth", "1"]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (2, "") and f" {path}: " in err
+
+
 def test_vertex_budget_exits_4(docs, capsys):
     code, _, err = run_cli(capsys, "ball", "--input", docs["f2"],
                            "--radius", "3", "--max-vertices", "5")
@@ -398,10 +477,13 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_every_imported_name_is_used():
-    # __init__ is exempt: it imports names to re-export them
+    # the package's modules and these tests; the package __init__ is exempt:
+    # it imports names to re-export them
     unused = []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    sources = sorted(Path(cli.__file__).parent.glob("*.py")) + \
+        sorted(Path(__file__).parent.glob("*.py"))
+    for path in sources:
+        if path == Path(cli.__file__).parent / "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -426,10 +508,10 @@ PACKAGE_EXPORTS = frozenset("""
     ResourceCapError SeparationReport Trivial Unknown Window Word XLetter
     apply_action apply_automorphism ball_to_csv ball_to_json boundary_chain
     budgeted_word_problem build_corridor build_oracle build_window
-    check_asymptotic_dominance check_separated check_uniform_flare coboundary
-    corridor_cocycle_pairing cyclically_reduce dehn_profile encode_action
-    free_reduce geodesic_witness growth_scan identity_automorphism
-    letter_count linear_fit min_linf_primitive pair parse_action
+    check_separated check_uniform_flare coboundary corridor_cocycle_pairing
+    cyclically_reduce dehn_profile encode_action free_reduce geodesic_witness
+    growth_scan identity_automorphism letter_count min_linf_primitive pair
+    parse_action
     parse_document parse_presentation path_gain rel_length relative_area
     relative_correction relator_indicator_family replay_certificate
     rho_escalation serialize_presentation truncated_ball validate_action
@@ -438,7 +520,7 @@ PACKAGE_EXPORTS = frozenset("""
 
 
 def test_package_exports_are_pinned():
-    assert len(PACKAGE_EXPORTS) == 78
+    assert len(PACKAGE_EXPORTS) == 76
     assert sorted(relhyp.__all__) == sorted(PACKAGE_EXPORTS)
     for name in relhyp.__all__:
         assert hasattr(relhyp, name), name

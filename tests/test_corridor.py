@@ -8,7 +8,6 @@ import pytest
 
 from relhyp.cayley import rel_length, truncated_ball
 from relhyp.corridor import (
-    Corridor,
     FreeAction,
     RelAutomorphism,
     apply_action,

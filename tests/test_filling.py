@@ -1,4 +1,4 @@
-"""Filling search, certificates, Dehn profiles, and asymptotic comparisons."""
+"""Filling search, certificates, Dehn profiles and peripheral escalation."""
 
 import dataclasses
 import hashlib
@@ -8,14 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relhyp.cli import loop_literal_parse
 from relhyp.filling import (
-    DehnProfile,
     FillingCertificate,
-    ProfileEntry,
     RCell,
     Unknown,
-    check_asymptotic_dominance,
     dehn_profile,
-    linear_fit,
     relative_area,
     replay_certificate,
     rho_escalation,
@@ -256,76 +252,7 @@ def test_profile_area_ratio_stays_at_most_one():
 
 
 # ---------------------------------------------------------------------------
-# dominance and fits
-
-
-def _synthetic(values: dict[int, int]) -> DehnProfile:
-    entries = {n: ProfileEntry(max_area=v, loop_count=0, exact=True)
-               for n, v in values.items()}
-    return DehnProfile(entries=entries, rho=0, max_area=0, max_len=0)
-
-
-def test_dominance_is_reflexive():
-    P, O = x_squared()
-    prof = dehn_profile(P, O, n_max=6, rho=2, max_area=8, max_len=16)
-    report = check_asymptotic_dominance(prof, prof, C=1, K=0, L=0)
-    assert report.holds and bool(report)
-
-
-def test_dominance_with_linear_slack():
-    f = _synthetic({n: n // 2 for n in range(1, 7)})
-    g = _synthetic({n: 0 for n in range(1, 7)})
-    assert check_asymptotic_dominance(f, g, C=1, K=0, L=1).holds
-
-
-def test_dominance_fails_for_quadratic_growth():
-    f = _synthetic({n: n * n for n in range(1, 5)})
-    g = _synthetic({n: 0 for n in range(1, 5)})
-    report = check_asymptotic_dominance(f, g, C=1, K=0, L=1)
-    assert not report.holds
-    assert (2, 4, 2) in report.failures
-
-
-def test_dominance_requires_covered_indices():
-    f = _synthetic({n: 0 for n in range(1, 7)})
-    g = _synthetic({n: 0 for n in range(1, 4)})
-    with pytest.raises(ValueError):
-        check_asymptotic_dominance(f, g, C=2, K=0, L=0)
-
-
-def test_dominance_constants_are_exact():
-    # in binary floating point 2.2 * 25 > 55 and 1.15 * 100 < 115
-    f = _synthetic({25: 55})
-    g = _synthetic({n: n for n in range(1, 56)})
-    assert check_asymptotic_dominance(f, g, C=2.2, K=0, L=0).holds
-    f = _synthetic({100: 115})
-    g = _synthetic({1: 0})
-    assert check_asymptotic_dominance(f, g, C=0, K=0, L=1.15).holds
-
-
-def test_linear_fit_flat_profile():
-    fit = linear_fit(_synthetic({n: 0 for n in range(1, 7)}))
-    assert fit.slope == pytest.approx(0.0)
-    assert fit.max_residual == pytest.approx(0.0)
-    assert fit.verdict == "linear-consistent"
-
-
-def test_linear_fit_half_slope_staircase():
-    P, O = x_squared()
-    prof = dehn_profile(P, O, n_max=6, rho=2, max_area=8, max_len=16)
-    fit = linear_fit(prof)
-    assert abs(fit.slope - 0.5) < 0.1
-    assert fit.verdict == "linear-consistent"
-
-
-def test_linear_fit_requires_three_exact_points():
-    with pytest.raises(ValueError):
-        linear_fit(_synthetic({1: 0, 2: 1}))
-
-
-def test_linear_fit_flags_quadratic_as_superlinear():
-    fit = linear_fit(_synthetic({n: n * n for n in range(1, 7)}))
-    assert fit.verdict == "superlinear-witness"
+# peripheral escalation
 
 
 def test_rho_escalation_witnesses_unbounded_entry():

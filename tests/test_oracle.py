@@ -105,10 +105,6 @@ def test_free_product_requires_empty_relator_set():
 
 def test_free_product_peripheral_membership_and_cosets():
     _, O = free_product_zz()
-    assert O.in_peripheral(Word((hz(1, 5),)), 1)
-    assert not O.in_peripheral(Word((hz(1, 5),)), 2)
-    assert O.in_peripheral(EMPTY_WORD, 1)
-    assert not O.in_peripheral(Word((hz(1, 1), hz(2, 1))), 1)
     base = Word((hz(1, 2),))
     assert O.coset_key(base + Word((hz(2, 3),)), 2) == \
         O.coset_key(base + Word((hz(2, 7),)), 2)
@@ -164,9 +160,6 @@ def test_integer_quotient_rejects_images_missing_the_relator():
 
 def test_integer_quotient_peripheral_and_coset_keys():
     _, O = z_example()
-    # every element is peripheral for each factor: both map onto all of the
-    # quotient
-    assert O.in_peripheral(Word((hz(1, 3), hz(2, 1))), 2)
     assert O.coset_key(Word((hz(1, 4),)), 1) == O.coset_key(EMPTY_WORD, 1)
 
 
@@ -276,43 +269,39 @@ S3_QUOTIENT_DOC = {
                "model_images": {"1": [3], "2": [2, 2], "3": [0, 2]}},
 }
 
-# word, normal form, relative length, geodesic, coset keys and peripheral
-# membership for labels 1, 2, 3
+# word, normal form, relative length, geodesic and coset keys for labels
+# 1, 2, 3
 S3_QUOTIENT_ANSWERS = [
-    (_w(), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
-    (_w("x"), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
-    (_w("y"), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
-    (_w("y", "y"), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
-    (_w("x", "y"), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
-    (_w("y", "x", "y-"), _w("x"), 1, _w("x"), (1, 0, 0),
-     (False, True, True)),
-    (_w((1, (1,))), _w((1, (1,))), 1, _w((1, (1,))), (0, 3, 3),
-     (True, False, False)),
+    (_w(), _w(), 0, _w(), (0, 0, 0)),
+    (_w("x"), _w("x"), 1, _w("x"), (1, 0, 0)),
+    (_w("y"), _w(), 0, _w(), (0, 0, 0)),
+    (_w("y", "y"), _w(), 0, _w(), (0, 0, 0)),
+    (_w("x", "y"), _w("x"), 1, _w("x"), (1, 0, 0)),
+    (_w("y", "x", "y-"), _w("x"), 1, _w("x"), (1, 0, 0)),
+    (_w((1, (1,))), _w((1, (1,))), 1, _w((1, (1,))), (0, 3, 3)),
     (_w((1, (2,)), "x"), _w("x", (1, (1,))), 2, _w("x", (1, (1,))),
-     (1, 1, 1), (False, False, False)),
-    (_w((2, (1,))), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
-    (_w((2, (-2, 1))), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
-    (_w((2, (1, 2)), "y"), _w(), 0, _w(), (0, 0, 0), (True, True, True)),
-    (_w((3, 1)), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
-    (_w((3, 1), "y"), _w("x"), 1, _w("x"), (1, 0, 0), (False, True, True)),
-    (_w("x-", (3, 1), "x"), _w("x"), 1, _w("x"), (1, 0, 0),
-     (False, True, True)),
+     (1, 1, 1)),
+    (_w((2, (1,))), _w("x"), 1, _w("x"), (1, 0, 0)),
+    (_w((2, (-2, 1))), _w(), 0, _w(), (0, 0, 0)),
+    (_w((2, (1, 2)), "y"), _w(), 0, _w(), (0, 0, 0)),
+    (_w((3, 1)), _w("x"), 1, _w("x"), (1, 0, 0)),
+    (_w((3, 1), "y"), _w("x"), 1, _w("x"), (1, 0, 0)),
+    (_w("x-", (3, 1), "x"), _w("x"), 1, _w("x"), (1, 0, 0)),
     (_w("y", (2, (2,)), (1, (-1,))), _w("x", (1, (-1,))), 2,
-     _w("x", (1, (-1,))), (1, 3, 3), (False, False, False)),
+     _w("x", (1, (-1,))), (1, 3, 3)),
     (_w((1, (1,)), (2, (1,)), (3, 1), "x"), _w("x", (1, (-1,))), 2,
-     _w("x", (1, (-1,))), (1, 3, 3), (False, False, False)),
+     _w("x", (1, (-1,))), (1, 3, 3)),
 ]
 
 
 def test_finite_quotient_answers_with_every_model_kind():
     P, cfg = parse_document(json.dumps(S3_QUOTIENT_DOC))
     O = ora.build_oracle(P, cfg)
-    for w, nf, length, geo, cosets, inside in S3_QUOTIENT_ANSWERS:
+    for w, nf, length, geo, cosets in S3_QUOTIENT_ANSWERS:
         assert O.normal_form(w) == nf
         assert O.rel_length(w).value == length
         assert O.geodesic(w, length) == geo
         assert tuple(O.coset_key(w, lam) for lam in (1, 2, 3)) == cosets
-        assert tuple(O.in_peripheral(w, lam) for lam in (1, 2, 3)) == inside
 
 
 # ---------------------------------------------------------------------------

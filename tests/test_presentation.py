@@ -10,8 +10,7 @@ from relhyp import (
     free_reduce, cyclically_reduce, letter_count,
     parse_presentation, serialize_presentation, ParseError,
 )
-from relhyp.presentation import (
-    dump_json, letter_key, parse_document, presentation_to_doc)
+from relhyp.presentation import dump_json, letter_key, parse_document
 
 
 Z_EXAMPLE_DOC = json.dumps({
