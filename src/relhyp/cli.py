@@ -48,6 +48,7 @@ from .presentation import (
     XLetter,
     dump_json,
     encode_word,
+    load_json,
     parse_document,
     presentation_to_doc,
 )
@@ -149,7 +150,7 @@ def _load_presentation(args, need_oracle: bool = True):
 
 def _load_action(P, O, args):
     try:
-        doc = json.loads(_read_text(args.action))
+        doc = load_json(_read_text(args.action), "action")
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in action document: {exc.msg}",
                          f"line {exc.lineno}") from None

@@ -15,11 +15,12 @@ faces reference.
 A window is built on integers.  Its vertices are numbered by element key,
 starting from the ball's walk, and every product with a letter is one
 ``O.step`` on a key; each vertex is written out as a word once, and each
-(vertex, label) pair asks the oracle for its coset once.  Cells are numbered
-in sorted order and boundaries are kept as compressed rows of cell numbers
-and signs, on which coboundaries, boundary chains and the linear programs
-run.  A CellId is made once per window cell; ``Window.boundary``, the same
-boundaries keyed by CellId, is built at its first read.
+(vertex, label) pair asks the oracle for its coset once, from the key.
+Cells are numbered in sorted order and boundaries are kept as compressed
+rows of cell numbers and signs, on which coboundaries, boundary chains and
+the linear programs run.  A CellId is made once per window cell;
+``Window.boundary``, the same boundaries keyed by CellId, is built at its
+first read.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 from .cayley import ball_alphabet, walk_ball
 from .errors import LpSolverError
@@ -263,7 +265,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     reps: dict[int, dict] = {}      # lam -> {coset key: vertex}
     rep_of: dict[int, dict] = {}    # lam -> {vertex: its representative}
     for lam in labels:
-        cosets = [O.coset_key(words[i], lam) for i in range(n_base)]
+        cosets = [O.coset_of_key(keys[i], lam) for i in range(n_base)]
         best: dict = {}
         for i, k in enumerate(cosets):
             j = best.get(k)
@@ -276,7 +278,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
         memo = rep_of[lam]
         r = memo.get(i)
         if r is None:
-            r = memo[i] = reps[lam].get(O.coset_key(words[i], lam), i)
+            r = memo[i] = reps[lam].get(O.coset_of_key(keys[i], lam), i)
         return r
 
     number: dict = {}   # (kind code, vertex, data) -> cell number
@@ -572,24 +574,85 @@ class Infeasible:
     witness: tuple
 
 
-def linprog(c, **kwargs):
-    """scipy's linprog, imported at the first LP: most commands never solve
-    one, and importing scipy.optimize dominates start-up."""
-    from scipy.optimize import linprog as solve
-    return solve(c, **kwargs)
+def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
+            col_upper):
+    """Minimize c x subject to row_lower <= A x <= row_upper and
+    col_lower <= x <= col_upper, A given by columns: column j has the
+    coefficient value[k] in row index[k] for k in start[j]:start[j + 1].
+
+    This is the call scipy's linprog(method="highs") makes into HiGHS, made
+    directly through the binding scipy ships: on a window's program,
+    linprog's input checks, sparse copies and per-solve option validation
+    cost more than the solve.  Each call gets a fresh HiGHS instance with
+    linprog's options (presolve on, the dual simplex, no output) and
+    linprog's statuses: 0 for an optimum whose columns and rows keep their
+    bounds within linprog's tolerance 10 sqrt(1e-9), 2 infeasible,
+    3 unbounded, 4 anything else, with HiGHS's model status in the message.
+    The result has x, eqlin.marginals (the duals of the rows whose two
+    bounds are equal), status and message.  numpy and scipy are imported
+    at the first LP: most commands never solve one, and importing
+    scipy.optimize dominates start-up."""
+    import numpy as np
+    from scipy.optimize._highspy import _core as hs
+    n = len(c)
+    # HiGHS reads each array to the length these sizes give
+    if not (len(col_lower) == len(col_upper) == n and len(start) == n + 1
+            and len(row_upper) == len(row_lower)
+            and len(index) == len(value) == start[n]):
+        raise ValueError("the program's arrays have mismatched lengths")
+    highs = hs._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("highs_debug_level", 0)
+    highs.setOptionValue("simplex_strategy", 1)
+    # the arrays go in as buffers; every column is continuous
+    passed = highs.passModel(
+        n, len(row_lower), len(value), int(hs.MatrixFormat.kColwise),
+        int(hs.ObjSense.kMinimize), 0.0, c, col_lower, col_upper, row_lower,
+        row_upper, start, index, value, np.zeros(n, dtype=np.int32))
+    if passed == hs.HighsStatus.kError:
+        model = hs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model = highs.getModelStatus()
+    res = SimpleNamespace(x=None, eqlin=SimpleNamespace(marginals=None),
+                          status=4, message="HiGHS model status "
+                          + highs.modelStatusToString(model))
+    if model == hs.HighsModelStatus.kInfeasible:
+        res.status = 2
+    elif model == hs.HighsModelStatus.kUnbounded:
+        res.status = 3
+    elif model == hs.HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        res.x = x = np.array(solution.col_value)
+        rows = np.array(solution.row_value)
+        res.eqlin.marginals = \
+            np.array(solution.row_dual)[row_lower == row_upper]
+        tol = 10 * np.sqrt(1e-9)
+        if np.isnan(highs.getInfo().objective_function_value) or not (
+                np.all(x >= col_lower - tol) and np.all(x <= col_upper + tol)
+                and np.all(rows - row_lower >= -tol)
+                and np.all(row_upper - rows >= -tol)):
+            res.message += f", but a bound or row is off by over {tol:.2E}"
+        else:
+            res.status = 0
+    return res
 
 
 def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     """Minimize the sup norm of a relative 1-cochain m with (delta m) = z on
     every interior relator 2-cell of the window.
 
-    HiGHS solves the program in floating point.  With exact=True the answer
-    is a rational Primitive or Infeasible only when an exact certificate
-    checks (see _certified); otherwise LpSolverError is raised.  The
-    constraint matrices go to HiGHS as scipy.sparse arrays, the equality
-    rows straight from the window's boundary rows."""
+    The program has one column m_j per non-peripheral 1-cell and a last
+    column t >= 0, the objective t, box rows 2j: m_j - t <= 0 and
+    2j+1: -m_j - t <= 0, and one equality row per interior relator face,
+    read off the window's boundary rows.  It goes to HiGHS column-wise,
+    assembled with numpy, through ``linprog``.  HiGHS solves it in floating
+    point.  With exact=True the answer is a rational Primitive or Infeasible
+    only when an exact certificate checks (see _certified); otherwise
+    LpSolverError is raised."""
     import numpy as np
-    from scipy.sparse import coo_array, csr_array
     if z.dim != 2:
         raise ValueError("target must be a 2-cochain")
     if not z.is_relative:
@@ -618,27 +681,38 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     rows = (indptr, cols, coefs)
     rhs = [z.get(f) for f in faces]
     n = len(variables)
-    # |m_j| <= t as rows 2j: m_j - t <= 0 and 2j+1: -m_j - t <= 0, where t
-    # is column n
-    var, tcol = np.arange(n), np.full(n, n)
-    A_ub = coo_array((np.tile([1.0, -1.0, -1.0, -1.0], n),
-                      (np.repeat(np.arange(2 * n), 2),
-                       np.column_stack([var, tcol, var, tcol]).ravel())),
-                     shape=(2 * n, n + 1))
-    A_eq = csr_array((np.array(coefs, dtype=float), np.array(cols, dtype=int),
-                      np.array(indptr, dtype=int)), shape=(len(faces), n + 1))
+    # column j < n: rows 2j (+1) and 2j+1 (-1), then its relator rows in
+    # row order; column n (t): -1 on rows 0..2n-1
+    col = np.array(cols, dtype=np.int32)
+    per_column = np.bincount(col, minlength=n) + 2
+    start = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(per_column, out=start[1:n + 1])
+    start[n + 1] = start[n] + 2 * n
+    index = np.empty(start[n + 1], dtype=np.int32)
+    value = np.empty(start[n + 1])
+    box, two = start[:n], 2 * np.arange(n, dtype=np.int32)
+    index[box], value[box] = two, 1.0
+    index[box + 1], value[box + 1] = two + 1, -1.0
+    order = np.argsort(col, kind="stable")
+    place = 2 * col[order] + 2 + np.arange(len(cols), dtype=np.int32)
+    index[place] = 2 * n + np.repeat(np.arange(len(faces), dtype=np.int32),
+                                     np.diff(indptr))[order]
+    value[place] = np.array(coefs, dtype=float)[order]
+    index[start[n]:] = np.arange(2 * n, dtype=np.int32)
+    value[start[n]:] = -1.0
     b_eq = np.array([float(v) for v in rhs])
-    b_ub = np.zeros(2 * n)
+    row_lower = np.concatenate([np.full(2 * n, -np.inf), b_eq])
+    row_upper = np.concatenate([np.zeros(2 * n), b_eq])
+    col_lower = np.full(n + 1, -np.inf)
+    col_lower[n] = 0.0
     c = np.zeros(n + 1)
     c[n] = 1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                  A_eq=A_eq if faces else None,
-                  b_eq=b_eq if faces else None,
-                  bounds=[(None, None)] * n + [(0, None)],
-                  method="highs")
+    res = linprog(c, start=start, index=index, value=value,
+                  row_lower=row_lower, row_upper=row_upper,
+                  col_lower=col_lower, col_upper=np.full(n + 1, np.inf))
     if exact:
         return _certified(variables, rows, [Fraction(v) for v in rhs], faces,
-                          res, A_eq, b_eq)
+                          res, b_eq)
     if res.status == 2:
         return Infeasible(witness=tuple(faces))
     if res.status != 0:
@@ -679,7 +753,7 @@ def _dot(a, b):
     return sum(u * v for u, v in zip(a, b))
 
 
-def _certified(variables, rows, z, faces, res, A_eq, b_eq):
+def _certified(variables, rows, z, faces, res, b_eq):
     """Exact verdict from the HiGHS run, or LpSolverError.
 
     An optimum counts once rational m and equality duals y satisfy B m = z,
@@ -701,7 +775,9 @@ def _certified(variables, rows, z, faces, res, A_eq, b_eq):
                                  norm=norm, exact=True)
     elif res.status == 2:
         import numpy as np
-        B = A_eq.toarray()[:, :n]
+        indptr, cols, coefs = rows
+        B = np.zeros((len(faces), n))
+        B[np.repeat(np.arange(len(faces)), np.diff(indptr)), cols] = coefs
         residual = b_eq - B @ np.linalg.lstsq(B, b_eq, rcond=None)[0]
         for bound in _DENOMINATOR_LADDER:
             y = _rounded(residual, bound)

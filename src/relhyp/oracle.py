@@ -217,6 +217,8 @@ class NormalFormOracle:
     overrides ``element_key``, ``word`` and ``step``, keeping
     word(element_key(w)) == normal_form(w) and step(element_key(w), l) ==
     element_key(w + l); its normal_form may then be left to the base.
+    ``coset_of_key(key, lam)`` is coset_key of the key's element, by default
+    computed on ``word(key)``.
     """
 
     def normal_form(self, w: Word) -> Word:
@@ -242,6 +244,10 @@ class NormalFormOracle:
         if nf.letters and isinstance(nf[-1], HLetter) and nf[-1].lam == lam:
             nf = Word(nf.letters[:-1])
         return nf
+
+    def coset_of_key(self, key, lam: int):
+        """coset_key of the element whose key is ``key``."""
+        return self.coset_key(self.word(key), lam)
 
     def rel_length(self, w: Word) -> RelLength:
         """Relative length of w.  Certified from the canonical form alone:
@@ -372,8 +378,11 @@ class IntegerQuotientOracle(NormalFormOracle):
         return [tuple(row[start + j] for row in self._A) for j in range(count)]
 
     def image_vector(self, w: Word) -> tuple[int, ...]:
-        eps = self._slots.epsilon(w)
-        return tuple(sum(a * e for a, e in zip(row, eps)) for row in self._A)
+        return self._image(self._slots.epsilon(w))
+
+    def _image(self, vec) -> tuple[int, ...]:
+        """The image of a slot vector: A vec."""
+        return tuple(sum(a * e for a, e in zip(row, vec)) for row in self._A)
 
     def element_key(self, w: Word):
         return reduce_mod(self._kernel_ech, self._slots.epsilon(w))
@@ -391,6 +400,11 @@ class IntegerQuotientOracle(NormalFormOracle):
 
     def coset_key(self, w: Word, lam: int):
         return reduce_mod(self._perip_lattices[lam], self.image_vector(w))
+
+    def coset_of_key(self, key, lam: int):
+        # a key differs from the word's vector by kernel vectors, which A
+        # sends to 0
+        return reduce_mod(self._perip_lattices[lam], self._image(key))
 
     def solve_in_model(self, lam: int, vec):
         """Nonzero model element of label lam with image vec, or None."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 import json
+import sys
 from typing import Iterable, Iterator, Union
 
 from .errors import ParseError
@@ -752,10 +753,57 @@ def expect_json(value, kind, path):
 def int_label(key, path) -> int:
     """A JSON object key naming an integer model label, as an int.  The key
     must read as str(label) writes it: "012", " 12" and "1_2" are refused."""
-    ok = isinstance(key, str) and key.removeprefix("-").isdecimal()
-    if not ok or str(int(key)) != key:
+    digits = key.removeprefix("-") if isinstance(key, str) else ""
+    try:
+        label = int(key) if digits.isdecimal() else None
+    except ValueError:
+        raise ParseError(f"expected a label of at most "
+                         f"{sys.get_int_max_str_digits()} digits, got "
+                         f"{len(digits)}", path) from None
+    if label is None or str(label) != key:
         raise ParseError(f"bad model label {key!r}", path)
-    return int(key)
+    return label
+
+
+_TOO_LONG = object()
+
+
+def load_json(text: str, root: str = ""):
+    """json.loads(text).  An integer literal with more digits than int()
+    reads raises ParseError at its path below root, not a bare ValueError;
+    malformed JSON raises json.JSONDecodeError as before."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        pass
+
+    def literal(digits: str):
+        try:
+            return int(digits)
+        except ValueError:
+            return _TOO_LONG
+
+    def find(value, path: str):
+        if value is _TOO_LONG:
+            return path
+        if isinstance(value, dict):
+            steps = ((f"{path}.{k}" if path else k, v)
+                     for k, v in value.items())
+        elif isinstance(value, list):
+            steps = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+        else:
+            steps = ()
+        for sub, v in steps:
+            found = find(v, sub)
+            if found is not None:
+                return found
+        return None
+
+    raise ParseError(f"expected an integer of at most "
+                     f"{sys.get_int_max_str_digits()} digits",
+                     find(json.loads(text, parse_int=literal), root))
 
 
 def decode_finite_table(obj: dict, path: str) -> FiniteTableModel:
@@ -881,7 +929,7 @@ def parse_document(text: str) -> tuple[RelativePresentation, dict | None]:
     """Parse a presentation document; returns the presentation and the raw
     oracle configuration (if any) for the oracle layer to interpret."""
     try:
-        doc = json.loads(text)
+        doc = load_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from None

@@ -267,6 +267,16 @@ def test_finite_quotient_images_are_validated(capsys, tmp_path, change,
     assert (got, out) == (code, "") and message in err
 
 
+# written out as 5,000 digits, more than int() and str() convert by default:
+# an integer literal and an object key
+LONG_INT, LONG_KEY = "<long integer>", "<long key>"
+
+
+def _long_digits(text: str) -> str:
+    return text.replace(f'"{LONG_INT}"', "9" * 5000).replace(LONG_KEY,
+                                                             "9" * 5000)
+
+
 @pytest.mark.parametrize("kind, change, path", [
     ("finite_quotient", {"model_images": {"1": 5}}, "oracle.model_images.1"),
     ("integer_quotient", {"model_images": {"1": 5}}, "oracle.model_images.1"),
@@ -277,6 +287,13 @@ def test_finite_quotient_images_are_validated(capsys, tmp_path, change,
     ("action", {"x_images": 5}, "action.automorphisms[0].x_images"),
     ("action", {"sigma": [1]}, "action.automorphisms[0].sigma"),
     ("document", {"models": 5}, "models"),
+    ("document", {"models": [{"label": LONG_INT, "kind": "Z^d", "rank": 1}]},
+     "models[0].label"),
+    ("integer_quotient", {"model_images": {LONG_KEY: [[1]]}},
+     "oracle.model_images"),
+    ("action", {"sigma": {LONG_KEY: 1}}, "action.automorphisms[0].sigma"),
+    ("action", {"x_images": {"x": [{"x": "x", "sign": LONG_INT}]}},
+     "action.automorphisms[0].x_images.x[0].sign"),
 ])
 def test_untrusted_json_shapes_exit_2(capsys, tmp_path, kind, change, path):
     action = f2_stretch_action_doc()
@@ -287,8 +304,8 @@ def test_untrusted_json_shapes_exit_2(capsys, tmp_path, kind, change, path):
         doc = {**f2_doc(), **change}
     else:
         doc = _quotient_doc(kind, **change)
-    (tmp_path / "doc.json").write_text(json.dumps(doc))
-    (tmp_path / "action.json").write_text(json.dumps(action))
+    (tmp_path / "doc.json").write_text(_long_digits(json.dumps(doc)))
+    (tmp_path / "action.json").write_text(_long_digits(json.dumps(action)))
     got, out, err = run_cli(capsys, "corridor",
                             "--input", str(tmp_path / "doc.json"),
                             "--action", str(tmp_path / "action.json"),

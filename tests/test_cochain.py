@@ -4,6 +4,7 @@ growth scans, and path-gain potentials."""
 from fractions import Fraction
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -169,13 +170,13 @@ def test_multiplication_face_boundary_doubles_involution_edge():
 def test_window_asks_for_each_coset_once(build, radius):
     P, O = build()
     asked = []
-    coset_key = O.coset_key
+    coset_of_key = O.coset_of_key
 
-    def counting(w, lam):
-        asked.append((w, lam))
-        return coset_key(w, lam)
+    def counting(key, lam):
+        asked.append((key, lam))
+        return coset_of_key(key, lam)
 
-    O.coset_key = counting
+    O.coset_of_key = counting
     build_window(P, O, radius=radius, rho=1)
     assert asked and len(asked) == len(set(asked))
 
@@ -463,6 +464,230 @@ def test_two_generator_torsion_example_has_norm_half():
     W = build_window(P, O, radius=2, rho=0)
     cert = min_linf_primitive(W, relator_indicator_family()(W), exact=True)
     assert cert.norm == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS driver against scipy's linprog
+
+
+def _reference_program(W, z):
+    """The window's sup-norm program in scipy.optimize.linprog's terms,
+    built from W.boundary: rows 2j, 2j+1 say |m_j| <= t, then one equality
+    row per interior relator face over the non-peripheral 1-cells."""
+    import numpy as np
+    from scipy.sparse import csr_array
+    edges = [e for e in W.cells_of_dim(1) if not e.is_lbar]
+    column = {e: j for j, e in enumerate(edges)}
+    n = len(edges)
+    box = np.zeros((2 * n, n + 1))
+    for j in range(n):
+        box[2 * j, j], box[2 * j + 1, j] = 1, -1
+    box[:, n] = -1
+    faces = W.interior_relator_faces
+    eq = np.zeros((len(faces), n + 1))
+    for i, f in enumerate(faces):
+        for e, s in W.boundary[f]:
+            if e in column:
+                eq[i, column[e]] += s
+    c = np.zeros(n + 1)
+    c[n] = 1
+    bounds = [(None, None)] * n + [(0, None)]
+    return dict(c=c, A_ub=csr_array(box), b_ub=np.zeros(2 * n),
+                A_eq=csr_array(eq) if faces else None,
+                b_eq=np.array([float(z.get(f)) for f in faces])
+                if faces else None, bounds=bounds)
+
+
+def _driver_run(W, z, monkeypatch):
+    """min_linf_primitive's call of cochain.linprog: (c, keywords, result)."""
+    calls = []
+    solve = cochain.linprog
+
+    def record(c, **kwargs):
+        calls.append((c, kwargs, solve(c, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cochain, "linprog", record)
+    try:
+        min_linf_primitive(W, z)
+    except LpSolverError:
+        pass
+    monkeypatch.undo()
+    (c, kwargs, res), = calls
+    return c, kwargs, res
+
+
+def _drift_cases():
+    from test_window_index import CASES
+
+    def unit(W):
+        return [relator_indicator_family()(W)]
+
+    def both(W):
+        # test_window_index's two targets
+        faces = sorted(W.interior_relator_faces, key=CellId.sort_key)
+        return unit(W) + [Cochain(2, {f: 1 + i % 2
+                                      for i, f in enumerate(faces)})]
+
+    for build, radius, rho in CASES:
+        yield f"{build.__name__}-r{radius}-rho{rho}", build, radius, rho, both
+    # the window workload's sizes
+    for width in range(2, 33, 2):
+        yield f"z_example-width{width}", z_example, width // 2, 1, unit
+    for radius in range(1, 17):
+        yield f"z2-r{radius}", z2, radius, 1, unit
+
+    def incompatible(W):
+        faces = sorted(W.interior, key=lambda c: c.sort_key())
+        return [Cochain(2, {f: i + 1 for i, f in enumerate(faces)})]
+    yield "x_squared-infeasible", x_squared, 2, 0, incompatible
+    yield "f2-no-relator-rows", f2, 2, 1, lambda W: [Cochain(2, {})]
+
+
+@pytest.mark.parametrize("case", list(_drift_cases()), ids=lambda c: c[0])
+def test_highs_driver_matches_linprog(case, monkeypatch):
+    """The direct HiGHS driver gets the matrix that linprog would hand
+    HiGHS, and gives the same status, x and equality duals to the bit: the
+    guard against a scipy release that changes the binding it calls."""
+    from scipy.optimize import linprog
+    from scipy.sparse import vstack
+    _, build, radius, rho, targets = case
+    P, O = build()
+    W = build_window(P, O, radius=radius, rho=rho)
+    for z in targets(W):
+        ref = _reference_program(W, z)
+        c, kwargs, got = _driver_run(W, z, monkeypatch)
+        A = vstack([ref["A_ub"]] + ([ref["A_eq"]] if ref["A_eq"] is not None
+                                    else [])).tocsc()
+        assert kwargs["start"].tolist() == A.indptr.tolist()
+        assert kwargs["index"].tolist() == A.indices.tolist()
+        assert kwargs["value"].tobytes() == A.data.tobytes()
+        b_eq = [] if ref["b_eq"] is None else ref["b_eq"].tolist()
+        assert c.tolist() == ref["c"].tolist()
+        assert kwargs["row_lower"].tolist() == \
+            [-math.inf] * len(ref["b_ub"]) + b_eq
+        assert kwargs["row_upper"].tolist() == ref["b_ub"].tolist() + b_eq
+        assert list(zip(kwargs["col_lower"].tolist(),
+                        kwargs["col_upper"].tolist())) == \
+            [(-math.inf if lo is None else lo, math.inf)
+             for lo, _ in ref["bounds"]]
+        want = linprog(method="highs", **ref)
+        assert got.status == want.status
+        if want.status == 0:
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.eqlin.marginals.tobytes() == \
+                want.eqlin.marginals.tobytes()
+        else:
+            assert got.x is None and want.x is None
+    if case[0] == "x_squared-infeasible":
+        assert got.status == 2
+    if case[0] == "f2-no-relator-rows":
+        assert len(got.eqlin.marginals) == 0
+
+
+def _columns(A):
+    """A dense matrix as the driver's column-wise arrays."""
+    import numpy as np
+    from scipy.sparse import csc_array
+    A = csc_array(np.array(A, dtype=float))
+    return dict(start=A.indptr.astype(np.int32),
+                index=A.indices.astype(np.int32), value=A.data)
+
+
+@pytest.mark.parametrize("program,status", [
+    # min x + y with x + y = 1, x - y <= 0, x, y >= 0
+    (dict(c=[1.0, 1.0], A_ub=[[1.0, -1.0]], b_ub=[0.0], A_eq=[[1.0, 1.0]],
+          b_eq=[1.0], bounds=(0, None)), 0),
+    # x = 1 and x = 2
+    (dict(c=[1.0], A_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0],
+          bounds=(None, None)), 2),
+    # min -x with x - y <= 1, x, y >= 0
+    (dict(c=[-1.0, 0.0], A_ub=[[1.0, -1.0]], b_ub=[1.0], bounds=(0, None)),
+     3),
+], ids=["optimal", "infeasible", "unbounded"])
+def test_highs_driver_statuses_are_linprogs(program, status):
+    import numpy as np
+    from scipy.optimize import linprog
+    want = linprog(method="highs", **program)
+    A = program.get("A_ub", []) + program["A_eq"] if "A_eq" in program \
+        else program["A_ub"]
+    n_ub = len(program.get("A_ub", []))
+    b_eq = program.get("b_eq", [])
+    lo, hi = program["bounds"]
+    n = len(program["c"])
+    got = cochain.linprog(
+        np.array(program["c"]), **_columns(A),
+        row_lower=np.array([-np.inf] * n_ub + b_eq),
+        row_upper=np.array(program.get("b_ub", []) + b_eq),
+        col_lower=np.full(n, -np.inf if lo is None else lo),
+        col_upper=np.full(n, np.inf if hi is None else hi))
+    assert got.status == want.status == status
+    if status == 0:
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.eqlin.marginals.tobytes() == want.eqlin.marginals.tobytes()
+
+
+def test_highs_driver_rejects_malformed_programs():
+    """HiGHS reads each array to the length the sizes give, so lengths that
+    do not fit are refused before the call; a model HiGHS refuses (a row
+    index past the rows) is status 4."""
+    import numpy as np
+    program = dict(row_lower=np.array([1.0]), row_upper=np.array([np.inf]),
+                   col_lower=np.array([0.0]), col_upper=np.array([np.inf]))
+    one = dict(start=np.array([0, 1], dtype=np.int32), value=np.array([1.0]))
+    got = cochain.linprog(np.array([1.0]), **program, **one,
+                          index=np.array([0], dtype=np.int32))
+    assert (got.status, got.x.tolist()) == (0, [1.0])
+    got = cochain.linprog(np.array([1.0]), **program, **one,
+                          index=np.array([5], dtype=np.int32))
+    assert (got.status, got.x) == (4, None)
+    assert "Model error" in got.message
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        cochain.linprog(np.array([1.0]), **program,
+                        start=np.array([0, 2], dtype=np.int32),
+                        index=np.array([0], dtype=np.int32),
+                        value=np.array([1.0]))
+
+
+def test_float_primitive_raises_on_every_other_solver_outcome(monkeypatch):
+    """Only an optimum that keeps the rows within linprog's tolerance, or
+    infeasibility, is an answer; every other model status of HiGHS, and an
+    optimum that breaks a relator row, raises LpSolverError."""
+    from scipy.optimize._highspy import _core as hs
+    P, O = z_example()
+    W = build_window(P, O, radius=2, rho=1)
+    z = relator_indicator_family()(W)
+    n_box = 2 * sum(1 for e in W.cells_of_dim(1) if not e.is_lbar)
+    base = hs._Highs
+
+    def highs_reporting(status=None, row_shift=0.0):
+        class Reporting(base):
+            def getModelStatus(self):
+                return super().getModelStatus() if status is None \
+                    else status
+
+            def getSolution(self):
+                solution = super().getSolution()
+                rows = list(solution.row_value)
+                rows[n_box] += row_shift
+                solution.row_value = rows
+                return solution
+        return Reporting
+
+    kinds = hs.HighsModelStatus
+    monkeypatch.setattr(hs, "_Highs", highs_reporting(kinds.kInfeasible))
+    assert isinstance(min_linf_primitive(W, z), Infeasible)
+    for status in (kinds.kUnbounded, kinds.kUnboundedOrInfeasible,
+                   kinds.kTimeLimit, kinds.kIterationLimit,
+                   kinds.kSolveError, kinds.kModelError, kinds.kNotset):
+        monkeypatch.setattr(hs, "_Highs", highs_reporting(status))
+        with pytest.raises(LpSolverError, match="status [34]: HiGHS model"):
+            min_linf_primitive(W, z)
+    monkeypatch.setattr(hs, "_Highs", highs_reporting(row_shift=1e-6))
+    assert min_linf_primitive(W, z).norm == pytest.approx(1.0)
+    monkeypatch.setattr(hs, "_Highs", highs_reporting(row_shift=1e-3))
+    with pytest.raises(LpSolverError, match="status 4: .* off by over"):
+        min_linf_primitive(W, z)
 
 
 # ---------------------------------------------------------------------------

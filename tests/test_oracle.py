@@ -484,6 +484,24 @@ def test_step_equals_the_normal_form_of_the_product(case):
     assert O.step(O.step(key, l), P.inverse_letter(l)) == key
 
 
+# every step group, and an integer quotient with a free-group model, whose
+# key is not the element's image vector
+COSET_GROUPS = dict(STEP_GROUPS, free_group_quotient=_free_group_quotient())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_coset_of_key_is_the_coset_of_the_keys_element(data):
+    name = data.draw(st.sampled_from(sorted(COSET_GROUPS)))
+    P, O = COSET_GROUPS[name]
+    alphabet = ball_alphabet(P, 3)
+    w = Word(tuple(data.draw(st.lists(st.sampled_from(alphabet),
+                                      max_size=10))))
+    key = O.element_key(w)
+    for lam in sorted(P.models):
+        assert O.coset_of_key(key, lam) == O.coset_key(w, lam)
+
+
 def test_step_cancels_and_merges_at_the_seam():
     def times(O, w, l):
         return O.word(O.step(O.element_key(w), l))
