@@ -70,11 +70,8 @@ from .cochain import (
     growth_scan,
     min_linf_primitive,
     pair,
-    path_gain,
-    relative_correction,
     relator_indicator_family,
     window_to_json,
-    windowed_max_nu,
 )
 from .corridor import (
     Corridor,

@@ -25,6 +25,7 @@ from .presentation import (
     RelativePresentation,
     Word,
     XLetter,
+    dump_json,
     encode_letter,
     free_reduce,
     letter_key,
@@ -108,8 +109,6 @@ def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
 
 
 def ball_to_json(P: RelativePresentation, ball: BallGraph) -> dict:
-    # one dict per distinct letter, shared by every vertex and edge that
-    # holds the letter, so that dump_json renders each letter once
     code = functools.cache(lambda l: encode_letter(P, l))
     return {
         "radius": ball.radius,
@@ -118,6 +117,33 @@ def ball_to_json(P: RelativePresentation, ball: BallGraph) -> dict:
         "depths": list(ball.depths),
         "edges": [[s, code(l), t] for s, l, t in ball.edges],
     }
+
+
+def ball_json_text(P: RelativePresentation, ball: BallGraph,
+                   depth: int) -> str:
+    """Exactly the text ``dump_json`` gives ``ball_to_json(P, ball)`` where
+    it sits ``depth`` levels deep in a document.  Every letter sits three
+    levels below the ball, so each distinct letter is rendered once, and
+    vertices and edges are joined at their fixed indents."""
+    n0, n1, n2, n3 = ("\n" + "  " * (depth + k) for k in range(4))
+    c1, c2, c3 = "," + n1, "," + n2, "," + n3
+    # JSON strings escape newlines, so a letter's newlines are all indents
+    text = functools.cache(
+        lambda l: dump_json(encode_letter(P, l)).replace("\n", n3))
+
+    def block(items) -> str:
+        return f"[{n2}{c2.join(items)}{n1}]" if items else "[]"
+
+    vertices = [f"[{n3}{c3.join(map(text, v.letters))}{n2}]"
+                if v.letters else "[]" for v in ball.vertices]
+    edges = [f"[{n3}{s}{c3}{text(l)}{c3}{t}{n2}]" for s, l, t in ball.edges]
+    return "{" + n1 + c1.join([
+        f'"depths": {block(list(map(str, ball.depths)))}',
+        f'"edges": {block(edges)}',
+        f'"peripheral_bound": {ball.rho}',
+        f'"radius": {ball.radius}',
+        f'"vertices": {block(vertices)}',
+    ]) + n0 + "}"
 
 
 def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:

@@ -21,7 +21,7 @@ import random
 import sys
 
 from . import __version__
-from .cayley import ball_to_csv, ball_to_json, rel_length, truncated_ball
+from .cayley import ball_json_text, ball_to_csv, rel_length, truncated_ball
 from .cochain import growth_scan, relator_indicator_family
 from .corridor import (
     build_corridor,
@@ -212,8 +212,9 @@ def _cmd_ball(args) -> str:
     ball = truncated_ball(P, O, args.radius, args.peripheral_bound,
                           max_vertices=args.max_vertices)
     if args.format == "json":
-        return _json_out(args, {"ball": ball_to_json(P, ball),
-                                "exact": True})
+        # "ball" sorts first, so its text opens the object of the rest
+        rest = _json_out(args, {"exact": True})
+        return f'{{\n  "ball": {ball_json_text(P, ball, 1)},{rest[1:]}'
     lines = _csv_head(args, {"exact": "true"})
     return "\n".join(lines) + "\n" + ball_to_csv(P, ball)
 

@@ -1,5 +1,5 @@
 """Finite windows of the relative two-complex: cells, boundary maps,
-(co)chains, bounded-primitive linear programs, and path-gain potentials.
+(co)chains and bounded-primitive linear programs.
 
 The complex has one vertex orbit for the group, one vertex orbit per
 peripheral factor (identified along cosets), edges for free generators,
@@ -7,10 +7,9 @@ edges tying a group element to its coset vertices, weight-zero peripheral
 edges, one 2-cell orbit per relator, and multiplication 2-cells for finite
 peripheral factors.  A Window materializes the finite fragment of this
 complex over a truncated ball and records which 2-cells have their entire
-boundary inside the fragment; linear programs and path searches only ever
-constrain those interior cells.  Every cell takes its boundary from one
-rule, applied to the window's cells and then to the rim edges that its
-faces reference.
+boundary inside the fragment; linear programs only ever constrain those
+interior cells.  Every cell takes its boundary from one rule, applied to
+the window's cells and then to the rim edges that its faces reference.
 
 A window is built on integers.  Its vertices are numbered by element key,
 starting from the ball's walk, and every product with a letter is one
@@ -462,19 +461,6 @@ class Cochain:
         return all(v == 0 for c, v in self.values.items() if c.is_lbar)
 
 
-def cochain_add(a: Cochain, b: Cochain) -> Cochain:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    out = dict(a.values)
-    for c, v in b.values.items():
-        out[c] = out.get(c, 0) + v
-    return Cochain(a.dim, _clean(out))
-
-
-def cochain_scale(a: Cochain, s) -> Cochain:
-    return Cochain(a.dim, _clean({c: s * v for c, v in a.values.items()}))
-
-
 def boundary_chain(W: Window, D: Chain) -> Chain:
     out: dict[CellId, object] = {}
     ids, numbers = W.cell_ids, W.numbers
@@ -823,78 +809,3 @@ def growth_scan(P: RelativePresentation, O, z_builder, widths, rho: int = 1,
     verdict = "linear-growth-witness" if increasing and len(floats) >= 2 \
         else "bounded-consistent"
     return GrowthScan(rows=rows, slope=slope, verdict=verdict, exact=exact)
-
-
-# ---------------------------------------------------------------------------
-# path gains and potentials
-
-
-def path_gain(W: Window, path, m: Cochain, z: Cochain, C):
-    """Gain of an edge path: pairing with m minus C * ||z|| * weighted
-    length.  `path` is a sequence of (1-cell, +-1) steps."""
-    total_m = 0
-    total_len = 0
-    for cell, sign in path:
-        if cell.dim != 1:
-            raise ValueError("paths are made of 1-cells")
-        if cell not in W.cell_set:
-            raise ValueError(f"path leaves the window at {cell}")
-        total_m += sign * m.get(cell)
-        total_len += rel_weight(cell)
-    return total_m - C * z.norm * total_len
-
-
-def windowed_max_nu(W: Window, m: Cochain, z: Cochain, C, start: CellId,
-                    end: CellId, cap: int):
-    """Maximum gain over simple edge paths (each 1-cell used once) from
-    start to end with at most `cap` steps; peripheral loop edges are skipped
-    since they contribute nothing for relative m."""
-    for v in (start, end):
-        if v.dim != 0 or v not in W.cell_set:
-            raise ValueError(f"endpoint {v} is not a window vertex")
-    adj = W.adjacency
-    znorm = z.norm
-    best: list = [None, None]   # value, path
-
-    def consider(value, path):
-        if best[0] is None or value > best[0] or \
-                (value == best[0] and len(path) < len(best[1])):
-            best[0] = value
-            best[1] = tuple(path)
-
-    path: list = []
-    used: set = set()
-
-    def dfs(v, gain, length):
-        if v == end:
-            consider(gain - C * znorm * length, path)
-        if len(path) == cap:
-            return
-        for e, sign, t in adj.get(v, ()):
-            if e in used:
-                continue
-            used.add(e)
-            path.append((e, sign))
-            dfs(t, gain + sign * m.get(e), length + rel_weight(e))
-            path.pop()
-            used.discard(e)
-
-    dfs(start, 0, 0)
-    if best[0] is None:
-        raise ValueError(f"no path from {start} to {end} within {cap} steps")
-    return best[0], best[1]
-
-
-def relative_correction(W: Window, m: Cochain, z: Cochain, C, cap: int):
-    """Potential d from windowed maximal gains into each vertex, and the
-    corrected cochain k = -m + delta d (relative by construction: peripheral
-    edges have zero boundary here, so delta d vanishes on them)."""
-    start = base_vertex(W.home)
-    d_vals = {}
-    for v in W.cells_of_dim(0):
-        val, _ = windowed_max_nu(W, m, z, C, start, v, cap)
-        if val:
-            d_vals[v] = val
-    d = Cochain(0, d_vals)
-    k = cochain_add(cochain_scale(m, -1), coboundary(W, d))
-    return d, k

@@ -13,6 +13,7 @@ basis automorphism, -i its inverse).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .cayley import geodesic_witness, rel_length
 from .errors import GeodesicNotFoundError, ParseError
@@ -70,19 +71,23 @@ def apply_automorphism(P: RelativePresentation, alpha: RelAutomorphism,
                        w: Word) -> Word:
     out: list = []
     for l in w:
-        if isinstance(l, XLetter):
-            img = alpha.x_images[l.sym]
-            out.extend(img if l.sign > 0 else P.inverse_word(img))
-        else:
-            target = alpha.sigma[l.lam]
-            elem = P.models[l.lam].image(l.elem, alpha.peripheral_maps[l.lam],
-                                         P.models[target])
-            g = alpha.conjugators.get(l.lam, EMPTY_WORD)
-            out.extend(P.inverse_word(g))
-            if not P.models[target].is_identity(elem):
-                out.append(HLetter(target, elem))
-            out.extend(g)
+        out += _letter_image(P, alpha, l)
     return free_reduce(P, Word(tuple(out)))
+
+
+def _letter_image(P: RelativePresentation, alpha: RelAutomorphism,
+                  l) -> tuple:
+    """The letters of alpha(l), not reduced."""
+    if isinstance(l, XLetter):
+        img = alpha.x_images[l.sym]
+        return (img if l.sign > 0 else P.inverse_word(img)).letters
+    target = alpha.sigma[l.lam]
+    elem = P.models[l.lam].image(l.elem, alpha.peripheral_maps[l.lam],
+                                 P.models[target])
+    g = alpha.conjugators.get(l.lam, EMPTY_WORD)
+    mid = () if P.models[target].is_identity(elem) \
+        else (HLetter(target, elem),)
+    return P.inverse_word(g).letters + mid + g.letters
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +203,8 @@ def _describe_letter(l) -> str:
 class FreeAction:
     basis: int
     automorphisms: tuple            # one RelAutomorphism per basis letter
+    # (P, columns, tables), kept by _letter_images
+    _images: tuple = field(default=(None,) * 3, init=False, repr=False)
 
     @property
     def group(self) -> FreeGroupModel:
@@ -226,14 +233,16 @@ def apply_action(P: RelativePresentation, action: FreeAction, a,
     """alpha_a(w) with the composition convention alpha_{bc} =
     alpha_b o alpha_c: letters act right to left."""
     for l in reversed(action.group.validate(tuple(a))):
-        alpha = action.automorphisms[abs(l) - 1]
-        if l < 0:
-            alpha = alpha.inverse
-            if alpha is None:
-                raise ValueError(f"no inverse supplied for basis letter "
-                                 f"{abs(l)}")
-        w = apply_automorphism(P, alpha, w)
+        w = apply_automorphism(P, _basis_automorphism(action, l), w)
     return w
+
+
+def _basis_automorphism(action: FreeAction, l: int) -> RelAutomorphism:
+    """alpha_l for a basis letter l; a negative letter is the inverse."""
+    alpha = action.automorphisms[abs(l) - 1]
+    if l < 0 and alpha.inverse is None:
+        raise ValueError(f"no inverse supplied for basis letter {abs(l)}")
+    return alpha.inverse if l < 0 else alpha
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +260,71 @@ class Corridor:
         return all(L.is_exact for L in self.entries.values())
 
 
+def _letter_images(P: RelativePresentation, action: FreeAction, order,
+                   parent, l) -> list:
+    """Reduced ``P.alphabet`` codes of alpha_{a^-1}(l) for each tree node a
+    of ``order`` (``action.ball(n)``; node k's parent is ``parent[k]``):
+    alpha_{-a[-1]} of the image at a's parent, letter by letter.  Kept on
+    the action across calls with each alpha_b's images of single letters;
+    a larger ball extends a smaller one, so deeper calls append."""
+    held, columns, tables = action._images
+    if held is not P:
+        columns, tables = {}, {}
+        action._images = (P, columns, tables)
+    A = P.alphabet
+    c = A.intern(l)
+    column = columns.setdefault(c, [(c,)])
+    for k in range(len(column), len(order)):
+        b = -order[k][-1]
+        table = tables.setdefault(b, {})
+        codes = []
+        for x in column[parent[k]]:
+            img = table.get(x)
+            if img is None:
+                img = table[x] = A.encode(_letter_image(
+                    P, _basis_automorphism(action, b), A.letters[x]))
+            codes += img
+        column.append(A.splice((), 0, 0, codes))
+    return column
+
+
+def _corridor_keys(P: RelativePresentation, O, action: FreeAction, order,
+                   g_sample):
+    """Yield (g, keys) for each sampled g: keys[k] is the element key of
+    alpha_{a^-1}(g) for the k-th tree node a of ``order``.
+
+    Each alpha of an action that validate_action accepts is a homomorphism
+    of the free product that kills every relator, so the key of alpha(g) is
+    the key of alpha(g[:-1]) stepped by the letters of alpha(g[-1]).  Keys
+    are kept by prefix of the reduced g; the sample need not be
+    prefix-closed, a miss goes back to the longest known prefix.
+    """
+    index = {a: k for k, a in enumerate(order)}
+    parent = [None] + [index[a[:-1]] for a in order[1:]]
+    step = O.step
+    letter = P.alphabet.letters.__getitem__
+    known = {(): [O.element_key(EMPTY_WORD)] * len(order)}
+    for g in g_sample:
+        letters = free_reduce(P, g).letters
+        i = len(letters)
+        while letters[:i] not in known:
+            i -= 1
+        keys = known[letters[:i]]
+        for j in range(i, len(letters)):
+            column = _letter_images(P, action, order, parent, letters[j])
+            keys = [reduce(step, map(letter, img), key)
+                    for key, img in zip(keys, column)]
+            known[letters[:j + 1]] = keys
+        yield g, keys
+
+
 def build_corridor(P: RelativePresentation, O, action: FreeAction,
                    g: Word, N: int) -> Corridor:
     """Length field over the tree ball: the entry at a is the relative
     length of alpha_{a^-1}(g)."""
-    images = {(): free_reduce(P, g)}
     order = action.ball(N)
-    for a in order:
-        if a == ():
-            continue
-        prev = images[a[:-1]]
-        images[a] = apply_action(P, action, (-a[-1],), prev)
-    entries = {a: rel_length(P, O, images[a]) for a in order}
+    ((_, keys),) = _corridor_keys(P, O, action, order, [g])
+    entries = dict(zip(order, map(O.rel_length_of_key, keys)))
     return Corridor(g=g, N=N, entries=entries)
 
 
@@ -298,23 +360,23 @@ def check_separated(P: RelativePresentation, O, action: FreeAction,
     sphere = [s for s in action.ball(N) if len(s) == N]
     pairs = [(s, t) for i, s in enumerate(sphere) for t in sphere[i + 1:]
              if s[0] != t[0]]
+    positions = [(w, [(G.product(w, s), G.product(w, t)) for s, t in pairs])
+                 for w in action.ball(w_radius)]
+    order = action.ball(w_radius + N)
     violations: list = []
     indeterminate: list = []
     count = 0
-    for g in g_sample:
+    for g, keys in _corridor_keys(P, O, action, order, g_sample):
         count += 1
-        corridor = build_corridor(P, O, action, g, w_radius + N)
-        entries = corridor.entries
-        for w in action.ball(w_radius):
+        entries = dict(zip(order, map(O.rel_length_of_key, keys)))
+        for w, uvs in positions:
             Lw = entries[w]
             if not Lw.is_exact:
                 indeterminate.append((g, w, None, None))
                 continue
             if Lw.value < M:
                 continue
-            for s, t in pairs:
-                u = G.product(w, s)
-                v = G.product(w, t)
+            for u, v in uvs:
                 Lu, Lv = entries[u], entries[v]
                 if not (Lu.is_exact and Lv.is_exact):
                     indeterminate.append((g, w, u, v))

@@ -217,8 +217,9 @@ class NormalFormOracle:
     overrides ``element_key``, ``word`` and ``step``, keeping
     word(element_key(w)) == normal_form(w) and step(element_key(w), l) ==
     element_key(w + l); its normal_form may then be left to the base.
-    ``coset_of_key(key, lam)`` is coset_key of the key's element, by default
-    computed on ``word(key)``.
+    ``coset_of_key(key, lam)`` and ``rel_length_of_key(key)`` answer
+    coset_key and rel_length for the key's element, by default computed on
+    ``word(key)``.
     """
 
     def normal_form(self, w: Word) -> Word:
@@ -248,6 +249,10 @@ class NormalFormOracle:
     def coset_of_key(self, key, lam: int):
         """coset_key of the element whose key is ``key``."""
         return self.coset_key(self.word(key), lam)
+
+    def rel_length_of_key(self, key) -> RelLength:
+        """rel_length of the element whose key is ``key``."""
+        return self.rel_length(self.word(key))
 
     def rel_length(self, w: Word) -> RelLength:
         """Relative length of w.  Certified from the canonical form alone:
@@ -301,6 +306,9 @@ class FreeProductOracle(NormalFormOracle):
 
     def rel_length(self, w: Word) -> RelLength:
         return RelLength.exact(letter_count(self.normal_form(w)))
+
+    def rel_length_of_key(self, key) -> RelLength:
+        return RelLength.exact(len(key))
 
     def geodesic(self, w: Word, n: int) -> Word:
         return self.normal_form(w)
@@ -618,7 +626,10 @@ class FiniteQuotientOracle(NormalFormOracle):
         return min(self.Q.product(g, s) for s in self._subgroups[lam])
 
     def rel_length(self, w: Word) -> RelLength:
-        return RelLength.exact(len(self._witness[self.eval_word(w)]))
+        return self.rel_length_of_key(self.eval_word(w))
+
+    def rel_length_of_key(self, key) -> RelLength:
+        return RelLength.exact(len(self._witness[key]))
 
     def geodesic(self, w: Word, n: int) -> Word:
         return self._witness[self.eval_word(w)]

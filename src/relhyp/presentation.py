@@ -1018,14 +1018,9 @@ def dump_json(obj) -> str:
     two, the form of every JSON artifact.
 
     With any ``indent`` the standard library encodes through a pure-Python
-    generator that renders a container again at each of its occurrences.
-    Here a list, tuple or dict is rendered once per depth it occurs at: its
-    text is kept under ``(id, depth)`` for the call, which is sound because
-    ``obj`` keeps every object it contains alive until the call returns.  A
-    payload that shares one dict among many places, as a ball shares its
-    letters, pays for that dict once.  Cyclic input is not detected.
+    generator; this writer builds each container with ``str.join`` instead.
+    Cyclic input is not detected.
     """
-    memo = {}
 
     def text(o, depth: int) -> str:
         cls = o.__class__
@@ -1034,13 +1029,8 @@ def dump_json(obj) -> str:
         if cls is str:
             return _json_string(o)
         if cls is list or cls is dict or cls is tuple:
-            key = (id(o), depth)
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = container(o, depth)
-            return got
-        # the rest in the order json tests them (bool before int); the
-        # texts of container subclasses are not kept
+            return container(o, depth)
+        # the rest in the order json tests them (bool before int)
         if isinstance(o, str):
             return _json_string(o)
         if o is None:

@@ -1,9 +1,14 @@
 """Truncated balls, relative length dispatch, and geodesic witnesses."""
 
+import json
+
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from relhyp import cayley, oracle as ora
+from relhyp import presets
 from relhyp.cayley import (
+    ball_json_text,
     ball_to_csv,
     ball_to_json,
     geodesic_witness,
@@ -11,13 +16,17 @@ from relhyp.cayley import (
     truncated_ball,
 )
 from relhyp.errors import GeodesicNotFoundError, ResourceCapError
-from relhyp.presentation import EMPTY_WORD, HLetter, Word, parse_document
+from relhyp.presentation import (
+    EMPTY_WORD,
+    HLetter,
+    Word,
+    dump_json,
+    parse_document,
+)
 from relhyp.presets import f2, free_product_zz, hz, x_squared, xw, z_example, zmod2_star
 
 
 def _free_abelian_doc(x_images, models=(), model_images=None, dim=1):
-    import json
-
     doc = {
         "x": [sym for sym, _ in x_images],
         "models": [{"label": lam, "kind": "Z^d", "rank": 1} for lam in models],
@@ -111,6 +120,31 @@ def test_ball_exports():
     assert doc["radius"] == 1 and doc["peripheral_bound"] == 2
     assert len(doc["vertices"]) == ball.vertex_count
     assert len(doc["edges"]) == len(ball.edges)
+
+
+def _named_zmod2_star():
+    doc = presets.zmod2_star_doc()
+    doc["models"][0]["names"] = ["e", "t"]
+    return _build(parse_document(json.dumps(doc)))
+
+
+BALL_GROUPS = {name: getattr(presets, name) for name in (
+    "z_example", "x_squared", "free_product_zz", "f2", "zmod2_star", "z2")}
+BALL_GROUPS["named_zmod2_star"] = _named_zmod2_star
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BALL_GROUPS)), st.integers(0, 4),
+       st.integers(0, 2))
+@example("f2", 0, 1)
+@example("named_zmod2_star", 3, 1)
+def test_ball_json_text_is_the_dumped_ball_at_each_depth(group, radius, rho):
+    P, O = BALL_GROUPS[group]()
+    ball = truncated_ball(P, O, radius, rho)
+    text = dump_json(ball_to_json(P, ball))
+    for depth in range(4):
+        assert ball_json_text(P, ball, depth) == \
+            text.replace("\n", "\n" + "  " * depth)
 
 
 # ---------------------------------------------------------------------------

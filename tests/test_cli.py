@@ -529,15 +529,15 @@ PACKAGE_EXPORTS = frozenset("""
     cyclically_reduce dehn_profile encode_action free_reduce geodesic_witness
     growth_scan identity_automorphism letter_count min_linf_primitive pair
     parse_action
-    parse_document parse_presentation path_gain rel_length relative_area
-    relative_correction relator_indicator_family replay_certificate
+    parse_document parse_presentation rel_length relative_area
+    relator_indicator_family replay_certificate
     rho_escalation serialize_presentation truncated_ball validate_action
-    validate_relaut window_to_json windowed_max_nu
+    validate_relaut window_to_json
 """.split())
 
 
 def test_package_exports_are_pinned():
-    assert len(PACKAGE_EXPORTS) == 76
+    assert len(PACKAGE_EXPORTS) == 73
     assert sorted(relhyp.__all__) == sorted(PACKAGE_EXPORTS)
     for name in relhyp.__all__:
         assert hasattr(relhyp, name), name

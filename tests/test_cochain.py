@@ -1,5 +1,5 @@
-"""Windowed complex: cells, boundaries, cochain calculus, LP primitives,
-growth scans, and path-gain potentials."""
+"""Windowed complex: cells, boundaries, cochain calculus, LP primitives
+and growth scans."""
 
 from fractions import Fraction
 import hashlib
@@ -29,20 +29,15 @@ from relhyp.cochain import (
     coboundary_family,
     coset_edge,
     coset_vertex,
-    cochain_add,
-    cochain_scale,
     gen_edge,
     growth_scan,
     min_linf_primitive,
     pair,
-    path_gain,
     peripheral_edge,
-    relative_correction,
     relator_face,
     relator_indicator_family,
     rel_weight,
     window_to_json,
-    windowed_max_nu,
     zero_family,
 )
 from relhyp.cayley import ball_to_csv, ball_to_json, truncated_ball
@@ -277,10 +272,6 @@ def test_cochain_norm_and_arithmetic():
     c = Cochain(1, {gen_edge("x", e): -3})
     assert c.norm == 3
     assert Cochain(1, {}).norm == 0
-    d = cochain_add(c, cochain_scale(c, -1))
-    assert d.values == {}
-    with pytest.raises(ValueError):
-        cochain_add(c, Cochain(2, {}))
 
 
 def test_reference_primitive_has_coboundary_one_on_interior_faces():
@@ -739,143 +730,3 @@ def test_growth_scan_surfaces_infeasible_windows_as_errors():
 
     with pytest.raises(LpSolverError):
         growth_scan(P, O, bad, [4], rho=0)
-
-
-# ---------------------------------------------------------------------------
-# path gains
-
-
-def test_path_gain_hand_value():
-    P, O = z_example()
-    W = build_window(P, O, radius=2, rho=1)
-    e = O.normal_form(EMPTY_WORD)
-    g1 = O.normal_form(Word((hz(1, 1),)))
-    m = _strip_m(W, O)
-    z = relator_indicator_family()(W)
-    gamma = [(coset_edge(1, e), +1),
-             (peripheral_edge(1, e, (1,)), +1),
-             (coset_edge(1, g1), -1)]
-    assert path_gain(W, gamma, m, z, 1) == Fraction(-1, 2)
-
-
-def test_path_gain_on_peripheral_loop_is_zero_for_relative_data():
-    P, O = z_example()
-    W = build_window(P, O, radius=2, rho=1)
-    e = O.normal_form(EMPTY_WORD)
-    m = _strip_m(W, O)
-    z = relator_indicator_family()(W)
-    assert path_gain(W, [(peripheral_edge(1, e, (1,)), +1)], m, z, 1) == 0
-
-
-def test_path_gain_rejects_cells_outside_window():
-    P, O = z_example()
-    W = build_window(P, O, radius=1, rho=1)
-    far = coset_edge(1, O.normal_form(Word((hz(1, 9),))))
-    with pytest.raises(ValueError):
-        path_gain(W, [(far, +1)], Cochain(1, {}), Cochain(2, {}), 1)
-
-
-def _brute_max_nu(W, m, z, C, start, end, cap):
-    """Independent reference: plain enumeration of edge-simple paths."""
-    arcs = []
-    for e in W.cells_of_dim(1):
-        bd = {c: s for c, s in W.boundary.get(e, ())}
-        heads = [c for c, s in bd.items() if s > 0]
-        tails = [c for c, s in bd.items() if s < 0]
-        if len(heads) == 1 and len(tails) == 1:
-            arcs.append((e, tails[0], heads[0]))
-    best = [None]
-
-    def walk(v, used, gain, length):
-        if v == end:
-            val = gain - C * z.norm * length
-            if best[0] is None or val > best[0]:
-                best[0] = val
-        if len(used) == cap:
-            return
-        for e, tail, head in arcs:
-            if e in used:
-                continue
-            if v == tail:
-                walk(head, used | {e}, gain + m.get(e),
-                     length + rel_weight(e))
-            if v == head:
-                walk(tail, used | {e}, gain - m.get(e),
-                     length + rel_weight(e))
-
-    walk(start, frozenset(), 0, 0)
-    return best[0]
-
-
-def test_windowed_max_gain_matches_exhaustive_enumeration():
-    P, O = z_example()
-    W = build_window(P, O, radius=1, rho=1)
-    m = _strip_m(W, O)
-    z = relator_indicator_family()(W)
-    e = O.normal_form(EMPTY_WORD)
-    rng = random.Random(17)
-    targets = list(W.cells_of_dim(0))
-    for end in targets:
-        for cap in (2, 4):
-            want = _brute_max_nu(W, m, z, 1, base_vertex(e), end, cap)
-            if want is None:
-                with pytest.raises(ValueError):
-                    windowed_max_nu(W, m, z, 1, base_vertex(e), end, cap)
-            else:
-                got, path = windowed_max_nu(W, m, z, 1, base_vertex(e), end,
-                                            cap)
-                assert got == want
-                assert path_gain(W, path, m, z, 1) == got
-    # also on a randomized m
-    m2 = Cochain(1, {c: Fraction(rng.randint(-4, 4), 2)
-                     for c in W.cells_of_dim(1) if not c.is_lbar})
-    for end in targets[:4]:
-        want = _brute_max_nu(W, m2, z, 2, base_vertex(e), end, 3)
-        if want is not None:
-            got, _ = windowed_max_nu(W, m2, z, 2, base_vertex(e), end, 3)
-            assert got == want
-
-
-def test_windowed_max_gain_is_monotone_in_cap():
-    P, O = z_example()
-    W = build_window(P, O, radius=2, rho=1)
-    m = _strip_m(W, O)
-    z = relator_indicator_family()(W)
-    e = O.normal_form(EMPTY_WORD)
-    g1 = O.normal_form(Word((hz(1, 1),)))
-    vals = []
-    for cap in (1, 2, 3, 4, 6, 8):
-        try:
-            v, _ = windowed_max_nu(W, m, z, 1, base_vertex(e),
-                                   base_vertex(g1), cap)
-            vals.append(v)
-        except ValueError:
-            pass
-    assert vals == sorted(vals)
-
-
-def test_windowed_max_gain_from_vertex_to_itself_is_nonnegative():
-    P, O = z_example()
-    W = build_window(P, O, radius=1, rho=1)
-    m = _strip_m(W, O)
-    z = relator_indicator_family()(W)
-    e = O.normal_form(EMPTY_WORD)
-    v, path = windowed_max_nu(W, m, z, 1, base_vertex(e), base_vertex(e), 0)
-    assert v == 0 and path == ()
-
-
-def test_relative_correction_vanishes_on_peripheral_edges():
-    P, O = z_example()
-    W = build_window(P, O, radius=2, rho=1)
-    m = _strip_m(W, O)
-    z = relator_indicator_family()(W)
-    d, k = relative_correction(W, m, z, 1, cap=6)
-    assert d.dim == 0 and k.dim == 1
-    assert k.is_relative
-    for cell in W.cells_of_dim(1):
-        if cell.is_lbar:
-            assert k.get(cell) == 0
-    # k really is -m + delta d
-    dd = coboundary(W, d)
-    for cell in W.cells_of_dim(1):
-        assert k.get(cell) == -m.get(cell) + dd.get(cell)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from relhyp import corridor as cor
 from relhyp.cayley import rel_length, truncated_ball
 from relhyp.corridor import (
     FreeAction,
@@ -288,6 +289,67 @@ def test_corridor_translates_along_the_action():
         for a in action.ball(1):
             assert shifted.entries[a].value == \
                 wide.entries[G.product(G.inverse(b), a)].value
+
+
+def _reference_entries(P, O, action, g, N):
+    """Each tree node's image of the whole word, by apply_action from its
+    parent's image, then its relative length."""
+    order = action.ball(N)
+    images = {(): free_reduce(P, g)}
+    for a in order[1:]:
+        images[a] = apply_action(P, action, (-a[-1],), images[a[:-1]])
+    return {a: rel_length(P, O, images[a]) for a in order}
+
+
+def _assert_sweep_matches(P, O, action, sample, N):
+    """The sweep over the whole sample and build_corridor on each element
+    give the reference entries; returns the number of (g, a) pairs."""
+    order = action.ball(N)
+    swept = cor._corridor_keys(P, O, action, order, sample)
+    pairs = 0
+    for g, (h, keys) in zip(sample, swept, strict=True):
+        assert h is g
+        want = _reference_entries(P, O, action, g, N)
+        assert dict(zip(order, map(O.rel_length_of_key, keys))) == want
+        assert build_corridor(P, O, action, g, N).entries == want
+        pairs += len(want)
+    return pairs
+
+
+def test_corridor_sweep_matches_reference_over_the_radius_six_ball():
+    P, O, action = _stretch()
+    ball = truncated_ball(P, O, 6, 1).vertices
+    assert _assert_sweep_matches(P, O, action, ball, 2) == 7285
+
+
+def test_corridor_sweep_matches_reference_off_prefix_closed_samples():
+    P, O, action = _stretch()
+    ball = truncated_ball(P, O, 6, 1).vertices
+    sample = random.Random(5).sample(ball, 150)
+    held = set(sample)
+    assert any(len(g) > 1 and g[:-1] not in held for g in sample)
+    _assert_sweep_matches(P, O, action, sample, 3)
+
+
+def test_corridor_sweep_reduces_its_words():
+    P, O, action = _stretch()
+    rng = random.Random(3)
+    letters = [xw(s).letters[0] for s in ("x", "x-", "y", "y-")]
+    words = [Word(tuple(rng.choice(letters) for _ in range(rng.randrange(9))))
+             for _ in range(60)]
+    words += [xw("x", "x-"), xw("x", "y", "y-", "x-", "y"), xw("y-", "y")]
+    assert any(free_reduce(P, w) != w for w in words)
+    _assert_sweep_matches(P, O, action, words, 2)
+
+
+def test_corridor_sweep_matches_reference_for_mixed_and_peripheral_actions():
+    P, O, action = _stretch()
+    mixed = FreeAction(2, (action.automorphisms[0], _swap_automorphism()))
+    _assert_sweep_matches(P, O, mixed, truncated_ball(P, O, 3, 1).vertices, 2)
+    Pz, Oz, conj = _conjugation_action()
+    sample = list(truncated_ball(Pz, Oz, 2, 2).vertices) + \
+        [Word((hz(1, 1), hz(2, -2), hz(1, 3)))]
+    _assert_sweep_matches(Pz, Oz, conj, sample, 2)
 
 
 # ---------------------------------------------------------------------------
