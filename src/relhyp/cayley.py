@@ -8,14 +8,19 @@ length queries answer with a closed interval that collapses to a point
 whenever the oracle can answer exactly.  Each oracle answers relative length
 and geodesics itself (``rel_length`` and ``geodesic``); this module adds the
 breadth-first geodesic search for oracles that give no geodesic themselves.
-Balls and searches walk element keys, one ``O.step`` per edge, and write a
-key out as a word only for what they return.
+Balls and searches walk element keys by ``P.alphabet`` letter codes, one
+``O.step`` per edge, and write a key out as a word only for what they
+return.  A ball keeps its walk, keys and code edges, so that it holds ints
+only (the collector untracks them); its words and letters are decoded at
+their first read, and its CSV and JSON writers render each code once and
+decode nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import functools
+from dataclasses import dataclass, field
+from functools import cached_property
+import json
 
 from .errors import GeodesicNotFoundError, ResourceCapError
 from .oracle import RelLength
@@ -54,24 +59,37 @@ def ball_alphabet(P: RelativePresentation, rho: int) -> list:
 
 @dataclass(frozen=True)
 class BallGraph:
-    vertices: tuple[Word, ...]        # canonical forms, BFS discovery order
+    keys: tuple                       # element keys, BFS discovery order
     depths: tuple[int, ...]           # BFS depth per vertex
-    edges: tuple[tuple[int, object, int], ...]  # (source idx, letter, target idx)
+    code_edges: tuple[tuple[int, int, int], ...]  # (source, code, target)
     radius: int
     rho: int
+    P: RelativePresentation = field(repr=False, compare=False)
+    O: object = field(repr=False, compare=False)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.keys)
+
+    @cached_property
+    def vertices(self) -> tuple[Word, ...]:
+        """Normal forms, BFS discovery order."""
+        return tuple(map(self.O.word, self.keys))
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(source, letter, target) per code edge."""
+        letters = self.P.alphabet.letters
+        return tuple((s, letters[c], t) for s, c, t in self.code_edges)
 
 
-def walk_ball(O, alphabet, radius: int, max_vertices: int | None = None):
-    """Breadth-first walk from the identity by one ``O.step`` per edge.
+def walk_ball(O, codes, radius: int, max_vertices: int | None = None):
+    """Breadth-first walk from the identity by one ``O.step`` per edge,
+    stepping by the given ``P.alphabet`` codes.
 
     Returns (index, depths, edges): index maps each element key reached to
-    its vertex number, in discovery order; edges are (source, letter,
-    target) by vertex number, the last layer adding only edges back into
-    the ball.
+    its vertex number, in discovery order; edges are (source, code, target)
+    by vertex number, the last layer adding only edges back into the ball.
     """
     step = O.step
     index = {O.element_key(EMPTY_WORD): 0}
@@ -81,8 +99,8 @@ def walk_ball(O, alphabet, radius: int, max_vertices: int | None = None):
     # keys grows while it is scanned, so it is the BFS queue
     for i, key in enumerate(keys):
         depth = depths[i] + 1
-        for l in alphabet:
-            t = step(key, l)
+        for c in codes:
+            t = step(key, c)
             j = index.get(t)
             if j is None and depth <= radius:
                 if max_vertices is not None and len(keys) >= max_vertices:
@@ -93,29 +111,28 @@ def walk_ball(O, alphabet, radius: int, max_vertices: int | None = None):
                 keys.append(t)
                 depths.append(depth)
             if j is not None:
-                edges.append((i, l, j))
+                edges.append((i, c, j))
     return index, depths, edges
 
 
 def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
                    max_vertices: int | None = None) -> BallGraph:
     """BFS ball around the identity using free letters and peripheral
-    letters of model length <= rho, vertices deduplicated by element key and
-    written as normal forms."""
-    index, depths, edges = walk_ball(O, ball_alphabet(P, rho), radius,
-                                     max_vertices)
-    return BallGraph(vertices=tuple(map(O.word, index)), depths=tuple(depths),
-                     edges=tuple(edges), radius=radius, rho=rho)
+    letters of model length <= rho, vertices deduplicated by element key."""
+    index, depths, edges = walk_ball(
+        O, P.alphabet.encode(ball_alphabet(P, rho)), radius, max_vertices)
+    return BallGraph(keys=tuple(index), depths=tuple(depths),
+                     code_edges=tuple(edges), radius=radius, rho=rho,
+                     P=P, O=O)
 
 
 def ball_to_json(P: RelativePresentation, ball: BallGraph) -> dict:
-    code = functools.cache(lambda l: encode_letter(P, l))
     return {
         "radius": ball.radius,
         "peripheral_bound": ball.rho,
-        "vertices": [[code(l) for l in v] for v in ball.vertices],
+        "vertices": [[encode_letter(P, l) for l in v] for v in ball.vertices],
         "depths": list(ball.depths),
-        "edges": [[s, code(l), t] for s, l, t in ball.edges],
+        "edges": [[s, encode_letter(P, l), t] for s, l, t in ball.edges],
     }
 
 
@@ -123,20 +140,24 @@ def ball_json_text(P: RelativePresentation, ball: BallGraph,
                    depth: int) -> str:
     """Exactly the text ``dump_json`` gives ``ball_to_json(P, ball)`` where
     it sits ``depth`` levels deep in a document.  Every letter sits three
-    levels below the ball, so each distinct letter is rendered once, and
-    vertices and edges are joined at their fixed indents."""
+    levels below the ball, so each code of ``P.alphabet`` is rendered once,
+    into a list indexed by code, and vertices (the codes of each key's
+    normal form) and code edges are joined at their fixed indents."""
     n0, n1, n2, n3 = ("\n" + "  " * (depth + k) for k in range(4))
     c1, c2, c3 = "," + n1, "," + n2, "," + n3
+    # codes_of_key may intern letters, so the codes come before the texts
+    codes = list(map(ball.O.codes_of_key, ball.keys))
     # JSON strings escape newlines, so a letter's newlines are all indents
-    text = functools.cache(
-        lambda l: dump_json(encode_letter(P, l)).replace("\n", n3))
+    text = [dump_json(encode_letter(P, l)).replace("\n", n3)
+            for l in P.alphabet.letters]
 
     def block(items) -> str:
         return f"[{n2}{c2.join(items)}{n1}]" if items else "[]"
 
-    vertices = [f"[{n3}{c3.join(map(text, v.letters))}{n2}]"
-                if v.letters else "[]" for v in ball.vertices]
-    edges = [f"[{n3}{s}{c3}{text(l)}{c3}{t}{n2}]" for s, l, t in ball.edges]
+    vertices = [f"[{n3}{c3.join(map(text.__getitem__, v))}{n2}]"
+                if v else "[]" for v in codes]
+    edges = [f"[{n3}{s}{c3}{text[c]}{c3}{t}{n2}]"
+             for s, c, t in ball.code_edges]
     return "{" + n1 + c1.join([
         f'"depths": {block(list(map(str, ball.depths)))}',
         f'"edges": {block(edges)}',
@@ -147,16 +168,13 @@ def ball_json_text(P: RelativePresentation, ball: BallGraph,
 
 
 def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:
-    import json as _json
-
-    @functools.cache
-    def cell(l) -> str:
-        enc = _json.dumps(encode_letter(P, l), sort_keys=True,
-                          separators=(",", ":"))
-        return '"' + enc.replace('"', '""') + '"'
-
+    """One line per code edge, its letter a quoted compact JSON cell; each
+    code of ``P.alphabet`` is rendered once, into a list indexed by code."""
+    cell = ['"' + json.dumps(encode_letter(P, l), sort_keys=True,
+                             separators=(",", ":")).replace('"', '""') + '"'
+            for l in P.alphabet.letters]
     lines = ["source,letter,target"]
-    lines.extend(f"{s},{cell(l)},{t}" for s, l, t in ball.edges)
+    lines.extend(f"{s},{cell[c]},{t}" for s, c, t in ball.code_edges)
     return "\n".join(lines) + "\n"
 
 
@@ -197,6 +215,7 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
     if direct is not None:
         return direct
     alphabet = _witness_alphabet(P, O, w, rho)
+    steps = list(zip(alphabet, P.alphabet.encode(alphabet)))
     target = O.element_key(w)
     home = O.element_key(EMPTY_WORD)
     frontier = [((), home)]
@@ -205,8 +224,8 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
     for depth in range(1, n + 1):
         nxt = []
         for path, key in frontier:
-            for l in alphabet:
-                k = O.step(key, l)
+            for l, c in steps:
+                k = O.step(key, c)
                 if k in seen:
                     continue
                 if k == target:

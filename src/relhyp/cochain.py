@@ -13,7 +13,8 @@ the window's cells and then to the rim edges that its faces reference.
 
 A window is built on integers.  Its vertices are numbered by element key,
 starting from the ball's walk, and every product with a letter is one
-``O.step`` on a key; each vertex is written out as a word once, and each
+``O.step`` on a key by the letter's ``P.alphabet`` code, taken once per
+(vertex, code); each vertex is written out as a word once, and each
 (vertex, label) pair asks the oracle for its coset once, from the key.
 Cells are numbered in sorted order and boundaries are kept as compressed
 rows of cell numbers and signs, on which coboundaries, boundary chains and
@@ -188,26 +189,6 @@ class Window:
         return tuple(ids[f] for f in self.inner
                      if self.cell_key[f][0] == _RF)
 
-    @cached_property
-    def adjacency(self) -> dict:
-        """vertex -> its (1-cell, +-1, other end) steps, sorted by cell; an
-        edge whose boundary is not one head and one tail is left out
-        (weight-zero peripheral loops never change a path gain)."""
-        adj: dict[int, list] = {}
-        first = len(self.cells_of_dim(0))
-        for e in range(first, first + len(self.cells_of_dim(1))):
-            bd = list(self.terms(e))
-            pos = [c for c, s in bd if s > 0]
-            neg = [c for c, s in bd if s < 0]
-            if len(pos) != 1 or len(neg) != 1:
-                continue
-            head, tail = pos[0], neg[0]
-            adj.setdefault(tail, []).append((e, +1, head))
-            adj.setdefault(head, []).append((e, -1, tail))
-        ids = self.cell_ids
-        return {ids[v]: [(ids[e], s, ids[t]) for e, s, t in sorted(steps)]
-                for v, steps in adj.items()}
-
     def coset_rep(self, lam: int, g: Word) -> Word:
         """The chosen representative of the coset g H_lam, else g's normal
         form."""
@@ -227,36 +208,33 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
                  max_vertices: int | None = None) -> Window:
     """All cell translates over the ball of the given radius; peripheral
     edges carry only elements of model length <= rho."""
-    index, _, ball_edges = walk_ball(O, ball_alphabet(P, rho), radius,
-                                     max_vertices)
+    A = P.alphabet
+    index, _, ball_edges = walk_ball(O, A.encode(ball_alphabet(P, rho)),
+                                     radius, max_vertices)
     keys = list(index)
     words = list(map(O.word, keys))
     n_ball = len(keys)
     labels = sorted(P.models)
-    # the ball's letters are the alphabet's own objects; the other letters
-    # are mapped to them, so that product lookups hit by identity
-    A = P.alphabet
-    forward = {sym: A.letters[A.intern(XLetter(sym, 1))]
-               for sym in P.x_symbols}
-    relators = [[A.letters[A.intern(l)] for l in R] for R in P.relators]
-    products = {(i, l): j for i, l, j in ball_edges}
+    forward = {sym: A.intern(XLetter(sym, 1)) for sym in P.x_symbols}
+    relators = [list(zip(A.encode(R), R)) for R in P.relators]
+    products = {(i, c): j for i, c, j in ball_edges}
 
-    def times(i: int, l) -> int:
-        """The vertex v_i l, numbered when first met."""
-        t = products.get((i, l))
+    def times(i: int, c: int) -> int:
+        """The vertex v_i times code c's letter, numbered when first met."""
+        t = products.get((i, c))
         if t is None:
-            key = O.step(keys[i], l)
+            key = O.step(keys[i], c)
             t = index.get(key)
             if t is None:
                 t = index[key] = len(keys)
                 keys.append(key)
                 words.append(O.word(key))
-            products[(i, l)] = t
+            products[(i, c)] = t
         return t
 
     for i in range(n_ball):
-        for l in forward.values():
-            times(i, l)
+        for c in forward.values():
+            times(i, c)
     n_base = len(keys)
 
     # each coset met by a base vertex is represented by its least one
@@ -337,8 +315,8 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
         if kind == _RF:
             terms = []
             cur = g
-            for l in relators[data[0]]:
-                nxt = times(cur, l)
+            for c, l in relators[data[0]]:
+                nxt = times(cur, c)
                 if isinstance(l, XLetter):
                     terms.append((cell((_GE, cur if l.sign > 0 else nxt,
                                         (l.sym,))), l.sign))

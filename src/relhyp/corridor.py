@@ -295,14 +295,13 @@ def _corridor_keys(P: RelativePresentation, O, action: FreeAction, order,
 
     Each alpha of an action that validate_action accepts is a homomorphism
     of the free product that kills every relator, so the key of alpha(g) is
-    the key of alpha(g[:-1]) stepped by the letters of alpha(g[-1]).  Keys
+    the key of alpha(g[:-1]) stepped by the codes of alpha(g[-1]).  Keys
     are kept by prefix of the reduced g; the sample need not be
     prefix-closed, a miss goes back to the longest known prefix.
     """
     index = {a: k for k, a in enumerate(order)}
     parent = [None] + [index[a[:-1]] for a in order[1:]]
     step = O.step
-    letter = P.alphabet.letters.__getitem__
     known = {(): [O.element_key(EMPTY_WORD)] * len(order)}
     for g in g_sample:
         letters = free_reduce(P, g).letters
@@ -312,7 +311,7 @@ def _corridor_keys(P: RelativePresentation, O, action: FreeAction, order,
         keys = known[letters[:i]]
         for j in range(i, len(letters)):
             column = _letter_images(P, action, order, parent, letters[j])
-            keys = [reduce(step, map(letter, img), key)
+            keys = [reduce(step, img, key)
                     for key, img in zip(keys, column)]
             known[letters[:j + 1]] = keys
         yield g, keys

@@ -420,7 +420,9 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
     """Distinct reduced-loop classes (up to rotation and inversion) of
     relative length <= n_max at the basepoint, via distance-pruned DFS."""
     alphabet = ball_alphabet(P, rho)
-    index, depths, _ = walk_ball(O, alphabet, (n_max + 1) // 2)
+    codes = P.alphabet.encode(alphabet)
+    steps = list(zip(alphabet, codes))
+    index, depths, _ = walk_ball(O, codes, (n_max + 1) // 2)
     home = O.element_key(EMPTY_WORD)
 
     classes: dict[tuple, Word] = {}
@@ -447,10 +449,10 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
         if depth == n_max:
             return
         remaining = n_max - depth
-        for l in alphabet:
+        for l, c in steps:
             if path and combinable(path[-1], l):
                 continue
-            t = O.step(key, l)
+            t = O.step(key, c)
             i = index.get(t)
             if i is None or depths[i] > remaining - 1:
                 continue

@@ -4,12 +4,15 @@ An oracle answers normal-form, equality, relative-length and geodesic queries
 for the presented group; each derives from NormalFormOracle, whose defaults
 read the answers off normal forms.  ``element_key`` names an element by a
 hashable key, ``word`` writes a key back as the normal form, and
-``step(key, l)`` is the key of the element times the letter l: the one move
-of every ball, loop and geodesic walk.  Each oracle steps on its own key: a
+``step(key, c)`` is the key of the element times the letter whose
+``P.alphabet`` code is c: the one move of every ball, loop and geodesic
+walk, which therefore runs on ints.  Each oracle steps on its own key: a
 normal form by default, a tuple of ``P.alphabet`` codes reduced at the seam
 for the free product (codes depend on interning history, so these keys are
 compared for equality only and never ordered), a reduced exponent vector
-for an integer quotient and an element index for a finite one.  Four kinds
+for an integer quotient and an element index for a finite one; the last
+two keep the image of each code they have stepped by.  ``codes_of_key``
+writes a key's normal form as codes.  Four kinds
 are supported: the ambient free product itself (valid only when there
 are no relators), homomorphisms onto subgroups of Z^d, finite quotients given
 by a multiplication table, and external plugin executables speaking a
@@ -212,14 +215,16 @@ class NormalFormOracle:
     """Base of every oracle.  Subclasses provide normal_form, which sends
     equal group elements to the same word; every other query defaults to an
     answer read off canonical words, and oracles that know more override it.
-    By default an element's key is its normal form: ``word`` returns it and
-    ``step(key, l)`` normalizes the product.  An oracle with another key
-    overrides ``element_key``, ``word`` and ``step``, keeping
-    word(element_key(w)) == normal_form(w) and step(element_key(w), l) ==
-    element_key(w + l); its normal_form may then be left to the base.
-    ``coset_of_key(key, lam)`` and ``rel_length_of_key(key)`` answer
-    coset_key and rel_length for the key's element, by default computed on
-    ``word(key)``.
+    An oracle keeps its presentation as ``P``; letters are stepped by their
+    ``P.alphabet`` codes.  By default an element's key is its normal form:
+    ``word`` returns it and ``step(key, c)`` normalizes the product with the
+    code's letter.  An oracle with another key overrides ``element_key``,
+    ``word`` and ``step``, keeping word(element_key(w)) == normal_form(w)
+    and step(element_key(w), P.alphabet.intern(l)) == element_key(w + l);
+    its normal_form may then be left to the base.  ``coset_of_key(key,
+    lam)``, ``rel_length_of_key(key)`` and ``codes_of_key(key)`` answer
+    coset_key, rel_length and the normal form's codes for the key's
+    element, by default computed on ``word(key)``.
     """
 
     def normal_form(self, w: Word) -> Word:
@@ -231,8 +236,9 @@ class NormalFormOracle:
     def word(self, key) -> Word:
         return key
 
-    def step(self, key, l):
-        return self.element_key(self.word(key) + Word((l,)))
+    def step(self, key, c: int):
+        return self.element_key(
+            self.word(key) + Word((self.P.alphabet.letters[c],)))
 
     def equal(self, a: Word, b: Word) -> bool:
         return self.element_key(a) == self.element_key(b)
@@ -253,6 +259,10 @@ class NormalFormOracle:
     def rel_length_of_key(self, key) -> RelLength:
         """rel_length of the element whose key is ``key``."""
         return self.rel_length(self.word(key))
+
+    def codes_of_key(self, key) -> tuple:
+        """The ``P.alphabet`` codes of the normal form of ``key``."""
+        return self.P.alphabet.encode(self.word(key).letters)
 
     def rel_length(self, w: Word) -> RelLength:
         """Relative length of w.  Certified from the canonical form alone:
@@ -282,6 +292,7 @@ class FreeProductOracle(NormalFormOracle):
             raise OracleInvalidError(
                 "free product oracle requires an empty relator list")
         self.P = P
+        self._combine = P.alphabet.combine
         self.config = config or {"kind": self.kind}
 
     def normal_form(self, w: Word) -> Word:
@@ -293,13 +304,11 @@ class FreeProductOracle(NormalFormOracle):
     def word(self, key) -> Word:
         return Word(self.P.alphabet.decode(key))
 
-    def step(self, key, l) -> tuple:
-        # l cancels or merges with the key's last letter, and a merged
+    def step(self, key, c: int) -> tuple:
+        # c cancels or merges with the key's last letter, and a merged
         # syllable cannot combine further
-        A = self.P.alphabet
-        c = A.intern(l)
         if key:
-            r = A.combine(key[-1], c)
+            r = self._combine(key[-1], c)
             if r != APART:
                 return key[:-1] if r == CANCEL else key[:-1] + (r,)
         return key + (c,)
@@ -309,6 +318,9 @@ class FreeProductOracle(NormalFormOracle):
 
     def rel_length_of_key(self, key) -> RelLength:
         return RelLength.exact(len(key))
+
+    def codes_of_key(self, key) -> tuple:
+        return key
 
     def geodesic(self, w: Word, n: int) -> Word:
         return self.normal_form(w)
@@ -363,7 +375,7 @@ class IntegerQuotientOracle(NormalFormOracle):
                 columns.append(self._vec(g, f"model {lam} generator {i}"))
 
         self._slots = P.slots
-        self._letter_vecs: dict = {}
+        self._code_vecs: dict = {}     # code -> its letter's slot vector
         self._A = [[col[i] for col in columns] for i in range(dim)]
         self._kernel_ech = row_echelon_lattice(integer_kernel(self._A))
         self._perip_lattices = {
@@ -398,12 +410,13 @@ class IntegerQuotientOracle(NormalFormOracle):
     def word(self, key) -> Word:
         return self._slots.word(key)
 
-    def step(self, key, l):
+    def step(self, key, c: int):
         # word is a section of epsilon, so the product's vector is the
         # key's plus the letter's
-        vec = self._letter_vecs.get(l)
+        vec = self._code_vecs.get(c)
         if vec is None:
-            vec = self._letter_vecs[l] = self._slots.epsilon(Word((l,)))
+            vec = self._code_vecs[c] = self._slots.epsilon(
+                Word((self.P.alphabet.letters[c],)))
         return reduce_mod(self._kernel_ech, map(operator.add, key, vec))
 
     def coset_key(self, w: Word, lam: int):
@@ -573,6 +586,7 @@ class FiniteQuotientOracle(NormalFormOracle):
                            for g, path in self._reach(gen_steps).items()}
         self._witness = {g: Word(path)
                          for g, path in self._reach(letter_steps).items()}
+        self._code_img: dict = {}      # code -> its letter's image in Q
         self.config = config or {"kind": self.kind}
         _check_relators(P, self)
 
@@ -618,8 +632,12 @@ class FiniteQuotientOracle(NormalFormOracle):
             raise OracleInvalidError(f"element {key} not generated")
         return self._canonical[key]
 
-    def step(self, key, l):
-        return self.Q.product(key, self.eval_letter(l))
+    def step(self, key, c: int):
+        img = self._code_img.get(c)
+        if img is None:
+            img = self._code_img[c] = self.eval_letter(
+                self.P.alphabet.letters[c])
+        return self.Q.product(key, img)
 
     def coset_key(self, w: Word, lam: int):
         g = self.eval_word(w)

@@ -1,5 +1,8 @@
 """Truncated balls, relative length dispatch, and geodesic witnesses."""
 
+import csv
+import gc
+import io
 import json
 
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +24,8 @@ from relhyp.presentation import (
     HLetter,
     Word,
     dump_json,
+    encode_letter,
+    free_reduce,
     parse_document,
 )
 from relhyp.presets import f2, free_product_zz, hz, x_squared, xw, z_example, zmod2_star
@@ -145,6 +150,70 @@ def test_ball_json_text_is_the_dumped_ball_at_each_depth(group, radius, rho):
     for depth in range(4):
         assert ball_json_text(P, ball, depth) == \
             text.replace("\n", "\n" + "  " * depth)
+
+
+class _NormalFormsOnly(ora.NormalFormOracle):
+    """Free reduction, and every other query, keys and codes included, left
+    to the base class."""
+
+    def __init__(self, P):
+        self.P = P
+
+    def normal_form(self, w):
+        return free_reduce(self.P, w)
+
+
+def _base_default():
+    P, _ = zmod2_star()
+    return P, _NormalFormsOnly(P)
+
+
+# every ball group and an oracle whose key is the normal form
+WRITER_GROUPS = dict(BALL_GROUPS, base_default=_base_default)
+
+
+def _csv_from_letters(P, ball) -> str:
+    """The CSV of a ball written from its decoded letters by the csv
+    module."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["source", "letter", "target"])
+    for s, l, t in ball.edges:
+        writer.writerow([s, json.dumps(encode_letter(P, l), sort_keys=True,
+                                       separators=(",", ":")), t])
+    return out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(WRITER_GROUPS)), st.integers(0, 4),
+       st.integers(0, 2))
+@example("named_zmod2_star", 3, 1)
+@example("base_default", 3, 2)
+def test_ball_to_csv_is_the_csv_of_the_decoded_edges(group, radius, rho):
+    P, O = WRITER_GROUPS[group]()
+    ball = truncated_ball(P, O, radius, rho)
+    assert ball_to_csv(P, ball) == _csv_from_letters(P, ball)
+
+
+def test_ball_words_and_letters_are_decoded_from_the_walk():
+    for group in sorted(WRITER_GROUPS):
+        P, O = WRITER_GROUPS[group]()
+        ball = truncated_ball(P, O, 3, 1)
+        assert ball.vertices == tuple(O.word(k) for k in ball.keys)
+        assert ball.edges == tuple((s, P.alphabet.letters[c], t)
+                                   for s, c, t in ball.code_edges)
+        assert ball.vertices is ball.vertices and ball.edges is ball.edges
+
+
+def test_a_walked_ball_holds_nothing_the_collector_tracks():
+    """Keys and code edges are ints and tuples of ints, so a collection
+    untracks them and later collections skip them."""
+    for build in (f2, z_example, x_squared):
+        P, O = build()
+        ball = truncated_ball(P, O, 4, 1)
+        gc.collect()
+        assert not any(map(gc.is_tracked, ball.keys)), build.__name__
+        assert not any(map(gc.is_tracked, ball.code_edges)), build.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -452,9 +452,9 @@ def _s3_quotient():
 # tables, and one with free letters and every model kind), integer
 # (z_example, z2), finite (x_squared, and S_3 with every model kind) and the
 # base default
-STEP_GROUPS = {build.__name__: build() for build in (
-    f2, free_product_zz, zmod2_star, _mixed_free_product, z_example, z2,
-    x_squared, _s3_quotient, _bare_free_product)}
+STEP_BUILDERS = (f2, free_product_zz, zmod2_star, _mixed_free_product,
+                 z_example, z2, x_squared, _s3_quotient, _bare_free_product)
+STEP_GROUPS = {build.__name__: build() for build in STEP_BUILDERS}
 
 
 @st.composite
@@ -475,13 +475,45 @@ def _step_case(draw):
 def test_step_equals_the_normal_form_of_the_product(case):
     name, w, l = case
     P, O = STEP_GROUPS[name]
+    A = P.alphabet
     key = O.element_key(w)
     assert O.word(key) == O.normal_form(w)
     product = w + Word((l,))
-    assert O.step(key, l) == O.element_key(product)
-    assert O.word(O.step(key, l)) == O.normal_form(product)
+    c = A.intern(l)
+    assert O.step(key, c) == O.element_key(product)
+    assert O.word(O.step(key, c)) == O.normal_form(product)
     # l's inverse cancels or merges away whatever l added
-    assert O.step(O.step(key, l), P.inverse_letter(l)) == key
+    assert O.step(O.step(key, c), A.intern(P.inverse_letter(l))) == key
+
+
+@given(_step_case())
+@settings(max_examples=200, deadline=None)
+def test_codes_of_key_are_the_codes_of_the_normal_form(case):
+    name, w, l = case
+    P, O = STEP_GROUPS[name]
+    for u in (w, w + Word((l,))):
+        assert O.codes_of_key(O.element_key(u)) == \
+            P.alphabet.encode(O.normal_form(u).letters)
+
+
+def test_step_by_a_letter_the_alphabet_first_meets():
+    """A code handed out just before the step: new to the alphabet's pair
+    memos and to every code table the oracle keeps."""
+    for build in STEP_BUILDERS:
+        P, O = build()
+        A = P.alphabet
+        letters = [XLetter(sym, e) for sym in P.x_symbols for e in (1, -1)]
+        letters += [HLetter(lam, e) for lam in sorted(P.models)
+                    for e in P.models[lam].elements_up_to(2)]
+        w = Word(tuple(letters[::2]))
+        key = O.element_key(w)
+        fresh = [l for l in letters if l not in A.codes]
+        assert fresh, build.__name__
+        for l in fresh:
+            c = A.intern(l)
+            assert O.step(key, c) == O.element_key(w + Word((l,)))
+            assert O.codes_of_key(O.step(key, c)) == \
+                A.encode(O.normal_form(w + Word((l,))).letters)
 
 
 # every step group, and an integer quotient with a free-group model, whose
@@ -504,7 +536,7 @@ def test_coset_of_key_is_the_coset_of_the_keys_element(data):
 
 def test_step_cancels_and_merges_at_the_seam():
     def times(O, w, l):
-        return O.word(O.step(O.element_key(w), l))
+        return O.word(O.step(O.element_key(w), O.P.alphabet.intern(l)))
 
     P, O = free_product_zz()
     nf = O.normal_form(Word((hz(1, 2), hz(2, -1))))
