@@ -136,7 +136,6 @@ class Window:
     rho: int
     cells: dict = field(compare=False)      # dim -> tuple of CellId, sorted
     coset_reps: dict = field(compare=False)  # lam -> {coset key -> Word}
-    home: Word = field(compare=False)
     words: tuple = field(compare=False, repr=False)
     cell_key: tuple = field(compare=False, repr=False)
     indptr: tuple = field(compare=False, repr=False)
@@ -377,7 +376,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
                   cells={dim: tuple(cs) for dim, cs in enumerate(ids)},
                   coset_reps={lam: {k: words[v] for k, v in reps[lam].items()}
                               for lam in labels},
-                  home=words[0], words=tuple(words),
+                  words=tuple(words),
                   cell_key=tuple(raw[n] for n in order),
                   indptr=tuple(indptr), bd_cell=tuple(bd_cell),
                   bd_sign=tuple(bd_sign), inner=tuple(inner))

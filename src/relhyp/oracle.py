@@ -1,24 +1,25 @@
 """Word-problem oracles for groups given by a relative presentation.
 
-An oracle answers normal-form, equality, relative-length and geodesic queries
-for the presented group; each derives from NormalFormOracle, whose defaults
-read the answers off normal forms.  ``element_key`` names an element by a
-hashable key, ``word`` writes a key back as the normal form, and
-``step(key, c)`` is the key of the element times the letter whose
-``P.alphabet`` code is c: the one move of every ball, loop and geodesic
-walk, which therefore runs on ints.  Each oracle steps on its own key: a
-normal form by default, a tuple of ``P.alphabet`` codes reduced at the seam
-for the free product (codes depend on interning history, so these keys are
-compared for equality only and never ordered), a reduced exponent vector
-for an integer quotient and an element index for a finite one; the last
-two keep the image of each code they have stepped by.  ``codes_of_key``
-writes a key's normal form as codes.  Four kinds
-are supported: the ambient free product itself (valid only when there
-are no relators), homomorphisms onto subgroups of Z^d, finite quotients given
-by a multiplication table, and external plugin executables speaking a
-line-delimited JSON protocol.
-Construction checks that every relator maps to the identity; everything else
-is the caller's trust boundary.
+An oracle names each element of the presented group by a hashable key and
+answers on keys; each derives from NormalFormOracle, whose defaults read
+the answers off normal forms.  ``element_key`` names the element of a word,
+``word`` writes a key back as the normal form, and ``step(key, c)`` is the
+key of the element times the letter whose ``P.alphabet`` code is c: the
+one move of every ball, loop and geodesic walk, which therefore runs on
+ints.  ``coset_of_key``, ``rel_length_of_key`` and ``codes_of_key`` give a
+key's peripheral coset, relative length and normal form as codes; the
+queries on words (``coset_key``, ``rel_length``, ``equal``, ``is_trivial``)
+are written once, in the base, on ``element_key``.  Each oracle has its own
+key: a normal form by default, a tuple of ``P.alphabet`` codes reduced at
+the seam for the free product (codes depend on interning history, so these
+keys are compared for equality only and never ordered), a reduced exponent
+vector for an integer quotient and an element index for a finite one; the
+last two keep the image of each code they have stepped by.  Four kinds are
+supported: the ambient free product itself (valid only when there are no
+relators), homomorphisms onto subgroups of Z^d, finite quotients given by a
+multiplication table, and external plugin executables speaking a
+line-delimited JSON protocol.  Construction checks that every relator maps
+to the identity; everything else is the caller's trust boundary.
 """
 
 from __future__ import annotations
@@ -213,18 +214,19 @@ def _check_image_keys(P: RelativePresentation, x_images, model_images):
 
 class NormalFormOracle:
     """Base of every oracle.  Subclasses provide normal_form, which sends
-    equal group elements to the same word; every other query defaults to an
-    answer read off canonical words, and oracles that know more override it.
-    An oracle keeps its presentation as ``P``; letters are stepped by their
-    ``P.alphabet`` codes.  By default an element's key is its normal form:
-    ``word`` returns it and ``step(key, c)`` normalizes the product with the
-    code's letter.  An oracle with another key overrides ``element_key``,
-    ``word`` and ``step``, keeping word(element_key(w)) == normal_form(w)
-    and step(element_key(w), P.alphabet.intern(l)) == element_key(w + l);
-    its normal_form may then be left to the base.  ``coset_of_key(key,
-    lam)``, ``rel_length_of_key(key)`` and ``codes_of_key(key)`` answer
-    coset_key, rel_length and the normal form's codes for the key's
-    element, by default computed on ``word(key)``.
+    equal group elements to the same word, and may leave every other query
+    to this class.  An oracle keeps its presentation as ``P``; letters are
+    stepped by their ``P.alphabet`` codes.  By default an element's key is
+    its normal form: ``word`` returns it and ``step(key, c)`` normalizes the
+    product with the code's letter.  An oracle with another key overrides
+    ``element_key``, ``word`` and ``step``, keeping word(element_key(w)) ==
+    normal_form(w) and step(element_key(w), P.alphabet.intern(l)) ==
+    element_key(w + l); its normal_form may then be left to the base.
+    Queries are answered on keys: ``coset_of_key(key, lam)``,
+    ``rel_length_of_key(key)`` and ``codes_of_key(key)``, by default read
+    off ``word(key)``, are what an oracle that knows more overrides.  The
+    queries on words, ``coset_key``, ``rel_length``, ``equal`` and
+    ``is_trivial``, are written here once, on ``element_key(w)``.
     """
 
     def normal_form(self, w: Word) -> Word:
@@ -240,6 +242,32 @@ class NormalFormOracle:
         return self.element_key(
             self.word(key) + Word((self.P.alphabet.letters[c],)))
 
+    def coset_of_key(self, key, lam: int):
+        """A key of the coset g H_lam, g the element whose key is ``key``:
+        by default its normal form less a last letter of label lam."""
+        nf = self.word(key)
+        if nf.letters and isinstance(nf[-1], HLetter) and nf[-1].lam == lam:
+            nf = Word(nf.letters[:-1])
+        return nf
+
+    def rel_length_of_key(self, key) -> RelLength:
+        """Relative length of the element whose key is ``key``.  By default
+        certified from the normal form alone: 0 for the identity, otherwise
+        between 1 and its letter count."""
+        nf = self.word(key)
+        if nf.is_empty:
+            return RelLength.exact(0)
+        return RelLength(1, letter_count(nf))
+
+    def codes_of_key(self, key) -> tuple:
+        """The ``P.alphabet`` codes of the normal form of ``key``."""
+        return self.P.alphabet.encode(self.word(key).letters)
+
+    def geodesic(self, w: Word, n: int) -> Word | None:
+        """A word of n letters equal to w, given that n is w's exact
+        relative length, or None to leave the search to the caller."""
+        return None
+
     def equal(self, a: Word, b: Word) -> bool:
         return self.element_key(a) == self.element_key(b)
 
@@ -247,35 +275,10 @@ class NormalFormOracle:
         return self.element_key(w) == self.element_key(EMPTY_WORD)
 
     def coset_key(self, w: Word, lam: int):
-        nf = self.normal_form(w)
-        if nf.letters and isinstance(nf[-1], HLetter) and nf[-1].lam == lam:
-            nf = Word(nf.letters[:-1])
-        return nf
-
-    def coset_of_key(self, key, lam: int):
-        """coset_key of the element whose key is ``key``."""
-        return self.coset_key(self.word(key), lam)
-
-    def rel_length_of_key(self, key) -> RelLength:
-        """rel_length of the element whose key is ``key``."""
-        return self.rel_length(self.word(key))
-
-    def codes_of_key(self, key) -> tuple:
-        """The ``P.alphabet`` codes of the normal form of ``key``."""
-        return self.P.alphabet.encode(self.word(key).letters)
+        return self.coset_of_key(self.element_key(w), lam)
 
     def rel_length(self, w: Word) -> RelLength:
-        """Relative length of w.  Certified from the canonical form alone:
-        0 for the identity, otherwise between 1 and its letter count."""
-        nf = self.normal_form(w)
-        if nf.is_empty:
-            return RelLength.exact(0)
-        return RelLength(1, letter_count(nf))
-
-    def geodesic(self, w: Word, n: int) -> Word | None:
-        """A word of n letters equal to w, given that n is w's exact
-        relative length, or None to leave the search to the caller."""
-        return None
+        return self.rel_length_of_key(self.element_key(w))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +290,12 @@ class FreeProductOracle(NormalFormOracle):
 
     kind = "free_product"
 
-    def __init__(self, P: RelativePresentation, config: dict | None = None):
+    def __init__(self, P: RelativePresentation):
         if P.relators:
             raise OracleInvalidError(
                 "free product oracle requires an empty relator list")
         self.P = P
         self._combine = P.alphabet.combine
-        self.config = config or {"kind": self.kind}
 
     def normal_form(self, w: Word) -> Word:
         return free_reduce(self.P, w)
@@ -312,9 +314,6 @@ class FreeProductOracle(NormalFormOracle):
             if r != APART:
                 return key[:-1] if r == CANCEL else key[:-1] + (r,)
         return key + (c,)
-
-    def rel_length(self, w: Word) -> RelLength:
-        return RelLength.exact(letter_count(self.normal_form(w)))
 
     def rel_length_of_key(self, key) -> RelLength:
         return RelLength.exact(len(key))
@@ -343,8 +342,7 @@ class IntegerQuotientOracle(NormalFormOracle):
 
     def __init__(self, P: RelativePresentation, dim: int,
                  x_images: dict[str, tuple[int, ...]] | None = None,
-                 model_images: dict[int, list] | None = None,
-                 config: dict | None = None):
+                 model_images: dict[int, list] | None = None):
         if dim < 1:
             raise OracleInvalidError("dim must be positive")
         self.P = P
@@ -382,7 +380,6 @@ class IntegerQuotientOracle(NormalFormOracle):
             lam: row_echelon_lattice(self._columns(start, count))
             for lam, (start, count) in self._slots.model_cols.items()
         }
-        self.config = config or {"kind": self.kind, "dim": dim}
         _check_relators(P, self)
 
     def _vec(self, v, what) -> tuple[int, ...]:
@@ -418,9 +415,6 @@ class IntegerQuotientOracle(NormalFormOracle):
             vec = self._code_vecs[c] = self._slots.epsilon(
                 Word((self.P.alphabet.letters[c],)))
         return reduce_mod(self._kernel_ech, map(operator.add, key, vec))
-
-    def coset_key(self, w: Word, lam: int):
-        return reduce_mod(self._perip_lattices[lam], self.image_vector(w))
 
     def coset_of_key(self, key, lam: int):
         # a key differs from the word's vector by kernel vectors, which A
@@ -461,10 +455,10 @@ class IntegerQuotientOracle(NormalFormOracle):
                 out.append((lam, nz, False))
         return out
 
-    def rel_length(self, w: Word) -> RelLength:
+    def rel_length_of_key(self, key) -> RelLength:
         """Exact up to two letters, by lattice membership of the image;
         bounded below by 3 beyond."""
-        u = self.image_vector(w)
+        u = self._image(key)
         if not any(u):
             return RelLength.exact(0)
         if self._one_letter(u) is not None:
@@ -496,7 +490,7 @@ class IntegerQuotientOracle(NormalFormOracle):
                         # membership in the sum with u outside both factors
                         # forces a genuinely two-letter decomposition
                         return RelLength.exact(2)
-        upper = letter_count(self.normal_form(w))
+        upper = letter_count(self.word(key))
         return RelLength(3, max(3, upper))
 
     def geodesic(self, w: Word, n: int) -> Word | None:
@@ -518,8 +512,7 @@ class FiniteQuotientOracle(NormalFormOracle):
 
     def __init__(self, P: RelativePresentation, quotient: FiniteTableModel,
                  x_images: dict[str, int] | None = None,
-                 model_images: dict[int, list[int]] | None = None,
-                 config: dict | None = None):
+                 model_images: dict[int, list[int]] | None = None):
         self.P = P
         self.Q = quotient
         x_images = x_images or {}
@@ -587,7 +580,6 @@ class FiniteQuotientOracle(NormalFormOracle):
         self._witness = {g: Word(path)
                          for g, path in self._reach(letter_steps).items()}
         self._code_img: dict = {}      # code -> its letter's image in Q
-        self.config = config or {"kind": self.kind}
         _check_relators(P, self)
 
     def _element(self, g, what) -> int:
@@ -617,14 +609,11 @@ class FiniteQuotientOracle(NormalFormOracle):
         return self.P.models[l.lam].image(l.elem, self._gen_img[l.lam],
                                           self.Q)
 
-    def eval_word(self, w: Word) -> int:
+    def element_key(self, w: Word) -> int:
         out = self.Q.identity_index
         for l in w:
             out = self.Q.product(out, self.eval_letter(l))
         return out
-
-    def element_key(self, w: Word):
-        return self.eval_word(w)
 
     def word(self, key) -> Word:
         if key not in self._canonical:
@@ -639,18 +628,14 @@ class FiniteQuotientOracle(NormalFormOracle):
                 self.P.alphabet.letters[c])
         return self.Q.product(key, img)
 
-    def coset_key(self, w: Word, lam: int):
-        g = self.eval_word(w)
-        return min(self.Q.product(g, s) for s in self._subgroups[lam])
-
-    def rel_length(self, w: Word) -> RelLength:
-        return self.rel_length_of_key(self.eval_word(w))
+    def coset_of_key(self, key, lam: int):
+        return min(self.Q.product(key, s) for s in self._subgroups[lam])
 
     def rel_length_of_key(self, key) -> RelLength:
         return RelLength.exact(len(self._witness[key]))
 
     def geodesic(self, w: Word, n: int) -> Word:
-        return self._witness[self.eval_word(w)]
+        return self._witness[self.element_key(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +652,11 @@ class PluginOracle(NormalFormOracle):
 
     kind = "plugin"
 
-    def __init__(self, P: RelativePresentation, command: list[str],
-                 config: dict | None = None):
+    def __init__(self, P: RelativePresentation, command: list[str]):
         if not command or not all(isinstance(c, str) for c in command):
             raise ParseError("plugin command must be a list of strings", "oracle")
         self.P = P
         self.command = list(command)
-        self.config = config or {"kind": self.kind, "command": self.command}
         self._proc: subprocess.Popen | None = None
         self._cache: dict[tuple, Word] = {}
         _check_relators(P, self)
@@ -747,7 +730,7 @@ def build_oracle(P: RelativePresentation, config: dict) -> NormalFormOracle:
         raise ParseError("oracle must be an object", "oracle")
     kind = config.get("kind")
     if kind == "free_product":
-        return FreeProductOracle(P, config)
+        return FreeProductOracle(P)
     if kind == "integer_quotient":
         dim = config.get("dim")
         if not is_int(dim):
@@ -755,7 +738,7 @@ def build_oracle(P: RelativePresentation, config: dict) -> NormalFormOracle:
         x_images = {sym: int_tuple(v, f"oracle.x_images.{sym}")
                     for sym, v in _x_images(config).items()}
         return IntegerQuotientOracle(P, dim, x_images,
-                                     _model_images(config, True), config)
+                                     _model_images(config, True))
     if kind == "finite_quotient":
         try:
             Q = decode_finite_table(config, "oracle")
@@ -764,9 +747,9 @@ def build_oracle(P: RelativePresentation, config: dict) -> NormalFormOracle:
         x = _x_images(config)
         return FiniteQuotientOracle(
             P, Q, {sym: expect_int(x, sym, "oracle.x_images") for sym in x},
-            _model_images(config, False), config)
+            _model_images(config, False))
     if kind == "plugin":
-        return PluginOracle(P, config.get("command") or [], config)
+        return PluginOracle(P, config.get("command") or [])
     raise ParseError(f"unknown oracle kind {kind!r}", "oracle.kind")
 
 

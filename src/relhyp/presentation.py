@@ -564,32 +564,27 @@ def free_reduce(P: RelativePresentation, w: Word, _trace: list | None = None) ->
     """
     stack: list[Letter] = []
     for l in w:
-        stack.append(l)
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            if isinstance(a, XLetter) and isinstance(b, XLetter) \
-                    and a.sym == b.sym and a.sign == -b.sign:
+        # the stack is reduced, so only its top can combine with l, and
+        # what a merge leaves is apart from the letter under it
+        if stack and combinable(stack[-1], l):
+            a = stack.pop()
+            if isinstance(a, XLetter):
                 if _trace is not None:
-                    _trace.append(("x_cancel", len(stack) - 2))
-                stack.pop()
-                stack.pop()
-            elif isinstance(a, HLetter) and isinstance(b, HLetter) and a.lam == b.lam:
+                    _trace.append(("x_cancel", len(stack)))
+            else:
                 if _trace is not None:
-                    _trace.append(("h_merge", len(stack) - 2))
+                    _trace.append(("h_merge", len(stack)))
                 model = P.models[a.lam]
-                prod = model.product(a.elem, b.elem)
-                stack.pop()
-                stack.pop()
+                prod = model.product(a.elem, l.elem)
                 if not model.is_identity(prod):
                     stack.append(HLetter(a.lam, prod))
-            else:
-                break
+        else:
+            stack.append(l)
     return Word(tuple(stack))
 
 
 def combinable(a: Letter, b: Letter) -> bool:
-    """Whether adjacent letters a b would cancel or merge under free_reduce
-    (which keeps its own inline copy of this test on its hot path)."""
+    """Whether adjacent letters a b would cancel or merge under free_reduce."""
     if isinstance(a, XLetter):
         return isinstance(b, XLetter) and a.sym == b.sym and a.sign == -b.sign
     return isinstance(b, HLetter) and a.lam == b.lam
@@ -981,36 +976,7 @@ def serialize_presentation(P: RelativePresentation, oracle: dict | None = None) 
     return dump_json(presentation_to_doc(P, oracle))
 
 
-_INF = float("inf")
 _json_string = json.encoder.encode_basestring_ascii
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(k) -> str:
-    """A dict key as ``json`` writes it: converted to a string first."""
-    if isinstance(k, str):
-        return _json_string(k)
-    if isinstance(k, float):
-        return f'"{_float_text(k)}"'
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return f'"{int.__repr__(k)}"'
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
 
 
 def dump_json(obj) -> str:
@@ -1018,8 +984,12 @@ def dump_json(obj) -> str:
     two, the form of every JSON artifact.
 
     With any ``indent`` the standard library encodes through a pure-Python
-    generator; this writer builds each container with ``str.join`` instead.
-    Cyclic input is not detected.
+    generator, slow on small payloads; this writer builds None, the
+    booleans and values of class exactly int, str, list, tuple or dict (a
+    dict's keys all of class str) with ``str.join``.  Any other value is
+    handed to ``json.dumps`` and re-indented to its depth: JSON strings
+    escape newlines, so every newline in that text is an indent.  Cyclic
+    input is not detected.
     """
 
     def text(o, depth: int) -> str:
@@ -1028,33 +998,26 @@ def dump_json(obj) -> str:
             return int.__repr__(o)
         if cls is str:
             return _json_string(o)
-        if cls is list or cls is dict or cls is tuple:
+        if cls is list or cls is tuple or (
+                cls is dict and all(k.__class__ is str for k in o)):
             return container(o, depth)
-        # the rest in the order json tests them (bool before int)
-        if isinstance(o, str):
-            return _json_string(o)
         if o is None:
             return "null"
         if o is True:
             return "true"
         if o is False:
             return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if isinstance(o, (list, tuple, dict)):
-            return container(o, depth)
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        "is not JSON serializable")
+        return json.dumps(o, sort_keys=True, indent=2).replace(
+            "\n", "\n" + "  " * depth)
 
     def container(o, depth: int) -> str:
+        is_dict = o.__class__ is dict
         if not o:
-            return "{}" if isinstance(o, dict) else "[]"
+            return "{}" if is_dict else "[]"
         inner = depth + 1
         sep = "\n" + "  " * inner
-        if isinstance(o, dict):
-            body = [f"{_key_text(k)}: {text(v, inner)}"
+        if is_dict:
+            body = [f"{_json_string(k)}: {text(v, inner)}"
                     for k, v in sorted(o.items())]
             opening, closing = "{", "}"
         else:

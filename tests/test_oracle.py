@@ -155,7 +155,7 @@ def test_integer_quotient_normal_form_is_retraction():
 def test_integer_quotient_rejects_images_missing_the_relator():
     P, _ = z_example()
     with pytest.raises(OracleInvalidError):
-        ora.IntegerQuotientOracle(P, 1, {}, {1: [(1,)], 2: [(1,)]}, None)
+        ora.IntegerQuotientOracle(P, 1, {}, {1: [(1,)], 2: [(1,)]})
 
 
 def test_integer_quotient_peripheral_and_coset_keys():
@@ -532,6 +532,19 @@ def test_coset_of_key_is_the_coset_of_the_keys_element(data):
     key = O.element_key(w)
     for lam in sorted(P.models):
         assert O.coset_of_key(key, lam) == O.coset_key(w, lam)
+
+
+def test_oracles_answer_on_keys_and_leave_word_forms_to_the_base():
+    oracles = {cls for cls in vars(ora).values() if isinstance(cls, type)
+               and issubclass(cls, ora.NormalFormOracle)
+               and cls is not ora.NormalFormOracle}
+    assert {cls.__name__ for cls in oracles} == {
+        "FreeProductOracle", "IntegerQuotientOracle", "FiniteQuotientOracle",
+        "PluginOracle"}
+    for cls in oracles:
+        assert not {"coset_key", "rel_length", "equal", "is_trivial"} & \
+            set(vars(cls)), cls.__name__
+    assert not hasattr(ora.FiniteQuotientOracle, "eval_word")
 
 
 def test_step_cancels_and_merges_at_the_seam():

@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from fractions import Fraction
 import json
 
@@ -337,18 +338,33 @@ def _stdlib(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# subclasses of the JSON types are written by json.dumps itself
 _json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(),
+    st.none(), st.booleans(), st.integers(), st.integers().map(_Int),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")]),
-    st.text(),
+    st.text(), st.text().map(_Str),
     st.sampled_from(['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é ☃ 𝄞",
                      "\ud800"]),
 )
 _json_values = st.recursive(_json_scalars, lambda inner: st.one_of(
     st.lists(inner, max_size=4),
     st.lists(inner, max_size=4).map(tuple),
+    st.lists(inner, max_size=4).map(_List),
     st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4).map(OrderedDict),
     st.dictionaries(st.integers(-5, 5), inner, max_size=4),
 ), max_leaves=20)
 
