@@ -87,7 +87,7 @@ def _parse_peripheral_token(P: RelativePresentation, tok: str,
         elem = model.decode(rest, pos)
     elif rest.startswith("["):
         try:
-            obj = json.loads(rest)
+            obj = load_json(rest, pos)
         except json.JSONDecodeError:
             raise ParseError(f"bad element list {rest!r}", pos) from None
         if isinstance(model, FiniteTableModel):

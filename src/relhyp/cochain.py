@@ -16,11 +16,11 @@ starting from the ball's walk, and every product with a letter is one
 ``O.step`` on a key by the letter's ``P.alphabet`` code, taken once per
 (vertex, code); each vertex is written out as a word once, and each
 (vertex, label) pair asks the oracle for its coset once, from the key.
-Cells are numbered in sorted order and boundaries are kept as compressed
-rows of cell numbers and signs, on which coboundaries, boundary chains and
-the linear programs run.  A CellId is made once per window cell;
-``Window.boundary``, the same boundaries keyed by CellId, is built at its
-first read.
+Cells are numbered in sorted order, window cells first, and boundaries are
+kept as compressed rows of cell numbers and signs, on which coboundaries,
+boundary chains and the linear programs run.  That integer table is the
+window: its CellIds, and ``Window.boundary``, the same boundaries keyed by
+CellId, are made from it at their first read.
 """
 
 from __future__ import annotations
@@ -112,30 +112,28 @@ def relator_face(r: int, g: Word) -> CellId:
     return CellId(RELATOR_FACE, g, (r,))
 
 
-def peripheral_face(lam: int, rep: Word, a, b) -> CellId:
-    return CellId(PERIPHERAL_FACE, rep, (lam, a, b))
-
-
 # ---------------------------------------------------------------------------
 # windows
 
 
 @dataclass(frozen=True)
 class Window:
-    """A window of the complex.  Its cells are numbered in ``cells`` order,
-    dimensions 0, 1 and 2 in turn, and then come the rim cells that its
-    faces reach, sorted likewise.  ``cell_key[n]`` is cell n as (kind code,
-    vertex, data), and vertex v is the element ``words[v]``.  The boundary
-    of cell n is ``bd_cell``/``bd_sign`` over ``indptr[n]:indptr[n + 1]``:
-    an edge's is (head, +1), (tail, -1), a face's is summed and sorted by
-    cell.  ``inner`` lists the interior 2-cells by number."""
+    """A window of the complex, as one integer cell table.  Cells 0 to
+    ``size`` - 1 are the window's, dimensions 0, 1 and 2 in turn, each in
+    CellId.sort_key order; then come the rim cells that its faces reach,
+    sorted likewise.  ``cell_key[n]`` is cell n as (kind code, vertex,
+    data), and vertex v is the element ``words[v]``.  The boundary of cell n
+    is ``bd_cell``/``bd_sign`` over ``indptr[n]:indptr[n + 1]``: an edge's
+    is (head, +1), (tail, -1), a face's is summed and sorted by cell.
+    ``inner`` lists the interior 2-cells by number.  ``cells`` and
+    ``cell_ids`` are the CellIds of these numbers, made at their first read;
+    the rim's only when ``cell_ids`` is read."""
 
     P: RelativePresentation = field(compare=False)
     O: object = field(compare=False)
     radius: int
     rho: int
-    cells: dict = field(compare=False)      # dim -> tuple of CellId, sorted
-    coset_reps: dict = field(compare=False)  # lam -> {coset key -> Word}
+    size: int
     words: tuple = field(compare=False, repr=False)
     cell_key: tuple = field(compare=False, repr=False)
     indptr: tuple = field(compare=False, repr=False)
@@ -148,13 +146,24 @@ class Window:
         a, b = self.indptr[n], self.indptr[n + 1]
         return zip(self.bd_cell[a:b], self.bd_sign[a:b])
 
+    def _ids(self, keys) -> tuple:
+        words = self.words
+        return tuple(CellId(_KINDS[k], words[v], data) for k, v, data in keys)
+
+    @cached_property
+    def cells(self) -> dict:
+        """dim -> the window's CellIds of that dimension, in cell order."""
+        by_dim = {0: [], 1: [], 2: []}
+        for c in self._ids(self.cell_key[:self.size]):
+            by_dim[c.dim].append(c)
+        return {dim: tuple(cs) for dim, cs in by_dim.items()}
+
     @cached_property
     def cell_ids(self) -> tuple:
-        """CellId by cell number, the rim's made at the first read."""
-        window = self.cells_of_dim(0) + self.cells_of_dim(1) + \
-            self.cells_of_dim(2)
-        return window + tuple(CellId(_KINDS[k], self.words[v], data)
-                              for k, v, data in self.cell_key[len(window):])
+        """CellId by cell number, the window's and then the rim's."""
+        cells = self.cells
+        return cells[0] + cells[1] + cells[2] + \
+            self._ids(self.cell_key[self.size:])
 
     @cached_property
     def numbers(self) -> dict:
@@ -170,10 +179,6 @@ class Window:
                 for n, (k, _, _) in enumerate(self.cell_key) if k >= _CE}
 
     @cached_property
-    def cell_set(self) -> frozenset:
-        return frozenset(c for cs in self.cells.values() for c in cs)
-
-    @cached_property
     def interior(self) -> frozenset:
         """The 2-cells whose whole boundary lies in the window."""
         ids = self.cell_ids
@@ -187,12 +192,6 @@ class Window:
         ids = self.cell_ids
         return tuple(ids[f] for f in self.inner
                      if self.cell_key[f][0] == _RF)
-
-    def coset_rep(self, lam: int, g: Word) -> Word:
-        """The chosen representative of the coset g H_lam, else g's normal
-        form."""
-        rep = self.coset_reps[lam].get(self.O.coset_key(g, lam))
-        return self.O.normal_form(g) if rep is None else rep
 
 
 def _inverse(perm: list) -> list:
@@ -343,14 +342,12 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     while len(bounds) < len(raw):
         bounds.append(boundary_of(*raw[len(bounds)]))
 
-    # cells sort as CellId.sort_key does: vertices by the rank of their word
+    # cells sort as CellId.sort_key does, window cells first: vertices by
+    # the rank of their word
     order_key += [w.sort_key() for w in words[len(order_key):]]
     rank = _inverse(sorted(range(len(words)), key=order_key.__getitem__))
-    order = sorted(range(len(raw)),
-                   key=lambda n: (raw[n][0], rank[raw[n][1]], raw[n][2]))
-    place = _inverse(order)
-    order = [n for n in order if n < n_window] + \
-        [n for n in order if n >= n_window]
+    order = sorted(range(len(raw)), key=lambda n: (
+        n >= n_window, raw[n][0], rank[raw[n][1]], raw[n][2]))
     final = _inverse(order)
 
     indptr = [0]
@@ -358,24 +355,17 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     bd_sign: list[int] = []
     inner = []
     for n in order:
-        terms = bounds[n]
+        terms = [(final[c], s) for c, s in bounds[n]]
         if raw[n][0] >= _PF:
-            terms = sorted(terms, key=lambda t: place[t[0]])
+            terms.sort()
             if all(c < n_window for c, _ in terms):
                 inner.append(final[n])
         for c, s in terms:
-            bd_cell.append(final[c])
+            bd_cell.append(c)
             bd_sign.append(s)
         indptr.append(len(bd_cell))
 
-    ids = [[], [], []]
-    for n in order[:n_window]:
-        k, v, data = raw[n]
-        ids[_DIM[_KINDS[k]]].append(CellId(_KINDS[k], words[v], data))
-    return Window(P=P, O=O, radius=radius, rho=rho,
-                  cells={dim: tuple(cs) for dim, cs in enumerate(ids)},
-                  coset_reps={lam: {k: words[v] for k, v in reps[lam].items()}
-                              for lam in labels},
+    return Window(P=P, O=O, radius=radius, rho=rho, size=n_window,
                   words=tuple(words),
                   cell_key=tuple(raw[n] for n in order),
                   indptr=tuple(indptr), bd_cell=tuple(bd_cell),
@@ -390,10 +380,9 @@ def window_to_json(W: Window) -> dict:
                           "translate": encode_word(W.P, c.translate),
                           "data": data,
                           "lbar": c.is_lbar})
-    size = len(cell_docs)
     triplets = [[c, b, s]
-                for c in range(len(W.cells_of_dim(0)), size)
-                for b, s in W.terms(c) if b < size]
+                for c in range(len(W.cells_of_dim(0)), W.size)
+                for b, s in W.terms(c) if b < W.size]
     return {
         "radius": W.radius,
         "peripheral_bound": W.rho,
@@ -508,19 +497,6 @@ def relator_indicator_family():
     return build
 
 
-def zero_family():
-    def build(W: Window) -> Cochain:
-        return Cochain(2, {})
-    return build
-
-
-def coboundary_family(h_builder):
-    """z = delta h for a 1-cochain produced per window by h_builder."""
-    def build(W: Window) -> Cochain:
-        return coboundary(W, h_builder(W))
-    return build
-
-
 # ---------------------------------------------------------------------------
 # minimal bounded primitives
 
@@ -540,8 +516,8 @@ class Infeasible:
 def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
             col_upper):
     """Minimize c x subject to row_lower <= A x <= row_upper and
-    col_lower <= x <= col_upper, A given by columns: column j has the
-    coefficient value[k] in row index[k] for k in start[j]:start[j + 1].
+    col_lower <= x <= col_upper, A given by rows: row i has the coefficient
+    value[k] in column index[k] for k in start[i]:start[i + 1].
 
     This is the call scipy's linprog(method="highs") makes into HiGHS, made
     directly through the binding scipy ships: on a window's program,
@@ -557,11 +533,10 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
     scipy.optimize dominates start-up."""
     import numpy as np
     from scipy.optimize._highspy import _core as hs
-    n = len(c)
+    n, m = len(c), len(row_lower)
     # HiGHS reads each array to the length these sizes give
-    if not (len(col_lower) == len(col_upper) == n and len(start) == n + 1
-            and len(row_upper) == len(row_lower)
-            and len(index) == len(value) == start[n]):
+    if not (len(col_lower) == len(col_upper) == n and len(row_upper) == m
+            and len(start) == m + 1 and len(index) == len(value) == start[m]):
         raise ValueError("the program's arrays have mismatched lengths")
     highs = hs._Highs()
     highs.setOptionValue("output_flag", False)
@@ -571,7 +546,7 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
     highs.setOptionValue("simplex_strategy", 1)
     # the arrays go in as buffers; every column is continuous
     passed = highs.passModel(
-        n, len(row_lower), len(value), int(hs.MatrixFormat.kColwise),
+        n, m, len(value), int(hs.MatrixFormat.kRowwise),
         int(hs.ObjSense.kMinimize), 0.0, c, col_lower, col_upper, row_lower,
         row_upper, start, index, value, np.zeros(n, dtype=np.int32))
     if passed == hs.HighsStatus.kError:
@@ -610,11 +585,12 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     The program has one column m_j per non-peripheral 1-cell and a last
     column t >= 0, the objective t, box rows 2j: m_j - t <= 0 and
     2j+1: -m_j - t <= 0, and one equality row per interior relator face,
-    read off the window's boundary rows.  It goes to HiGHS column-wise,
-    assembled with numpy, through ``linprog``.  HiGHS solves it in floating
-    point.  With exact=True the answer is a rational Primitive or Infeasible
-    only when an exact certificate checks (see _certified); otherwise
-    LpSolverError is raised."""
+    read off the window's boundary rows.  It goes to HiGHS through
+    ``linprog`` row by row: the box rows, then the relator rows that the
+    exact check reads.  HiGHS solves it in floating point.  With exact=True
+    the answer is a rational Primitive or Infeasible only when an exact
+    certificate checks (see _certified); otherwise LpSolverError is
+    raised."""
     import numpy as np
     if z.dim != 2:
         raise ValueError("target must be a 2-cochain")
@@ -644,25 +620,14 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     rows = (indptr, cols, coefs)
     rhs = [z.get(f) for f in faces]
     n = len(variables)
-    # column j < n: rows 2j (+1) and 2j+1 (-1), then its relator rows in
-    # row order; column n (t): -1 on rows 0..2n-1
-    col = np.array(cols, dtype=np.int32)
-    per_column = np.bincount(col, minlength=n) + 2
-    start = np.zeros(n + 2, dtype=np.int32)
-    np.cumsum(per_column, out=start[1:n + 1])
-    start[n + 1] = start[n] + 2 * n
-    index = np.empty(start[n + 1], dtype=np.int32)
-    value = np.empty(start[n + 1])
-    box, two = start[:n], 2 * np.arange(n, dtype=np.int32)
-    index[box], value[box] = two, 1.0
-    index[box + 1], value[box + 1] = two + 1, -1.0
-    order = np.argsort(col, kind="stable")
-    place = 2 * col[order] + 2 + np.arange(len(cols), dtype=np.int32)
-    index[place] = 2 * n + np.repeat(np.arange(len(faces), dtype=np.int32),
-                                     np.diff(indptr))[order]
-    value[place] = np.array(coefs, dtype=float)[order]
-    index[start[n]:] = np.arange(2 * n, dtype=np.int32)
-    value[start[n]:] = -1.0
+    # box rows 2j and 2j+1 hold m_j (+1, then -1) and t (-1)
+    box = np.full((n, 4), n, dtype=np.int32)
+    box[:, 0] = box[:, 2] = np.arange(n)
+    start = np.concatenate([np.arange(0, 4 * n, 2, dtype=np.int32),
+                            4 * n + np.array(indptr, dtype=np.int32)])
+    index = np.concatenate([box.ravel(), np.array(cols, dtype=np.int32)])
+    value = np.concatenate([np.tile([1.0, -1.0, -1.0, -1.0], n),
+                            np.array(coefs, dtype=float)])
     b_eq = np.array([float(v) for v in rhs])
     row_lower = np.concatenate([np.full(2 * n, -np.inf), b_eq])
     row_upper = np.concatenate([np.zeros(2 * n), b_eq])

@@ -111,10 +111,12 @@ def _generator_words(P: RelativePresentation):
             yield Word((HLetter(lam, h),))
 
 
-def validate_relaut(P: RelativePresentation, O,
-                    alpha: RelAutomorphism) -> AutoReport:
+def _structure_failures(P: RelativePresentation,
+                        alpha: RelAutomorphism) -> list:
+    """The failures of the checks that alpha's data has the shape
+    apply_automorphism reads: an x image per symbol, a permutation sigma
+    and, per factor, a homomorphism onto the factor sigma sends it to."""
     failures: list = []
-
     if set(alpha.x_images) != set(P.x_symbols):
         failures.append(("x-images", "wrong symbol set"))
     if set(alpha.sigma) != set(P.models) or \
@@ -151,6 +153,12 @@ def validate_relaut(P: RelativePresentation, O,
                     failures.append(("model-map",
                                      f"factor {lam} map is not a "
                                      f"homomorphism"))
+    return failures
+
+
+def validate_relaut(P: RelativePresentation, O,
+                    alpha: RelAutomorphism) -> AutoReport:
+    failures = _structure_failures(P, alpha)
     if failures:
         return AutoReport(ok=False, failures=tuple(failures))
 
@@ -173,6 +181,9 @@ def validate_relaut(P: RelativePresentation, O,
 
     if alpha.inverse is None:
         failures.append(("inverse", "no inverse data supplied"))
+    elif broken := _structure_failures(P, alpha.inverse):
+        # the composition checks apply the inverse: it must have its shape
+        failures += [(f"inverse-{k}", w) for k, w in broken]
     else:
         for w in _generator_words(P):
             fwd = apply_automorphism(P, alpha, apply_automorphism(

@@ -51,6 +51,7 @@ from .presentation import (
     int_tuple,
     is_int,
     letter_count,
+    load_json,
 )
 
 # ---------------------------------------------------------------------------
@@ -698,7 +699,8 @@ class PluginOracle(NormalFormOracle):
         if not reply:
             raise OracleInvalidError("plugin closed its output stream")
         try:
-            nf = decode_word(self.P, json.loads(reply), "plugin reply")
+            nf = decode_word(self.P, load_json(reply, "plugin reply"),
+                             "plugin reply")
         except (json.JSONDecodeError, ParseError) as exc:
             raise OracleInvalidError(f"bad plugin reply: {exc}") from None
         self._cache[key] = nf

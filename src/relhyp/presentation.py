@@ -11,7 +11,7 @@ reduce many words intern a presentation's letters as int codes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import json
@@ -56,7 +56,6 @@ class FreeAbelianModel:
     """Z^rank with elements stored as integer tuples."""
 
     rank: int
-    kind: str = field(default="Z^d", init=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -144,7 +143,6 @@ class FiniteTableModel:
     inverse_table: tuple[int, ...]
     identity_index: int
     names: tuple[str, ...] | None = None
-    kind: str = field(default="finite", init=False)
 
     def __post_init__(self):
         n = self.size
@@ -252,7 +250,6 @@ class FreeGroupModel:
     """Free group of given rank; elements are reduced tuples of nonzero ints."""
 
     rank: int
-    kind: str = field(default="F_k", init=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -765,12 +762,16 @@ _TOO_LONG = object()
 
 def load_json(text: str, root: str = ""):
     """json.loads(text).  An integer literal with more digits than int()
-    reads raises ParseError at its path below root, not a bare ValueError;
-    malformed JSON raises json.JSONDecodeError as before."""
+    reads raises ParseError at its path below root, not a bare ValueError,
+    and so does nesting deeper than the decoder recurses, at root, not a
+    RecursionError; malformed JSON raises json.JSONDecodeError as before."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
+    except RecursionError:
+        raise ParseError("expected JSON nested less deeply than the decoder "
+                         "recurses", root) from None
     except ValueError:
         pass
 
@@ -796,9 +797,12 @@ def load_json(text: str, root: str = ""):
                 return found
         return None
 
+    try:
+        path = find(json.loads(text, parse_int=literal), root)
+    except RecursionError:
+        path = root
     raise ParseError(f"expected an integer of at most "
-                     f"{sys.get_int_max_str_digits()} digits",
-                     find(json.loads(text, parse_int=literal), root))
+                     f"{sys.get_int_max_str_digits()} digits", path)
 
 
 def decode_finite_table(obj: dict, path: str) -> FiniteTableModel:

@@ -200,6 +200,9 @@ def test_loop_literal_errors_carry_positions(docs):
         cli.loop_literal_parse(Pz, "h9^1")
     with pytest.raises(ParseError):
         cli.loop_literal_parse(Pz, "h1^[1")
+    with pytest.raises(ParseError) as err:
+        cli.loop_literal_parse(Pz, "h1^" + "[" * 5000 + "]" * 5000)
+    assert "token 1" in err.value.path
     with pytest.raises(ParseError):
         cli.loop_literal_parse(Pz, "h1")
 
@@ -227,16 +230,33 @@ def test_missing_file_exits_2(docs, capsys, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+def _identity_action_doc(inverse_sigma) -> dict:
+    """The identity action on z_example, its inverse's sigma as given."""
+    alpha = {"x_images": {}, "sigma": {"1": 1, "2": 2},
+             "peripheral_maps": {"1": [1], "2": [1]}, "conjugators": {}}
+    return {"basis": 1, "automorphisms": [
+        dict(alpha, inverse=dict(alpha, sigma=inverse_sigma))]}
+
+
 def test_invalid_action_exits_3(docs, capsys, tmp_path):
-    bad = f2_stretch_action_doc()
-    bad["automorphisms"][0]["inverse"]["x_images"] = {
+    wrong = f2_stretch_action_doc()
+    wrong["automorphisms"][0]["inverse"]["x_images"] = {
         "x": [{"x": "y", "sign": 1}], "y": [{"x": "x", "sign": 1}]}
-    path = tmp_path / "bad-action.json"
-    path.write_text(json.dumps(bad))
-    code, _, err = run_cli(capsys, "flare", "--input", docs["f2"],
-                           "--action", str(path), "--factor", "1.5",
-                           "--distance", "1", "--min-length", "1")
-    assert code == 3 and "invalid action" in err
+    # an inverse that apply_automorphism cannot read: no image of y, and a
+    # sigma that leaves factor 2 out
+    short = f2_stretch_action_doc()
+    del short["automorphisms"][0]["inverse"]["x_images"]["y"]
+    cases = [(wrong, "f2", "basis-1-composition (y)"),
+             (short, "f2", "basis-1-inverse-x-images (wrong symbol set)"),
+             (_identity_action_doc({"1": 1}), "z",
+              "basis-1-inverse-sigma (not a permutation")]
+    for action, doc, failure in cases:
+        path = tmp_path / "bad-action.json"
+        path.write_text(json.dumps(action))
+        code, _, err = run_cli(capsys, "flare", "--input", docs[doc],
+                               "--action", str(path), "--factor", "1.5",
+                               "--distance", "1", "--min-length", "1")
+        assert code == 3 and "invalid action" in err and failure in err
 
 
 def _quotient_doc(kind, **change):
@@ -270,11 +290,13 @@ def test_finite_quotient_images_are_validated(capsys, tmp_path, change,
 # written out as 5,000 digits, more than int() and str() convert by default:
 # an integer literal and an object key
 LONG_INT, LONG_KEY = "<long integer>", "<long key>"
+# written out as lists nested 100,000 deep, deeper than json.loads recurses
+DEEP = "<deep list>"
 
 
 def _long_digits(text: str) -> str:
-    return text.replace(f'"{LONG_INT}"', "9" * 5000).replace(LONG_KEY,
-                                                             "9" * 5000)
+    return text.replace(f'"{LONG_INT}"', "9" * 5000).replace(
+        LONG_KEY, "9" * 5000).replace(f'"{DEEP}"', "[" * 100000 + "]" * 100000)
 
 
 @pytest.mark.parametrize("kind, change, path", [
@@ -294,6 +316,8 @@ def _long_digits(text: str) -> str:
     ("action", {"sigma": {LONG_KEY: 1}}, "action.automorphisms[0].sigma"),
     ("action", {"x_images": {"x": [{"x": "x", "sign": LONG_INT}]}},
      "action.automorphisms[0].x_images.x[0].sign"),
+    ("document", {"x": DEEP}, "error"),
+    ("action", {"sigma": [LONG_INT, DEEP]}, "action"),
 ])
 def test_untrusted_json_shapes_exit_2(capsys, tmp_path, kind, change, path):
     action = f2_stretch_action_doc()

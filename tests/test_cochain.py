@@ -13,6 +13,7 @@ from relhyp import cochain
 from relhyp.cochain import (
     BASE_VERTEX,
     COSET_EDGE,
+    COSET_VERTEX,
     GEN_EDGE,
     PERIPHERAL_EDGE,
     PERIPHERAL_FACE,
@@ -26,7 +27,6 @@ from relhyp.cochain import (
     build_window,
     chain_rel_length,
     coboundary,
-    coboundary_family,
     coset_edge,
     coset_vertex,
     gen_edge,
@@ -38,11 +38,10 @@ from relhyp.cochain import (
     relator_indicator_family,
     rel_weight,
     window_to_json,
-    zero_family,
 )
 from relhyp.cayley import ball_to_csv, ball_to_json, truncated_ball
 from relhyp.errors import LpSolverError
-from relhyp.presentation import EMPTY_WORD, Word
+from relhyp.presentation import EMPTY_WORD, HLetter, Word
 from relhyp.presets import (
     f2, free_product_zz, hz, x_squared, z2, z_example, zmod2_star)
 
@@ -114,8 +113,9 @@ def test_window_edges_and_interior_faces_stay_in_the_window(build):
     P, O = build()
     for rho in range(3):
         W = build_window(P, O, radius=2, rho=rho)
-        for c in W.cells_of_dim(1) + tuple(W.interior):
-            assert all(b in W.cell_set for b, _ in W.boundary[c]), c
+        n0, n1 = len(W.cells_of_dim(0)), len(W.cells_of_dim(1))
+        for n in [*range(n0, n0 + n1), *W.inner]:
+            assert all(b < W.size for b, _ in W.terms(n)), W.cell_ids[n]
 
 
 def test_face_boundary_matches_hand_computation():
@@ -123,9 +123,8 @@ def test_face_boundary_matches_hand_computation():
     W = build_window(P, O, radius=1, rho=1)
     e = O.normal_form(EMPTY_WORD)
     g1 = O.normal_form(Word((hz(1, 1),)))
-    rep1 = W.coset_rep(1, e)
-    rep2 = W.coset_rep(2, e)
-    assert rep1 == e and rep2 == e
+    assert {coset_vertex(1, e), coset_vertex(2, e)} <= \
+        set(W.cells_of_dim(0))
     expected = {
         coset_edge(1, e): 1,
         peripheral_edge(1, e, (1,)): 1,
@@ -141,11 +140,17 @@ def test_coset_representative_is_least_normal_form():
     P, O = zmod2_star()
     W = build_window(P, O, radius=2, rho=1)
     e = O.normal_form(EMPTY_WORD)
-    a = O.normal_form(Word((hz(1, 1),)))
+    a = O.normal_form(Word((HLetter(1, 1),)))
+    b = O.normal_form(Word((HLetter(2, 1),)))
+    assert a != e and b != e
+    reps = {c.translate for c in W.cells_of_dim(0)
+            if c.kind == COSET_VERTEX and c.data == (1,)}
     # the coset a * H_1 equals H_1, represented by the empty word
-    assert W.coset_rep(1, a) == e
-    b = O.normal_form(Word((hz(2, 1),)))
-    assert W.coset_rep(1, b) == b
+    assert e in reps and a not in reps
+    assert b in reps
+    # a's coset edge ends at the vertex of its coset, e H_1
+    assert dict(W.boundary[coset_edge(1, a)]) == {coset_vertex(1, e): 1,
+                                                  base_vertex(a): -1}
 
 
 def test_multiplication_face_boundary_doubles_involution_edge():
@@ -225,7 +230,7 @@ def test_window_and_lp_outputs_are_pinned():
 def test_cells_keep_the_hash_of_their_fields():
     P, O = z_example()
     W = build_window(P, O, radius=2, rho=1)
-    for c in W.cell_set:
+    for c in W.cell_ids[:W.size]:
         first = hash(c)
         fresh = CellId(c.kind, Word(tuple(c.translate)), c.data)
         assert fresh == c and hash(fresh) == first == hash(c)
@@ -549,7 +554,7 @@ def test_highs_driver_matches_linprog(case, monkeypatch):
         ref = _reference_program(W, z)
         c, kwargs, got = _driver_run(W, z, monkeypatch)
         A = vstack([ref["A_ub"]] + ([ref["A_eq"]] if ref["A_eq"] is not None
-                                    else [])).tocsc()
+                                    else [])).tocsr()
         assert kwargs["start"].tolist() == A.indptr.tolist()
         assert kwargs["index"].tolist() == A.indices.tolist()
         assert kwargs["value"].tobytes() == A.data.tobytes()
@@ -576,11 +581,11 @@ def test_highs_driver_matches_linprog(case, monkeypatch):
         assert len(got.eqlin.marginals) == 0
 
 
-def _columns(A):
-    """A dense matrix as the driver's column-wise arrays."""
+def _rows(A):
+    """A dense matrix as the driver's row-wise arrays."""
     import numpy as np
-    from scipy.sparse import csc_array
-    A = csc_array(np.array(A, dtype=float))
+    from scipy.sparse import csr_array
+    A = csr_array(np.array(A, dtype=float))
     return dict(start=A.indptr.astype(np.int32),
                 index=A.indices.astype(np.int32), value=A.data)
 
@@ -607,7 +612,7 @@ def test_highs_driver_statuses_are_linprogs(program, status):
     lo, hi = program["bounds"]
     n = len(program["c"])
     got = cochain.linprog(
-        np.array(program["c"]), **_columns(A),
+        np.array(program["c"]), **_rows(A),
         row_lower=np.array([-np.inf] * n_ub + b_eq),
         row_upper=np.array(program.get("b_ub", []) + b_eq),
         col_lower=np.full(n, -np.inf if lo is None else lo),
@@ -620,8 +625,8 @@ def test_highs_driver_statuses_are_linprogs(program, status):
 
 def test_highs_driver_rejects_malformed_programs():
     """HiGHS reads each array to the length the sizes give, so lengths that
-    do not fit are refused before the call; a model HiGHS refuses (a row
-    index past the rows) is status 4."""
+    do not fit are refused before the call; a model HiGHS refuses (a column
+    index past the columns) is status 4."""
     import numpy as np
     program = dict(row_lower=np.array([1.0]), row_upper=np.array([np.inf]),
                    col_lower=np.array([0.0]), col_upper=np.array([np.inf]))
@@ -704,7 +709,7 @@ def test_growth_scan_exact_mode():
 
 def test_growth_scan_zero_family_is_bounded():
     P, O = z_example()
-    scan = growth_scan(P, O, zero_family(), [4, 8, 16])
+    scan = growth_scan(P, O, lambda W: Cochain(2, {}), [4, 8, 16])
     assert all(v == 0 for _, v in scan.rows)
     assert scan.verdict == "bounded-consistent"
 
@@ -716,7 +721,8 @@ def test_growth_scan_coboundary_family_stays_below_source_norm():
         return Cochain(1, {c: 1 for c in W.cells_of_dim(1)
                            if c.kind == GEN_EDGE})
 
-    scan = growth_scan(P, O, coboundary_family(h_builder), [2, 4, 6], rho=0)
+    scan = growth_scan(P, O, lambda W: coboundary(W, h_builder(W)),
+                       [2, 4, 6], rho=0)
     assert all(v <= 1 + 1e-9 for _, v in scan.rows)
     assert scan.verdict == "bounded-consistent"
 

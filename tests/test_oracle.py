@@ -357,15 +357,19 @@ def test_plugin_oracle_speaks_line_json(tmp_path):
 
 
 def test_plugin_oracle_bad_reply_is_an_oracle_error(tmp_path):
-    script = tmp_path / "broken.py"
-    script.write_text("import sys\n"
-                      "for line in sys.stdin:\n"
-                      "    sys.stdout.write('not json\\n')\n"
-                      "    sys.stdout.flush()\n")
-    P, _ = z_example()
-    with pytest.raises(OracleInvalidError):
-        ora.build_oracle(P, {"kind": "plugin",
-                             "command": [sys.executable, str(script)]})
+    # not JSON, and lists nested deeper than json.loads recurses
+    for reply, message in (("'not json'", "Expecting value"),
+                           ("'[' * 100000 + ']' * 100000",
+                            "plugin reply: expected JSON nested less")):
+        script = tmp_path / "broken.py"
+        script.write_text("import sys\n"
+                          "for line in sys.stdin:\n"
+                          f"    sys.stdout.write({reply} + '\\n')\n"
+                          "    sys.stdout.flush()\n")
+        P, _ = z_example()
+        with pytest.raises(OracleInvalidError, match=message):
+            ora.build_oracle(P, {"kind": "plugin",
+                                 "command": [sys.executable, str(script)]})
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +528,10 @@ COSET_GROUPS = dict(STEP_GROUPS, free_group_quotient=_free_group_quotient())
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_coset_of_key_is_the_coset_of_the_keys_element(data):
+    """Coset keys against references that read no element key: w and w h
+    share one for each h of the factor up to length 2, and on an integer
+    quotient it is w's image vector reduced modulo the factor's image
+    lattice."""
     name = data.draw(st.sampled_from(sorted(COSET_GROUPS)))
     P, O = COSET_GROUPS[name]
     alphabet = ball_alphabet(P, 3)
@@ -531,7 +539,15 @@ def test_coset_of_key_is_the_coset_of_the_keys_element(data):
                                       max_size=10))))
     key = O.element_key(w)
     for lam in sorted(P.models):
-        assert O.coset_of_key(key, lam) == O.coset_key(w, lam)
+        coset = O.coset_of_key(key, lam)
+        for h in P.models[lam].elements_up_to(2):
+            wh = O.element_key(w + Word((HLetter(lam, h),)))
+            assert O.coset_of_key(wh, lam) == coset, h
+        if isinstance(O, ora.IntegerQuotientOracle):
+            lattice = ora.row_echelon_lattice([
+                O.image_vector(Word((HLetter(lam, g),)))
+                for g in P.models[lam].generators()])
+            assert coset == ora.reduce_mod(lattice, O.image_vector(w))
 
 
 def test_oracles_answer_on_keys_and_leave_word_forms_to_the_base():
