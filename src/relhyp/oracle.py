@@ -68,8 +68,9 @@ def column_echelon(A: list[list[int]]):
     m = len(A[0]) if d else 0
     H = [list(row) for row in A]
     V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    col = 0
+    pivots = []
     for row in range(d):
+        col = len(pivots)
         piv = next((j for j in range(col, m) if H[row][j] != 0), None)
         if piv is None:
             continue
@@ -81,14 +82,7 @@ def column_echelon(A: list[list[int]]):
                 _col_swap(H, V, col, j)
         if H[row][col] < 0:
             _col_addmul(H, V, col, col, -2)
-        col += 1
-    pivots = []
-    r = 0
-    for c in range(col):
-        while H[r][c] == 0:
-            r += 1
-        pivots.append((r, c))
-        r += 1
+        pivots.append((row, col))
     return H, V, pivots
 
 
@@ -151,6 +145,11 @@ def reduce_mod(ech_rows: list, vec) -> tuple[int, ...]:
             for i in range(len(v)):
                 v[i] -= q * row[i]
     return tuple(v)
+
+
+def _in_any(lattices, vec) -> bool:
+    """Whether vec lies in one of the lattices with these echelon bases."""
+    return any(not any(reduce_mod(ech, vec)) for ech in lattices)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +376,19 @@ class IntegerQuotientOracle(NormalFormOracle):
         self._code_vecs: dict = {}     # code -> its letter's slot vector
         self._A = [[col[i] for col in columns] for i in range(dim)]
         self._kernel_ech = row_echelon_lattice(integer_kernel(self._A))
-        self._perip_lattices = {
-            lam: row_echelon_lattice(self._columns(start, count))
-            for lam, (start, count) in self._slots.model_cols.items()
-        }
+        # each free image's letter: the first in symbol order, +1 before -1
+        self._x_letters: dict = {}
+        for sym, col in sorted(self._slots.x_col.items()):
+            for s in (1, -1):
+                self._x_letters.setdefault(tuple(s * a for a in columns[col]),
+                                           XLetter(sym, s))
+        # the image lattice of each factor and of each pair of factors
+        factors = {lam: columns[start:start + count]
+                   for lam, (start, count) in self._slots.model_cols.items()}
+        self._perip_lattices = {lam: row_echelon_lattice(cols)
+                                for lam, cols in factors.items()}
+        self._pair_lattices = [row_echelon_lattice(factors[i] + factors[j])
+                               for i in factors for j in factors if i < j]
         _check_relators(P, self)
 
     def _vec(self, v, what) -> tuple[int, ...]:
@@ -390,10 +398,6 @@ class IntegerQuotientOracle(NormalFormOracle):
         if len(v) != self.dim or not all(map(is_int, v)):
             raise OracleInvalidError(f"{what}: expected {self.dim} integers")
         return v
-
-    def _columns(self, start: int, count: int) -> list[tuple[int, ...]]:
-        """Images of the generator slots start .. start+count-1."""
-        return [tuple(row[start + j] for row in self._A) for j in range(count)]
 
     def image_vector(self, w: Word) -> tuple[int, ...]:
         return self._image(self._slots.epsilon(w))
@@ -433,66 +437,34 @@ class IntegerQuotientOracle(NormalFormOracle):
 
     def _one_letter(self, u):
         """A single letter with image u, or None."""
-        for sym, col in sorted(self._slots.x_col.items()):
-            (img,) = self._columns(col, 1)
-            if img == tuple(u):
-                return XLetter(sym, 1)
-            if tuple(-a for a in img) == tuple(u):
-                return XLetter(sym, -1)
+        one = self._x_letters.get(tuple(u))
+        if one is not None:
+            return one
         for lam in sorted(self.P.models):
             e = self.solve_in_model(lam, u)
             if e is not None:
                 return HLetter(lam, e)
         return None
 
-    def _letter_lattices(self):
-        """(source, nonzero generator images, is a free symbol) per free
-        symbol and per model with a nonzero image, in a fixed order."""
-        out = [(sym, self._columns(col, 1), True)
-               for sym, col in sorted(self._slots.x_col.items())]
-        for lam, (start, count) in self._slots.model_cols.items():
-            nz = [r for r in self._columns(start, count) if any(r)]
-            if nz:
-                out.append((lam, nz, False))
-        return out
+    def _is_letter(self, u) -> bool:
+        """Whether u is a free letter's image or in a factor's lattice."""
+        return u in self._x_letters or \
+            _in_any(self._perip_lattices.values(), u)
 
     def rel_length_of_key(self, key) -> RelLength:
-        """Exact up to two letters, by lattice membership of the image;
+        """Exact up to two letters, by membership of the image: in a pair
+        of factors' sum lattice, or one letter away from a free image;
         bounded below by 3 beyond."""
         u = self._image(key)
         if not any(u):
             return RelLength.exact(0)
-        if self._one_letter(u) is not None:
+        if self._is_letter(u):
             return RelLength.exact(1)
-        # two letters: a sum of letter images from two sources
-        singles = self._letter_lattices()
-        for i, (src_i, rows_i, free_i) in enumerate(singles):
-            for src_j, rows_j, free_j in singles[i:]:
-                if free_i and free_j:
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            tot = tuple(si * a + sj * b
-                                        for a, b in zip(rows_i[0], rows_j[0]))
-                            if tot == u:
-                                return RelLength.exact(2)
-                elif free_i or free_j:
-                    xrow = rows_i[0] if free_i else rows_j[0]
-                    lat = rows_j if free_i else rows_i
-                    ech = row_echelon_lattice(list(lat))
-                    for s in (1, -1):
-                        rest = tuple(a - s * b for a, b in zip(u, xrow))
-                        if any(rest) and ech and not any(reduce_mod(ech, rest)):
-                            return RelLength.exact(2)
-                else:
-                    if src_i == src_j:
-                        continue  # two letters of one factor merge into one
-                    ech = row_echelon_lattice(list(rows_i) + list(rows_j))
-                    if ech and not any(reduce_mod(ech, u)):
-                        # membership in the sum with u outside both factors
-                        # forces a genuinely two-letter decomposition
-                        return RelLength.exact(2)
-        upper = letter_count(self.word(key))
-        return RelLength(3, max(3, upper))
+        if _in_any(self._pair_lattices, u) or any(
+                self._is_letter(tuple(map(operator.sub, u, a)))
+                for a in self._x_letters):
+            return RelLength.exact(2)
+        return RelLength(3, max(3, letter_count(self.word(key))))
 
     def geodesic(self, w: Word, n: int) -> Word | None:
         if n != 1:
@@ -660,7 +632,11 @@ class PluginOracle(NormalFormOracle):
         self.command = list(command)
         self._proc: subprocess.Popen | None = None
         self._cache: dict[tuple, Word] = {}
-        _check_relators(P, self)
+        try:
+            _check_relators(P, self)
+        except BaseException:
+            self.close()
+            raise
 
     def _ensure(self):
         if self._proc is None or self._proc.poll() is not None:

@@ -2,6 +2,7 @@
 grammar, exit codes, and byte-determinism of artifacts."""
 
 import ast
+from collections import Counter
 import json
 import os
 from pathlib import Path
@@ -536,6 +537,45 @@ def test_every_imported_name_is_used():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_every_private_definition_is_used():
+    # module-level private functions, classes and constants, and private
+    # methods, each read somewhere in the package outside its own definition
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
+
+    def reads(node):
+        out = Counter()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out[n.id] += 1
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out[n.attr] += 1
+        return out
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    read = sum(map(reads, trees), Counter())
+    defs = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defs += [(t.id, node) for t in targets
+                         if isinstance(t, ast.Name) and private(t.id)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if private(node.name):
+                    defs.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    defs += [(m.name, m) for m in node.body
+                             if isinstance(m, ast.FunctionDef)
+                             and private(m.name)]
+    unused = sorted(name for name, node in defs
+                    if read[name] == reads(node)[name])
     assert unused == []
 
 

@@ -1,8 +1,11 @@
 """Oracle backends: integer lattices, normal forms, validity, plugins, and
 the budgeted word-problem solver."""
 
+import hashlib
 import itertools
 import json
+import random
+import subprocess
 import sys
 
 import numpy as np
@@ -218,6 +221,83 @@ def test_integer_quotient_with_a_free_group_model():
     assert filling.relative_area(P, O, loop).area == 1
 
 
+def _integer_quotient_doc(dim, x_images, models, model_images):
+    """A document of an integer quotient with no relators; models maps each
+    label to its model object less the label."""
+    return {"x": sorted(x_images),
+            "models": [dict(m, label=lam) for lam, m in models.items()],
+            "relators": [],
+            "oracle": {"kind": "integer_quotient", "dim": dim,
+                       "x_images": x_images,
+                       "model_images": {str(lam): rows for lam, rows
+                                        in model_images.items()}}}
+
+
+def test_integer_quotient_two_letters_from_each_pair_of_sources(monkeypatch):
+    # a -> (1, 0), h1 -> (0, 2), h2 -> (3, 0): (1, 2) is a free letter plus
+    # a factor's, (3, 2) one letter of each factor and (2, 2) neither
+    z = {"kind": "Z^d", "rank": 1}
+    P, cfg = parse_document(json.dumps(_integer_quotient_doc(
+        2, {"a": [1, 0]}, {1: z, 2: z}, {1: [[0, 2]], 2: [[3, 0]]})))
+    O = ora.build_oracle(P, cfg)
+
+    def unused(*args):
+        raise AssertionError("lattice built after construction")
+
+    monkeypatch.setattr(ora, "row_echelon_lattice", unused)
+    monkeypatch.setattr(ora, "column_echelon", unused)
+    cases = [(xw("a") + Word((hz(1, 1),)), 2),
+             (Word((hz(2, 1), hz(1, 1))), 2),
+             (xw("a", "a") + Word((hz(1, 1),)), 3),
+             (Word((hz(1, 3),)), 1),
+             (xw("a", "a"), 2)]
+    for w, n in cases:
+        assert O.rel_length(w) == ora.RelLength.exact(n), w
+    assert O.coset_key(xw("a") + Word((hz(1, 1),)), 1) == (1, 0)
+    assert O.coset_key(Word((hz(2, 1), hz(1, 1))), 2) == (0, 2)
+
+
+def _random_integer_quotient(rng):
+    """Dim 1-3, 0-2 free symbols and 1-3 factors of every kind, images in
+    [-2, 2], no relators."""
+    dim = rng.randint(1, 3)
+
+    def image():
+        return [rng.randint(-2, 2) for _ in range(dim)]
+
+    models, model_images = {}, {}
+    for lam in range(1, rng.randint(1, 3) + 1):
+        kind = rng.choice(["Z^d", "F_k", "finite"])
+        if kind == "finite":
+            models[lam] = {"kind": kind, "size": 2, "table": [[0, 1], [1, 0]]}
+        else:
+            models[lam] = {"kind": kind, "rank": rng.randint(1, 2)}
+            model_images[lam] = [image() for _ in range(models[lam]["rank"])]
+    x_images = {sym: image() for sym in "ab"[:rng.randint(0, 2)]}
+    P, cfg = parse_document(json.dumps(_integer_quotient_doc(
+        dim, x_images, models, model_images)))
+    return P, ora.build_oracle(P, cfg)
+
+
+def test_integer_quotient_answers_are_pinned():
+    """Lengths, one-letter geodesics and coset keys of seeded random integer
+    quotients, at words of seeded slot vectors: any change to an answer
+    changes the digest."""
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        P, O = _random_integer_quotient(rng)
+        for _ in range(40):
+            w = P.slots.word([rng.randint(-2, 2)
+                              for _ in range(P.slots.size)])
+            n = O.rel_length(w)
+            cosets = [O.coset_key(w, lam) for lam in sorted(P.models)]
+            digest.update(repr((n.lower, n.upper, O.geodesic(w, 1),
+                                cosets)).encode())
+    assert digest.hexdigest() == \
+        "040f37e9414a78f3977405dfd6f483403b11abe7294736a56798178548eb7ce3"
+
+
 # ---------------------------------------------------------------------------
 # finite-quotient oracle
 
@@ -356,7 +436,15 @@ def test_plugin_oracle_speaks_line_json(tmp_path):
         assert O.normal_form(Word((hz(1, 3),))) == Word((hz(1, 3),))
 
 
-def test_plugin_oracle_bad_reply_is_an_oracle_error(tmp_path):
+def test_plugin_oracle_bad_reply_is_an_oracle_error(tmp_path, monkeypatch):
+    children = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(ora.subprocess, "Popen", Recording)
     # not JSON, and lists nested deeper than json.loads recurses
     for reply, message in (("'not json'", "Expecting value"),
                            ("'[' * 100000 + ']' * 100000",
@@ -370,6 +458,9 @@ def test_plugin_oracle_bad_reply_is_an_oracle_error(tmp_path):
         with pytest.raises(OracleInvalidError, match=message):
             ora.build_oracle(P, {"kind": "plugin",
                                  "command": [sys.executable, str(script)]})
+        # the failed construction closed the plugin it started
+        assert children and all(p.poll() is not None for p in children)
+        children.clear()
 
 
 # ---------------------------------------------------------------------------
