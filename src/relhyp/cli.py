@@ -139,15 +139,6 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_presentation(args, need_oracle: bool = True):
-    P, oracle_doc = parse_document(_read_text(args.input))
-    if oracle_doc is None:
-        if need_oracle:
-            raise ParseError("document has no oracle section", "oracle")
-        return P, None
-    return P, build_oracle(P, oracle_doc)
-
-
 def _load_action(P, O, args):
     try:
         doc = load_json(_read_text(args.action), "action")
@@ -197,8 +188,7 @@ def _bool(v) -> str:
 # subcommands
 
 
-def _cmd_parse(args) -> str:
-    P, O = _load_presentation(args, need_oracle=False)
+def _cmd_parse(args, P, O) -> str:
     return _json_out(args, {
         "presentation": presentation_to_doc(P),
         "oracle_kind": None if O is None else O.kind,
@@ -207,8 +197,7 @@ def _cmd_parse(args) -> str:
     })
 
 
-def _cmd_ball(args) -> str:
-    P, O = _load_presentation(args)
+def _cmd_ball(args, P, O) -> str:
     ball = truncated_ball(P, O, args.radius, args.peripheral_bound,
                           max_vertices=args.max_vertices)
     if args.format == "json":
@@ -219,8 +208,7 @@ def _cmd_ball(args) -> str:
     return "\n".join(lines) + "\n" + ball_to_csv(P, ball)
 
 
-def _cmd_length(args) -> str:
-    P, O = _load_presentation(args)
+def _cmd_length(args, P, O) -> str:
     w = loop_literal_parse(P, args.loop)
     L = rel_length(P, O, w)
     return _json_out(args, {
@@ -232,8 +220,7 @@ def _cmd_length(args) -> str:
     })
 
 
-def _cmd_area(args) -> str:
-    P, O = _load_presentation(args)
+def _cmd_area(args, P, O) -> str:
     w = loop_literal_parse(P, args.loop)
     out = relative_area(P, O, w, max_area=args.max_area, max_len=args.max_len,
                         max_states=args.max_states)
@@ -245,8 +232,7 @@ def _cmd_area(args) -> str:
                             "moves": len(out.trace)})
 
 
-def _cmd_dehn_profile(args) -> str:
-    P, O = _load_presentation(args)
+def _cmd_dehn_profile(args, P, O) -> str:
     prof = dehn_profile(P, O, n_max=args.n_max, rho=args.peripheral_bound,
                         max_area=args.max_area, max_len=args.max_len)
     lines = _csv_head(args, {"exact": _bool(prof.exact)})
@@ -257,8 +243,7 @@ def _cmd_dehn_profile(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_window_lp(args) -> str:
-    P, O = _load_presentation(args)
+def _cmd_window_lp(args, P, O) -> str:
     scan = growth_scan(P, O, relator_indicator_family(), args.radii,
                        rho=args.peripheral_bound, exact=args.exact)
     lines = _csv_head(args, {"slope": _num(float(scan.slope)),
@@ -270,8 +255,7 @@ def _cmd_window_lp(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_flare(args) -> str:
-    P, O = _load_presentation(args)
+def _cmd_flare(args, P, O) -> str:
     action = _load_action(P, O, args)
     ball = truncated_ball(P, O, args.g_radius, args.peripheral_bound).vertices
     sample = list(ball)
@@ -309,8 +293,7 @@ def _cmd_flare(args) -> str:
     })
 
 
-def _cmd_corridor(args) -> str:
-    P, O = _load_presentation(args)
+def _cmd_corridor(args, P, O) -> str:
     action = _load_action(P, O, args)
     g = loop_literal_parse(P, args.loop)
     corridor = build_corridor(P, O, action, g, args.depth)
@@ -460,8 +443,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    O = None
     try:
-        text = args.func(args)
+        P, oracle_doc = parse_document(_read_text(args.input))
+        if oracle_doc is not None:
+            O = build_oracle(P, oracle_doc)
+        elif args.func is not _cmd_parse:
+            raise ParseError("document has no oracle section", "oracle")
+        text = args.func(args, P, O)
         if args.output:
             pathlib.Path(args.output).write_text(text)
         else:
@@ -478,6 +467,10 @@ def main(argv=None) -> int:
         return _fail(2, exc)
     except OSError as exc:
         return _fail(2, exc)
+    finally:
+        # a plugin oracle's process ends with the command
+        if O is not None:
+            O.close()
     return 0
 
 

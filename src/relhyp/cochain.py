@@ -506,11 +506,15 @@ class Primitive:
     m: Cochain
     norm: object
     exact: bool
+    witness: Chain | None = None
+    """Exact only: the 2-chain check_isoperimetric_witness replays to norm."""
 
 
 @dataclass(frozen=True)
 class Infeasible:
     witness: tuple
+    farkas: Chain | None = None
+    """Exact only: the 2-chain check_farkas replays: no primitive exists."""
 
 
 def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
@@ -528,9 +532,10 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
     bounds within linprog's tolerance 10 sqrt(1e-9), 2 infeasible,
     3 unbounded, 4 anything else, with HiGHS's model status in the message.
     The result has x, eqlin.marginals (the duals of the rows whose two
-    bounds are equal), status and message.  numpy and scipy are imported
-    at the first LP: most commands never solve one, and importing
-    scipy.optimize dominates start-up."""
+    bounds are equal), ray (HiGHS's dual ray on those rows when infeasible,
+    else None), status and message.  numpy and scipy are imported at the
+    first LP: most commands never solve one, and importing scipy.optimize
+    dominates start-up."""
     import numpy as np
     from scipy.optimize._highspy import _core as hs
     n, m = len(c), len(row_lower)
@@ -555,10 +560,14 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
         highs.run()
         model = highs.getModelStatus()
     res = SimpleNamespace(x=None, eqlin=SimpleNamespace(marginals=None),
-                          status=4, message="HiGHS model status "
+                          ray=None, status=4, message="HiGHS model status "
                           + highs.modelStatusToString(model))
     if model == hs.HighsModelStatus.kInfeasible:
         res.status = 2
+        # getDualRayExist() reads False after presolve, yet the ray is there
+        _, has_ray, ray = highs.getDualRay()
+        if has_ray:
+            res.ray = np.array(ray)[row_lower == row_upper]
     elif model == hs.HighsModelStatus.kUnbounded:
         res.status = 3
     elif model == hs.HighsModelStatus.kOptimal:
@@ -586,11 +595,10 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     column t >= 0, the objective t, box rows 2j: m_j - t <= 0 and
     2j+1: -m_j - t <= 0, and one equality row per interior relator face,
     read off the window's boundary rows.  It goes to HiGHS through
-    ``linprog`` row by row: the box rows, then the relator rows that the
-    exact check reads.  HiGHS solves it in floating point.  With exact=True
-    the answer is a rational Primitive or Infeasible only when an exact
-    certificate checks (see _certified); otherwise LpSolverError is
-    raised."""
+    ``linprog`` row by row: the box rows, then the relator rows.  HiGHS
+    solves it in floating point.  With exact=True the answer is a rational
+    Primitive or Infeasible only when an exact certificate checks (see
+    _certified); otherwise LpSolverError is raised."""
     import numpy as np
     if z.dim != 2:
         raise ValueError("target must be a 2-cochain")
@@ -617,8 +625,6 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
                 cols.append(j)
                 coefs.append(s)
         indptr.append(len(cols))
-    rows = (indptr, cols, coefs)
-    rhs = [z.get(f) for f in faces]
     n = len(variables)
     # box rows 2j and 2j+1 hold m_j (+1, then -1) and t (-1)
     box = np.full((n, 4), n, dtype=np.int32)
@@ -628,7 +634,7 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     index = np.concatenate([box.ravel(), np.array(cols, dtype=np.int32)])
     value = np.concatenate([np.tile([1.0, -1.0, -1.0, -1.0], n),
                             np.array(coefs, dtype=float)])
-    b_eq = np.array([float(v) for v in rhs])
+    b_eq = np.array([float(z.get(f)) for f in faces])
     row_lower = np.concatenate([np.full(2 * n, -np.inf), b_eq])
     row_upper = np.concatenate([np.zeros(2 * n), b_eq])
     col_lower = np.full(n + 1, -np.inf)
@@ -639,8 +645,7 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
                   row_lower=row_lower, row_upper=row_upper,
                   col_lower=col_lower, col_upper=np.full(n + 1, np.inf))
     if exact:
-        return _certified(variables, rows, [Fraction(v) for v in rhs], faces,
-                          res, b_eq)
+        return _certified(W, z, variables, faces, res)
     if res.status == 2:
         return Infeasible(witness=tuple(faces))
     if res.status != 0:
@@ -650,67 +655,65 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     return Primitive(m=m, norm=float(res.x[n]), exact=False)
 
 
+def _relative_boundary(W: Window, D: Chain):
+    """The coefficients of boundary D off the peripheral cells, or None
+    unless D is a 2-chain on interior relator faces."""
+    if D.dim != 2 or not all(f.kind == RELATOR_FACE and f in W.interior
+                             for f in D.coeffs):
+        return None
+    return [v for c, v in boundary_chain(W, D).coeffs.items()
+            if not c.is_lbar]
+
+
+def check_isoperimetric_witness(W: Window, z: Cochain, D: Chain):
+    """<z, D> if the 2-chain D lies on interior relator faces and
+    ||boundary D||_1 <= 1 off the peripheral cells, else None.  Such a D
+    bounds every primitive m of z on the window from below (weak duality):
+    <z, D> = <delta m, D> = <m, boundary D> <= ||m||_inf."""
+    bd = _relative_boundary(W, D)
+    return None if bd is None or sum(map(abs, bd)) > 1 else pair(z, D)
+
+
+def check_farkas(W: Window, z: Cochain, D: Chain) -> bool:
+    """Whether the 2-chain D, on interior relator faces with boundary D = 0
+    off the peripheral cells, has <z, D> != 0: then z has no primitive m,
+    as <z, D> = <delta m, D> = <m, boundary D> would be 0 (Farkas)."""
+    return _relative_boundary(W, D) == [] and pair(z, D) != 0
+
+
 # denominator bounds tried, smallest first, when reading a HiGHS solution
-# back as rationals; the certificate checks decide which one is right.  m and
-# y are rounded at one bound together: a coarse bound can turn m alone into
-# another primitive of larger norm, which no rounding of y then matches
+# back as rationals; the checks decide which is right.  m and y share a bound:
+# a coarse one can round m alone to a worse primitive that no y then matches
 _DENOMINATOR_LADDER = (1, 2, 4, 8, 16, 64, 256, 1024, 10 ** 6)
 
 
-def _rounded(values, bound: int) -> list:
-    return [Fraction(float(v)).limit_denominator(bound) for v in values]
+def _rounded(cells, values, bound: int) -> dict:
+    """cell -> value as a rational of denominator <= bound, zeros dropped."""
+    return _clean({c: Fraction(float(v)).limit_denominator(bound)
+                   for c, v in zip(cells, values)})
 
 
-def _apply(rows, m) -> list:
-    """B m, for B given as compressed rows (indptr, columns, coefficients)."""
-    indptr, cols, coefs = rows
-    return [sum(coefs[k] * m[cols[k]] for k in range(a, b))
-            for a, b in zip(indptr, indptr[1:])]
-
-
-def _apply_transpose(rows, y, n: int) -> list:
-    indptr, cols, coefs = rows
-    out = [0] * n
-    for a, b, yi in zip(indptr, indptr[1:], y):
-        for k in range(a, b):
-            out[cols[k]] += coefs[k] * yi
-    return out
-
-
-def _dot(a, b):
-    return sum(u * v for u, v in zip(a, b))
-
-
-def _certified(variables, rows, z, faces, res, b_eq):
-    """Exact verdict from the HiGHS run, or LpSolverError.
-
-    An optimum counts once rational m and equality duals y satisfy B m = z,
-    ||B^T y||_1 <= 1 and <z, y> = max |m_j|: weak duality,
-    <z, y> = <m', B^T y> <= ||m'||_inf for every primitive m', proves m
-    optimal, and y is the isoperimetric witness for its norm.  Infeasibility
-    counts once some y has B^T y = 0 and <z, y> != 0 (Farkas), read from the
-    least-squares residual z - B m, which is orthogonal to the columns of B.
-    """
-    n = len(variables)
-    if res.status == 0:
+def _certified(W: Window, z: Cochain, variables, faces, res):
+    """Exact verdict from the HiGHS run, or LpSolverError.  At each bound
+    of the ladder, y (the row duals at an optimum, the dual ray when
+    infeasible) is read as a 2-chain D on the relator faces.  An optimum
+    counts once the rational m has delta m = z there and D replays through
+    check_isoperimetric_witness to max |m_j|, which proves m optimal;
+    infeasibility counts once D passes check_farkas."""
+    y = res.eqlin.marginals if res.status == 0 else res.ray
+    if y is not None:
         for bound in _DENOMINATOR_LADDER:
-            m = _rounded(res.x[:n], bound)
-            y = _rounded(res.eqlin.marginals, bound)
-            norm = max(map(abs, m), default=Fraction(0))
-            if _apply(rows, m) == z and _dot(z, y) == norm and \
-                    sum(map(abs, _apply_transpose(rows, y, n))) <= 1:
-                return Primitive(m=Cochain(1, _clean(dict(zip(variables, m)))),
-                                 norm=norm, exact=True)
-    elif res.status == 2:
-        import numpy as np
-        indptr, cols, coefs = rows
-        B = np.zeros((len(faces), n))
-        B[np.repeat(np.arange(len(faces)), np.diff(indptr)), cols] = coefs
-        residual = b_eq - B @ np.linalg.lstsq(B, b_eq, rcond=None)[0]
-        for bound in _DENOMINATOR_LADDER:
-            y = _rounded(residual, bound)
-            if _dot(z, y) != 0 and not any(_apply_transpose(rows, y, n)):
-                return Infeasible(witness=tuple(faces))
+            D = Chain(2, _rounded(faces, y, bound))
+            if res.status == 2:
+                if check_farkas(W, z, D):
+                    return Infeasible(witness=tuple(faces), farkas=D)
+                continue
+            m = Cochain(1, _rounded(variables, res.x[:-1], bound))
+            norm = Fraction(m.norm)
+            dm = coboundary(W, m)
+            if all(dm.get(f) == z.get(f) for f in faces) and \
+                    check_isoperimetric_witness(W, z, D) == norm:
+                return Primitive(m=m, norm=norm, exact=True, witness=D)
     raise LpSolverError(f"no exact certificate for the solver result "
                         f"(status {res.status}: {res.message})")
 

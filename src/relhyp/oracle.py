@@ -229,6 +229,15 @@ class NormalFormOracle:
     ``is_trivial``, are written here once, on ``element_key(w)``.
     """
 
+    def close(self):
+        """Release what the oracle holds: by default nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
     def normal_form(self, w: Word) -> Word:
         return self.word(self.element_key(w))
 
@@ -647,17 +656,11 @@ class PluginOracle(NormalFormOracle):
     def close(self):
         if self._proc is not None:
             try:
-                self._proc.stdin.close()
-                self._proc.wait(timeout=5)
+                # closes stdin, reads stdout to its end, closes it and waits
+                self._proc.communicate(timeout=5)
             except Exception:
                 self._proc.kill()
             self._proc = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     def normal_form(self, w: Word) -> Word:
         key = tuple(w.letters)

@@ -453,6 +453,35 @@ def test_lp_failure_exits_5(docs, capsys, monkeypatch):
     assert code == 5 and "backend gave up" in err
 
 
+def test_plugin_oracle_ends_with_each_command(capsys, tmp_path,
+                                             monkeypatch):
+    """main closes the plugin oracle it built, on success and on error:
+    each child has exited and its output pipe is closed."""
+    from relhyp import oracle
+    from test_oracle import PLUGIN_EXPONENT_SUM
+    children = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(oracle.subprocess, "Popen", Recording)
+    script = tmp_path / "zplug.py"
+    script.write_text(PLUGIN_EXPONENT_SUM)
+    doc = tmp_path / "plugin.json"
+    doc.write_text(json.dumps({**z_example_doc(), "oracle": {
+        "kind": "plugin", "command": [sys.executable, str(script)]}}))
+    for argv, want in ((("length", "--loop", "h1^2 h2^2"), 0),
+                       (("area", "--loop", "h9^1"), 2),
+                       (("window-lp", "--radii", "4"), 0)):
+        code, _, _ = run_cli(capsys, argv[0], "--input", str(doc), *argv[1:])
+        assert code == want
+        assert children and all(p.poll() is not None and p.stdout.closed
+                                for p in children)
+        children.clear()
+
+
 @pytest.mark.parametrize("argv", [
     ("ball", "--input", "{f2}", "--radius", "-1"),
     ("ball", "--input", "{f2}", "--radius", "2", "--max-vertices", "-1"),

@@ -26,6 +26,8 @@ from relhyp.cochain import (
     boundary_chain,
     build_window,
     chain_rel_length,
+    check_farkas,
+    check_isoperimetric_witness,
     coboundary,
     coset_edge,
     coset_vertex,
@@ -462,6 +464,77 @@ def test_two_generator_torsion_example_has_norm_half():
     assert cert.norm == Fraction(1, 2)
 
 
+def test_exact_witnesses_replay_on_random_targets():
+    """On random integer targets, exact and float mode agree on whether a
+    primitive exists; every exact Primitive's witness replays to its norm
+    and every exact Infeasible's Farkas chain replays.  Float answers carry
+    neither."""
+    rng = random.Random(21)
+    seen = set()
+    for build, radius, rho in ((z_example, 3, 2), (x_squared, 2, 0),
+                               (zmod2_star, 2, 1), (z2, 3, 1)):
+        P, O = build()
+        W = build_window(P, O, radius=radius, rho=rho)
+        faces = sorted(W.interior_relator_faces, key=CellId.sort_key)
+        for _ in range(12):
+            z = Cochain(2, {f: rng.randint(-2, 2) for f in faces})
+            cert = min_linf_primitive(W, z, exact=True)
+            rough = min_linf_primitive(W, z)
+            assert type(cert) is type(rough)
+            seen.add(type(cert))
+            if isinstance(cert, Primitive):
+                assert rough.witness is None
+                assert check_isoperimetric_witness(W, z, cert.witness) == \
+                    cert.norm
+                assert rough.norm == pytest.approx(float(cert.norm), abs=1e-6)
+            else:
+                assert rough.farkas is None
+                assert check_farkas(W, z, cert.farkas)
+    assert seen == {Primitive, Infeasible}
+
+
+def test_checkers_reject_tampered_witnesses():
+    P, O = z_example()
+    W = build_window(P, O, radius=4, rho=1)
+    z = relator_indicator_family()(W)
+    cert = min_linf_primitive(W, z, exact=True)
+    D = cert.witness
+    assert check_isoperimetric_witness(W, z, D) == cert.norm == 2
+    # twice the chain has twice the boundary; one coefficient moved pairs
+    # to another value, if its boundary still qualifies
+    doubled = Chain(2, {c: 2 * v for c, v in D.coeffs.items()})
+    assert check_isoperimetric_witness(W, z, doubled) is None
+    f = next(iter(D.coeffs))
+    for step in (Fraction(1, 8), Fraction(-1, 8)):
+        bad = Chain(2, {**D.coeffs, f: D.coeffs[f] + step})
+        assert check_isoperimetric_witness(W, z, bad) != cert.norm
+    # a relator face on the rim, which the program leaves unconstrained:
+    # its boundary is small enough, but it proves nothing
+    rim = next(f for f in W.cells_of_dim(2) if f not in W.interior)
+    assert check_isoperimetric_witness(
+        W, z, Chain(2, {rim: Fraction(1, 4)})) is None
+    assert check_isoperimetric_witness(W, z, Chain(1, {})) is None
+    # a peripheral face has no boundary off the peripheral cells
+    P, O = zmod2_star()
+    W = build_window(P, O, radius=2, rho=1)
+    face = next(f for f in W.interior if f.kind == PERIPHERAL_FACE)
+    target, D = Cochain(2, {face: 1}), Chain(2, {face: 1})
+    assert check_isoperimetric_witness(W, target, D) is None
+    assert not check_farkas(W, target, D)
+    # the Farkas chain of two faces, with one entry negated
+    P, O = x_squared()
+    W = build_window(P, O, radius=2, rho=0)
+    f1, f2 = sorted(W.interior, key=CellId.sort_key)
+    z = Cochain(2, {f1: 1, f2: 2})
+    farkas = min_linf_primitive(W, z, exact=True).farkas
+    assert check_farkas(W, z, farkas)
+    for f in (f1, f2):
+        flipped = {**farkas.coeffs, f: -farkas.coeffs[f]}
+        assert not check_farkas(W, z, Chain(2, flipped))
+    # Farkas chains prove nothing against a target they pair to zero
+    assert not check_farkas(W, Cochain(2, {f1: 1, f2: 1}), farkas)
+
+
 # ---------------------------------------------------------------------------
 # the HiGHS driver against scipy's linprog
 
@@ -621,6 +694,25 @@ def test_highs_driver_statuses_are_linprogs(program, status):
     if status == 0:
         assert got.x.tobytes() == want.x.tobytes()
         assert got.eqlin.marginals.tobytes() == want.eqlin.marginals.tobytes()
+
+
+def test_highs_driver_reads_the_dual_ray():
+    """On "x = 1 and x = 2" the result carries HiGHS's dual ray on the
+    equality rows, +-(-1, 1), and an optimum carries none: the guard against
+    a scipy release that changes what the binding's getDualRay returns."""
+    import numpy as np
+    rows = np.array([1.0, 2.0])
+    got = cochain.linprog(np.array([1.0]), **_rows([[1.0], [1.0]]),
+                          row_lower=rows, row_upper=rows,
+                          col_lower=np.array([-np.inf]),
+                          col_upper=np.array([np.inf]))
+    assert (got.status, got.x) == (2, None)
+    assert got.ray.tolist() in ([-1.0, 1.0], [1.0, -1.0])
+    got = cochain.linprog(np.array([1.0]), **_rows([[1.0]]),
+                          row_lower=rows[:1], row_upper=rows[:1],
+                          col_lower=np.array([-np.inf]),
+                          col_upper=np.array([np.inf]))
+    assert (got.status, got.x.tolist(), got.ray) == (0, [1.0], None)
 
 
 def test_highs_driver_rejects_malformed_programs():
