@@ -203,7 +203,8 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
     under model products to a fixed depth of 2: two rounds of pairwise
     products.
     """
-    length = rel_length(P, O, w)
+    target = O.element_key(w)
+    length = O.rel_length_of_key(target)
     if not length.is_exact:
         raise GeodesicNotFoundError(
             f"relative length only bounded to [{length.lower}, "
@@ -214,9 +215,8 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
     direct = O.geodesic(w, n)
     if direct is not None:
         return direct
-    alphabet = _witness_alphabet(P, O, w, rho)
+    alphabet = _witness_alphabet(P, w, O.word(target), rho)
     steps = list(zip(alphabet, P.alphabet.encode(alphabet)))
-    target = O.element_key(w)
     home = O.element_key(EMPTY_WORD)
     frontier = [((), home)]
     seen = {home}
@@ -242,10 +242,10 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
         f"no representative of length {n} found under truncation {rho}", rho)
 
 
-def _witness_alphabet(P: RelativePresentation, O, w: Word, rho: int):
+def _witness_alphabet(P: RelativePresentation, w: Word, nf: Word, rho: int):
     letters = list(ball_alphabet(P, rho))
     extra: dict[int, set] = {lam: set() for lam in P.models}
-    for source in [w, O.normal_form(w), *P.relators]:
+    for source in [w, nf, *P.relators]:
         for l in source:
             if isinstance(l, HLetter):
                 extra[l.lam].add(l.elem)

@@ -11,23 +11,24 @@ cancellations cost nothing and are folded into canonicalization; certificates
 record them as explicit zero-cost moves so a dumb interpreter can replay the
 whole trace.
 
-The search kernel works on the letter codes of ``P.alphabet``, whose
-letter algebra (merge, cancel, syllable remainders) is memoized per pair of
-codes.  Each presentation builds one ``SearchTable`` at its first search and
-keeps it: every distinct relator rotation with the inverses of its tails and
-its cell vector, and the relator lattice that rejects unfillable loops
-before any search.  A call builds only its start word, exponent vector and
-heap; states and the ``dist``/``parent`` keys are tuples of codes, and codes
-are never ordered, so results do not depend on which loops were searched
-before.  A splice (``Alphabet.splice``) is reduced only at its seams: the
-state, hence its prefix and suffix, is already reduced, so the middle is
-pushed onto the prefix and the suffix only while it combines with the top;
-the result equals ``free_reduce`` of the whole word.  ``parent``
-records each step as (variant, position, matched length, remainders), and
-the trace moves are built only for the winning path.  Successors are
-generated in a fixed order, so areas, certificates and state counts are
-deterministic.  ``replay_certificate`` works on letters and shares nothing
-with the kernel.
+The search kernel works on the letter codes of ``P.alphabet``, whose letter
+algebra (merge, cancel, syllable remainders) is memoized per pair of codes.
+Each presentation builds one ``SearchTable`` at its first search and keeps
+it: every distinct relator rotation with the inverses of its tails and its
+cell vector's pivot entry, and the relator lattice that rejects unfillable
+loops before any search.  A call builds only its start word, exponent
+vector and heap; a state carries only its vector's pivot entry, the one
+entry the lower bound reads.  States and the ``dist``/``parent`` keys are
+tuples of codes, and codes are never ordered, so results do not depend on
+which loops were searched before.  A splice (``Alphabet.splice``) is
+reduced only at its seams: the state, hence its prefix and suffix, is
+already reduced, so the middle is pushed onto the prefix and the suffix
+only while it combines with the top; the result equals ``free_reduce`` of
+the whole word.  ``parent`` records each step as (variant, position,
+matched length, remainders), and the trace moves are built only for the
+winning path.  Successors are generated in a fixed order, so areas,
+certificates and state counts are deterministic.  ``replay_certificate``
+works on letters and shares nothing with the kernel.
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 import itertools
-import operator
 
 from .cayley import ball_alphabet, walk_ball
 from .oracle import reduce_mod, row_echelon_lattice
 from .presentation import (
-    EMPTY_WORD,
     HLetter,
     NO_MATCH,
     RelativePresentation,
@@ -132,11 +131,12 @@ class SearchTable:
     of ``P.alphabet``.
 
     ``variants`` lists each distinct rotation r of a relator or its inverse,
-    in a fixed order, as (r, tails, cell vector, relator, inverted,
-    rotation): r and tails in codes, tails[k] being (r[k:])^-1, and the cell
-    vector r's exponent vector, which a cell subtracts.  A word can only
-    fill if its exponent vector lies in the lattice the relators' vectors
-    span (``fillable``); ``lower_bound`` counts the cells it still needs.
+    in a fixed order, as (r, tails, pivot entry, relator, inverted,
+    rotation): r and tails in codes, tails[k] being (r[k:])^-1, and the
+    pivot entry that of r's exponent vector (``pivot_entry``), which a cell
+    subtracts.  A word can only fill if its exponent vector lies in the
+    lattice the relators' vectors span (``fillable``); ``lower_bound``
+    counts the cells it still needs from its vector's pivot entry.
     """
 
     def __init__(self, P: RelativePresentation):
@@ -151,6 +151,7 @@ class SearchTable:
         self.variants = []
         seen = set()
         for idx, vec in enumerate(rel_vecs):
+            e = self.pivot_entry(vec)
             for inverted in (False, True):
                 for rot in range(len(P.relators[idx])):
                     ls = rotation_letters(P, idx, inverted, rot)
@@ -162,19 +163,21 @@ class SearchTable:
                         for k in range(len(ls) + 1))
                     self.variants.append(
                         (encode(ls), tails,
-                         tuple(-c for c in vec) if inverted else vec,
-                         idx, inverted, rot))
+                         -e if inverted else e, idx, inverted, rot))
 
     def fillable(self, eps) -> bool:
         return not any(reduce_mod(self._ech, eps))
 
-    def lower_bound(self, eps) -> int:
-        """Cells still needed by a fillable vector: with a single relator it
-        is a multiple of the relator's vector, otherwise 0."""
-        if self._pivot is None:
-            return 0
-        j, c = self._pivot
-        return abs(eps[j] // c)
+    def pivot_entry(self, eps) -> int:
+        """eps's entry at the slot where the single relator's vector has its
+        first nonzero entry; 0 with no single relator."""
+        return 0 if self._pivot is None else eps[self._pivot[0]]
+
+    def lower_bound(self, e) -> int:
+        """Cells still needed by a fillable vector of pivot entry e: with a
+        single relator it is e / c times the relator's vector, c the
+        relator's pivot entry, otherwise 0."""
+        return 0 if self._pivot is None else abs(e // self._pivot[1])
 
 
 def _candidates(table: SearchTable, state: tuple):
@@ -246,7 +249,8 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
     table = P.search_table
     eps0 = P.slots.epsilon(start)
     # every successor stays fillable: free reduction and splits keep the
-    # exponent vector, and a cell moves it by minus its rotation's vector
+    # exponent vector, and a cell moves it by minus its rotation's vector;
+    # so a state carries only the pivot entry that lower_bound reads
     if not table.fillable(eps0):
         return Unknown("exponent vector outside the relator lattice",
                        max_area, max_len, 0)
@@ -256,11 +260,11 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
     key0 = P.alphabet.encode(start.letters)
     dist: dict[tuple, int] = {key0: 0}
     parent: dict[tuple, tuple] = {}
-    h0 = table.lower_bound(eps0)
-    heap = [(h0, len(start), next(counter), 0, key0, eps0)]
+    e0 = table.pivot_entry(eps0)
+    heap = [(table.lower_bound(e0), len(start), next(counter), 0, key0, e0)]
     explored = 0
     while heap:
-        f, _, _, g, state, eps = heapq.heappop(heap)
+        f, _, _, g, state, e = heapq.heappop(heap)
         if dist.get(state, -1) != g:
             continue
         if not state:
@@ -277,14 +281,14 @@ def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
                 continue
             if dist.get(key, max_area + 1) <= g + 1:
                 continue
-            nxt_eps = tuple(map(operator.sub, eps, variants[move[0]][2]))
-            hh = table.lower_bound(nxt_eps)
+            nxt_e = e - variants[move[0]][2]
+            hh = table.lower_bound(nxt_e)
             if g + 1 + hh > max_area:
                 continue
             dist[key] = g + 1
             parent[key] = (state,) + move
             heapq.heappush(heap, (g + 1 + hh, len(key), next(counter),
-                                  g + 1, key, nxt_eps))
+                                  g + 1, key, nxt_e))
     return Unknown("no filling within caps", max_area, max_len, explored)
 
 
@@ -418,12 +422,16 @@ class DehnProfile:
 
 def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
     """Distinct reduced-loop classes (up to rotation and inversion) of
-    relative length <= n_max at the basepoint, via distance-pruned DFS."""
-    alphabet = ball_alphabet(P, rho)
-    codes = P.alphabet.encode(alphabet)
-    steps = list(zip(alphabet, codes))
-    index, depths, _ = walk_ball(O, codes, (n_max + 1) // 2)
-    home = O.element_key(EMPTY_WORD)
+    relative length <= n_max at the basepoint, via distance-pruned DFS on
+    the vertex numbers of the ball's walk, vertex 0 the identity.  The walk
+    lists every edge between ball vertices, each vertex's in code order, so
+    a loop never leaves the ball and steps nothing the walk did not."""
+    _, depths, edges = walk_ball(
+        O, P.alphabet.encode(ball_alphabet(P, rho)), (n_max + 1) // 2)
+    letters = P.alphabet.letters
+    out = [[] for _ in depths]
+    for i, c, j in edges:
+        out[i].append((letters[c], j))
 
     classes: dict[tuple, Word] = {}
 
@@ -439,9 +447,9 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
                     best_letters = seq[i:] + seq[:i]
         return best, best_letters
 
-    def dfs(path: list, key):
+    def dfs(path: list, v: int):
         depth = len(path)
-        if depth and key == home and \
+        if depth and v == 0 and \
                 (depth == 1 or not combinable(path[-1], path[0])):
             ck, letters = canon(Word(tuple(path)))
             if ck not in classes:
@@ -449,18 +457,14 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
         if depth == n_max:
             return
         remaining = n_max - depth
-        for l, c in steps:
-            if path and combinable(path[-1], l):
-                continue
-            t = O.step(key, c)
-            i = index.get(t)
-            if i is None or depths[i] > remaining - 1:
+        for l, j in out[v]:
+            if depths[j] >= remaining or path and combinable(path[-1], l):
                 continue
             path.append(l)
-            dfs(path, t)
+            dfs(path, j)
             path.pop()
 
-    dfs([], home)
+    dfs([], 0)
     return classes
 
 

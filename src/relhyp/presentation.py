@@ -327,9 +327,11 @@ PeripheralModel = Union[FreeAbelianModel, FiniteTableModel, FreeGroupModel]
 # letters and words
 
 
-# Letters are hashed over and over as dict keys (interning, pair memos,
-# window products), so each keeps its hash, computed at the first hash()
-# from the field tuple the dataclass hash would use.  ``_hash`` has no
+# Letters are hashed over and over as dict keys (interning in
+# ``P.alphabet``, the corridor sweep's prefix memo, and the ``CellId``s and
+# chains of windows, whose words hash from their letters), so each keeps its
+# hash, computed at the first hash() from the field tuple the dataclass hash
+# would use.  ``_hash`` has no
 # annotation, so it is not a field and never enters __eq__ or __repr__.
 # Words keep nothing: they hash and sort from their letters at each call.
 @dataclass(frozen=True)

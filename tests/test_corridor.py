@@ -7,7 +7,7 @@ import random
 import pytest
 
 from relhyp import corridor as cor
-from relhyp.cayley import rel_length, truncated_ball
+from relhyp.cayley import ball_alphabet, rel_length, truncated_ball
 from relhyp.corridor import (
     FreeAction,
     RelAutomorphism,
@@ -25,7 +25,7 @@ from relhyp.corridor import (
     validate_relaut,
 )
 from relhyp.errors import ParseError
-from relhyp.presentation import FreeGroupModel, Word, free_reduce
+from relhyp.presentation import FreeGroupModel, HLetter, Word, free_reduce
 from relhyp.presets import (
     f2,
     f2_stretch_action,
@@ -35,6 +35,7 @@ from relhyp.presets import (
     identity_action,
     xw,
     z_example,
+    zmod2_star,
 )
 
 
@@ -194,6 +195,45 @@ def test_inner_conjugation_automorphism_is_valid():
     image = apply_automorphism(P, action.automorphisms[0], Word((hz(2, 3),)))
     assert len(image) == 3
     assert O.equal(image, Word((hz(2, 3),)))
+
+
+@pytest.mark.parametrize("build", [z_example, free_product_zz, zmod2_star])
+def test_peripheral_letters_map_to_their_conjugates(build):
+    """alpha(h) = g^-1 iota(h) g for each generator h of each factor, on
+    random data of the right shape: a permuted sigma, random images in the
+    target factor (the identity among them) and random conjugators, some
+    left out.  validate_relaut does not check this: it holds by
+    construction."""
+    P, O = build()
+    rng = random.Random(22)
+    letters = ball_alphabet(P, 2)
+    labels = sorted(P.models)
+    elems = {lam: [m.identity(), *m.elements_up_to(3)]
+             for lam, m in P.models.items()}
+
+    def word(k):
+        return Word(tuple(rng.choices(letters, k=rng.randrange(k))))
+
+    for _ in range(300):
+        sigma = dict(zip(labels, rng.sample(labels, len(labels))))
+        alpha = RelAutomorphism(
+            x_images={s: word(4) for s in P.x_symbols}, sigma=sigma,
+            peripheral_maps={
+                lam: tuple(rng.choice(elems[sigma[lam]])
+                           for _ in P.models[lam].generators())
+                for lam in labels},
+            conjugators={lam: word(5) for lam in labels
+                         if rng.random() < 0.8})
+        for lam in labels:
+            src, dst = P.models[lam], P.models[sigma[lam]]
+            g = alpha.conjugators.get(lam, Word(()))
+            for h in src.generators():
+                elem = src.image(h, alpha.peripheral_maps[lam], dst)
+                middle = Word(()) if dst.is_identity(elem) \
+                    else Word((HLetter(sigma[lam], elem),))
+                assert apply_automorphism(
+                    P, alpha, Word((HLetter(lam, h),))) == \
+                    free_reduce(P, P.inverse_word(g) + middle + g)
 
 
 # ---------------------------------------------------------------------------

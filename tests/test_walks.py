@@ -93,3 +93,28 @@ def test_rel_length_lower_end_is_at_most_the_ball_depth():
         for key, word, depth in zip(ball.keys, ball.vertices, ball.depths):
             assert O.rel_length_of_key(key).lower <= depth, (word, depth)
             assert O.rel_length(word).lower <= depth, (word, depth)
+
+
+def _steps_of_loop_classes(build, n_max, rho):
+    """The number of ``O.step`` calls one ``_loop_classes`` call makes."""
+    P, O = build()
+    calls = 0
+    step = O.step
+
+    def counted(key, c):
+        nonlocal calls
+        calls += 1
+        return step(key, c)
+
+    O.step = counted
+    _loop_classes(P, O, n_max, rho)
+    return calls
+
+
+def test_loop_classes_step_only_inside_their_walk():
+    """The loops are read off the ball's edges: the only steps are the
+    walk's own, one per vertex and letter of the radius-(n_max + 1) // 2
+    ball (9 vertices times 8 letters for z_example, 2 times 2 for
+    x_squared)."""
+    assert _steps_of_loop_classes(z_example, 4, 2) == 72
+    assert _steps_of_loop_classes(x_squared, 10, 2) == 4
