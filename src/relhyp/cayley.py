@@ -12,14 +12,16 @@ Balls and searches walk element keys by ``P.alphabet`` letter codes, one
 ``O.step`` per edge, and write a key out as a word only for what they
 return.  A ball keeps its walk, keys and code edges, so that it holds ints
 only (the collector untracks them); its words and letters are decoded at
-their first read, and its CSV and JSON writers render each code once and
-decode nothing.
+their first read, and its CSV and JSON writers render each code once,
+decode nothing, and give their text in pieces for the caller to write.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+import itertools
 import json
 
 from .errors import GeodesicNotFoundError, ResourceCapError
@@ -137,45 +139,64 @@ def ball_to_json(P: RelativePresentation, ball: BallGraph) -> dict:
 
 
 def ball_json_text(P: RelativePresentation, ball: BallGraph,
-                   depth: int) -> str:
-    """Exactly the text ``dump_json`` gives ``ball_to_json(P, ball)`` where
-    it sits ``depth`` levels deep in a document.  Every letter sits three
-    levels below the ball, so each code of ``P.alphabet`` is rendered once,
-    into a list indexed by code, and vertices (the codes of each key's
-    normal form) and code edges are joined at their fixed indents."""
+                   depth: int) -> Iterator[str]:
+    """Pieces of exactly the text ``dump_json`` gives ``ball_to_json(P,
+    ball)`` where it sits ``depth`` levels deep in a document: one piece
+    per depth, edge and vertex, each with the separator before it.  Every
+    letter sits three levels below the ball, so each code of ``P.alphabet``
+    is rendered once, into a list indexed by code.  The oracle is read and
+    the letters rendered before this returns; the pieces only join them."""
     n0, n1, n2, n3 = ("\n" + "  " * (depth + k) for k in range(4))
-    c1, c2, c3 = "," + n1, "," + n2, "," + n3
+    c1, c3 = "," + n1, "," + n3
     # codes_of_key may intern letters, so the codes come before the texts
     codes = list(map(ball.O.codes_of_key, ball.keys))
     # JSON strings escape newlines, so a letter's newlines are all indents
     text = [dump_json(encode_letter(P, l)).replace("\n", n3)
             for l in P.alphabet.letters]
 
-    def block(items) -> str:
-        return f"[{n2}{c2.join(items)}{n1}]" if items else "[]"
+    def block(items):
+        # items each start with "," + n2; the first opens the list instead
+        first = next(items, None)
+        if first is None:
+            yield "[]"
+            return
+        yield "[" + first[1:]
+        yield from items
+        yield n1 + "]"
 
-    vertices = [f"[{n3}{c3.join(map(text.__getitem__, v))}{n2}]"
-                if v else "[]" for v in codes]
-    edges = [f"[{n3}{s}{c3}{text[c]}{c3}{t}{n2}]"
-             for s, c, t in ball.code_edges]
-    return "{" + n1 + c1.join([
-        f'"depths": {block(list(map(str, ball.depths)))}',
-        f'"edges": {block(edges)}',
-        f'"peripheral_bound": {ball.rho}',
-        f'"radius": {ball.radius}',
-        f'"vertices": {block(vertices)}',
-    ]) + n0 + "}"
+    def pieces():
+        yield "{" + n1 + '"depths": '
+        yield from block(f",{n2}{d}" for d in ball.depths)
+        yield c1 + '"edges": '
+        yield from block(f",{n2}[{n3}{s}{c3}{text[c]}{c3}{t}{n2}]"
+                         for s, c, t in ball.code_edges)
+        yield (f'{c1}"peripheral_bound": {ball.rho}{c1}"radius": '
+               f'{ball.radius}{c1}"vertices": ')
+        yield from block(
+            f",{n2}[{n3}{c3.join(map(text.__getitem__, v))}{n2}]" if v
+            else f",{n2}[]" for v in codes)
+        yield n0 + "}"
+
+    return pieces()
 
 
-def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:
-    """One line per code edge, its letter a quoted compact JSON cell; each
-    code of ``P.alphabet`` is rendered once, into a list indexed by code."""
+def ball_csv_lines(P: RelativePresentation,
+                   ball: BallGraph) -> Iterator[str]:
+    """The lines of ``ball_to_csv``, each ending in a newline: a header,
+    then one line per code edge, its letter a quoted compact JSON cell.
+    Each code of ``P.alphabet`` is rendered once, into a list indexed by
+    code, before this returns."""
     cell = ['"' + json.dumps(encode_letter(P, l), sort_keys=True,
                              separators=(",", ":")).replace('"', '""') + '"'
             for l in P.alphabet.letters]
-    lines = ["source,letter,target"]
-    lines.extend(f"{s},{cell[c]},{t}" for s, c, t in ball.code_edges)
-    return "\n".join(lines) + "\n"
+    return itertools.chain(
+        ("source,letter,target\n",),
+        (f"{s},{cell[c]},{t}\n" for s, c, t in ball.code_edges))
+
+
+def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:
+    """The ball's edges as CSV: the join of ``ball_csv_lines``."""
+    return "".join(ball_csv_lines(P, ball))
 
 
 # ---------------------------------------------------------------------------

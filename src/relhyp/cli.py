@@ -6,6 +6,13 @@ the echo, so the same computation written to two files is byte-identical).
 Curves are CSV with ``#``-prefixed metadata lines; certificates and reports
 are JSON with a ``meta`` object.
 
+Each subcommand returns its artifact as an iterable of text pieces, which
+``main`` writes with one ``writelines`` call, so that a ball is written
+piece by piece and never held as one string.  A subcommand runs everything
+that can fail (the walk, the oracle's queries, letter rendering) before it
+returns; its pieces only join what is computed, so the output file is
+opened only after nothing can fail, and a failed command leaves none.
+
 Exit codes: 0 success, 2 malformed input (documents, word literals, bad
 domain data), 3 invalid oracle or automorphism data, 4 resource cap or
 truncation exhausted, 5 LP solver failure.
@@ -14,14 +21,17 @@ truncation exhausted, 5 LP solver failure.
 from __future__ import annotations
 
 import argparse
+from collections.abc import Iterable
+import contextlib
 import functools
+import itertools
 import json
 import pathlib
 import random
 import sys
 
 from . import __version__
-from .cayley import ball_json_text, ball_to_csv, rel_length, truncated_ball
+from .cayley import ball_csv_lines, ball_json_text, rel_length, truncated_ball
 from .cochain import growth_scan, relator_indicator_family
 from .corridor import (
     build_corridor,
@@ -163,16 +173,18 @@ def _meta(args) -> dict:
     return {"version": __version__, "seed": args.seed, "config": config}
 
 
-def _json_out(args, payload: dict) -> str:
-    return dump_json({"meta": _meta(args), **payload}) + "\n"
+def _json_out(args, payload: dict) -> tuple:
+    return dump_json({"meta": _meta(args), **payload}), "\n"
 
 
 def _csv_head(args, extra: dict) -> list:
+    """The ``#`` metadata lines of a CSV artifact, each ending in a
+    newline."""
     meta = _meta(args)
     cfg = json.dumps(meta["config"], sort_keys=True, separators=(",", ":"))
-    lines = [f"# version={meta['version']}", f"# seed={meta['seed']}",
-             f"# config={cfg}"]
-    lines.extend(f"# {k}={v}" for k, v in extra.items())
+    lines = [f"# version={meta['version']}\n", f"# seed={meta['seed']}\n",
+             f"# config={cfg}\n"]
+    lines.extend(f"# {k}={v}\n" for k, v in extra.items())
     return lines
 
 
@@ -188,7 +200,7 @@ def _bool(v) -> str:
 # subcommands
 
 
-def _cmd_parse(args, P, O) -> str:
+def _cmd_parse(args, P, O) -> Iterable[str]:
     return _json_out(args, {
         "presentation": presentation_to_doc(P),
         "oracle_kind": None if O is None else O.kind,
@@ -197,18 +209,20 @@ def _cmd_parse(args, P, O) -> str:
     })
 
 
-def _cmd_ball(args, P, O) -> str:
+def _cmd_ball(args, P, O) -> Iterable[str]:
     ball = truncated_ball(P, O, args.radius, args.peripheral_bound,
                           max_vertices=args.max_vertices)
     if args.format == "json":
         # "ball" sorts first, so its text opens the object of the rest
-        rest = _json_out(args, {"exact": True})
-        return f'{{\n  "ball": {ball_json_text(P, ball, 1)},{rest[1:]}'
-    lines = _csv_head(args, {"exact": "true"})
-    return "\n".join(lines) + "\n" + ball_to_csv(P, ball)
+        rest = dump_json({"meta": _meta(args), "exact": True})
+        return itertools.chain(('{\n  "ball": ',),
+                               ball_json_text(P, ball, 1),
+                               ("," + rest[1:], "\n"))
+    return itertools.chain(_csv_head(args, {"exact": "true"}),
+                           ball_csv_lines(P, ball))
 
 
-def _cmd_length(args, P, O) -> str:
+def _cmd_length(args, P, O) -> Iterable[str]:
     w = loop_literal_parse(P, args.loop)
     L = rel_length(P, O, w)
     return _json_out(args, {
@@ -220,7 +234,7 @@ def _cmd_length(args, P, O) -> str:
     })
 
 
-def _cmd_area(args, P, O) -> str:
+def _cmd_area(args, P, O) -> Iterable[str]:
     w = loop_literal_parse(P, args.loop)
     out = relative_area(P, O, w, max_area=args.max_area, max_len=args.max_len,
                         max_states=args.max_states)
@@ -232,30 +246,30 @@ def _cmd_area(args, P, O) -> str:
                             "moves": len(out.trace)})
 
 
-def _cmd_dehn_profile(args, P, O) -> str:
+def _cmd_dehn_profile(args, P, O) -> Iterable[str]:
     prof = dehn_profile(P, O, n_max=args.n_max, rho=args.peripheral_bound,
                         max_area=args.max_area, max_len=args.max_len)
     lines = _csv_head(args, {"exact": _bool(prof.exact)})
-    lines.append("n,max_area,exact,loop_count")
+    lines.append("n,max_area,exact,loop_count\n")
     for n in range(1, args.n_max + 1):
         e = prof.entry(n)
-        lines.append(f"{n},{e.max_area},{_bool(e.exact)},{e.loop_count}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{n},{e.max_area},{_bool(e.exact)},{e.loop_count}\n")
+    return lines
 
 
-def _cmd_window_lp(args, P, O) -> str:
+def _cmd_window_lp(args, P, O) -> Iterable[str]:
     scan = growth_scan(P, O, relator_indicator_family(), args.radii,
                        rho=args.peripheral_bound, exact=args.exact)
     lines = _csv_head(args, {"slope": _num(float(scan.slope)),
                              "verdict": scan.verdict,
                              "exact": _bool(scan.exact)})
-    lines.append("width,norm")
+    lines.append("width,norm\n")
     for width, norm in scan.rows:
-        lines.append(f"{width},{_num(norm)}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{width},{_num(norm)}\n")
+    return lines
 
 
-def _cmd_flare(args, P, O) -> str:
+def _cmd_flare(args, P, O) -> Iterable[str]:
     action = _load_action(P, O, args)
     ball = truncated_ball(P, O, args.g_radius, args.peripheral_bound).vertices
     sample = list(ball)
@@ -293,7 +307,7 @@ def _cmd_flare(args, P, O) -> str:
     })
 
 
-def _cmd_corridor(args, P, O) -> str:
+def _cmd_corridor(args, P, O) -> Iterable[str]:
     action = _load_action(P, O, args)
     g = loop_literal_parse(P, args.loop)
     corridor = build_corridor(P, O, action, g, args.depth)
@@ -450,11 +464,10 @@ def main(argv=None) -> int:
             O = build_oracle(P, oracle_doc)
         elif args.func is not _cmd_parse:
             raise ParseError("document has no oracle section", "oracle")
-        text = args.func(args, P, O)
-        if args.output:
-            pathlib.Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+        pieces = args.func(args, P, O)
+        with (open(args.output, "w") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            out.writelines(pieces)
     except ParseError as exc:
         return _fail(2, exc)
     except OracleInvalidError as exc:

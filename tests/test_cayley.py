@@ -148,7 +148,7 @@ def test_ball_json_text_is_the_dumped_ball_at_each_depth(group, radius, rho):
     ball = truncated_ball(P, O, radius, rho)
     text = dump_json(ball_to_json(P, ball))
     for depth in range(4):
-        assert ball_json_text(P, ball, depth) == \
+        assert "".join(ball_json_text(P, ball, depth)) == \
             text.replace("\n", "\n" + "  " * depth)
 
 

@@ -3,19 +3,24 @@ grammar, exit codes, and byte-determinism of artifacts."""
 
 import ast
 from collections import Counter
+import functools
 import json
 import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import relhyp
 from relhyp import cli
-from relhyp.errors import LpSolverError, ParseError
+from relhyp.cayley import truncated_ball
+from relhyp.errors import LpSolverError, OracleInvalidError, ParseError
+from relhyp.oracle import FreeProductOracle
 from relhyp.presentation import HLetter, XLetter, parse_document
 from relhyp.presets import (
+    f2,
     f2_doc,
     f2_stretch_action_doc,
     x_squared_doc,
@@ -667,14 +672,69 @@ def test_repeated_runs_are_byte_identical(argv, docs, capsys):
     assert out1 == out2 and out1
 
 
-def test_output_file_matches_stdout(docs, capsys, tmp_path):
-    target = tmp_path / "run.json"
-    code, out, _ = run_cli(capsys, "area", "--input", docs["z"],
-                           "--loop", "h1^2 h2^2")
-    code2, _, _ = run_cli(capsys, "area", "--input", docs["z"],
-                          "--loop", "h1^2 h2^2", "--output", str(target))
+@pytest.mark.parametrize("argv", (
+    ("area", "--input", "{z}", "--loop", "h1^2 h2^2"),
+    ("ball", "--input", "{f2}", "--radius", "3"),
+    ("ball", "--input", "{f2}", "--radius", "3", "--format", "csv"),
+), ids=("area", "ball-json", "ball-csv"))
+def test_output_file_matches_stdout(argv, docs, capsys, tmp_path):
+    filled = [a.format(**docs) for a in argv]
+    target = tmp_path / "run.out"
+    code, out, _ = run_cli(capsys, *filled)
+    code2, _, _ = run_cli(capsys, *filled, "--output", str(target))
     assert code == code2 == 0
     assert target.read_text() == out
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_a_ball_adds_no_memory_to_its_walk(docs, tmp_path):
+    """The artifact is written piece by piece, so a ball command's traced
+    peak is its walk's, whatever the size of the text (9 MB of JSON
+    here)."""
+    P, O = f2()
+    target = str(tmp_path / "ball.out")
+    runs = {fmt: functools.partial(cli.main, [
+        "ball", "--input", docs["f2"], "--radius", "8", "--format", fmt,
+        "--output", target]) for fmt in ("json", "csv")}
+    walk = functools.partial(truncated_ball, P, O, 8, 1)
+    for fn in (walk, *runs.values()):
+        fn()
+    walk_peak = _traced_peak(walk)
+    for fmt, run in runs.items():
+        assert _traced_peak(run) - walk_peak < 2**20, fmt
+
+
+def _codes_fail(self, key):
+    raise OracleInvalidError("no codes")
+
+
+@pytest.mark.parametrize("fmt, cap, code", (
+    ("json", True, 4), ("csv", True, 4), ("json", False, 3)),
+    ids=("cap-json", "cap-csv", "oracle-json"))
+def test_failed_ball_leaves_no_partial_artifact(fmt, cap, code, docs,
+                                                 capsys, tmp_path,
+                                                 monkeypatch):
+    argv = ["ball", "--input", docs["f2"], "--radius", "3", "--format", fmt]
+    if cap:
+        argv += ["--max-vertices", "5"]
+    else:
+        monkeypatch.setattr(FreeProductOracle, "codes_of_key", _codes_fail)
+    kept = tmp_path / "kept.out"
+    kept.write_bytes(b"earlier bytes\n")
+    absent = tmp_path / "absent.out"
+    for target in (kept, absent):
+        got, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert got == code and out == "" and err.startswith("relhyp: error")
+    assert kept.read_bytes() == b"earlier bytes\n"
+    assert not absent.exists()
 
 
 JSON_ARTIFACTS = tuple(a for a in DETERMINISM_MATRIX
