@@ -6,8 +6,9 @@ therefore parameterized by a truncation bound rho (only peripheral letters of
 model length <= rho are instantiated) and reports exactness honestly:
 length queries answer with a closed interval that collapses to a point
 whenever the oracle can answer exactly.  Each oracle answers relative length
-and geodesics itself (``rel_length`` and ``geodesic``); this module adds the
-breadth-first geodesic search for oracles that give no geodesic themselves.
+and geodesics itself, on element keys (``rel_length_of_key`` and
+``geodesic_of_key``); this module adds the breadth-first geodesic search for
+oracles that give no geodesic themselves.
 Balls and searches walk element keys by ``P.alphabet`` letter codes, one
 ``O.step`` per edge, and write a key out as a word only for what they
 return.  A ball keeps its walk, keys and code edges, so that it holds ints
@@ -233,7 +234,7 @@ def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
     n = length.value
     if n == 0:
         return EMPTY_WORD
-    direct = O.geodesic(w, n)
+    direct = O.geodesic_of_key(target, n)
     if direct is not None:
         return direct
     alphabet = _witness_alphabet(P, w, O.word(target), rho)

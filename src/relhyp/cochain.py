@@ -28,6 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from importlib.machinery import (
+    EXTENSION_SUFFIXES,
+    ExtensionFileLoader,
+    FileFinder,
+)
+import importlib.util
+import os
+import sys
 from types import SimpleNamespace
 
 from .cayley import ball_alphabet, walk_ball
@@ -428,16 +436,17 @@ class Cochain:
 
 
 def boundary_chain(W: Window, D: Chain) -> Chain:
-    out: dict[CellId, object] = {}
-    ids, numbers = W.cell_ids, W.numbers
+    # summed by cell number, each boundary cell named once
+    out: dict[int, object] = {}
+    numbers = W.numbers
     for cell, coef in D.coeffs.items():
         n = numbers.get(cell)
         if n is None:
             continue
         for b, s in W.terms(n):
-            b = ids[b]
             out[b] = out.get(b, 0) + s * coef
-    return Chain(D.dim - 1, _clean(out))
+    ids = W.cell_ids
+    return Chain(D.dim - 1, {ids[b]: v for b, v in out.items() if v})
 
 
 def coboundary(W: Window, c: Cochain) -> Cochain:
@@ -517,6 +526,34 @@ class Infeasible:
     """Exact only: the 2-chain check_farkas replays: no primitive exists."""
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """The HiGHS binding scipy ships, the extension module
+    scipy.optimize._highspy._core, loaded from its file in scipy's
+    directory.  Importing it by name would run scipy.optimize's package
+    __init__, which loads some 320 scipy modules (sparse, linalg, ...):
+    0.4-0.7 s and 49 MB on a 2-core VM, against 5-8 ms and under 3.5 MB for
+    the file alone.  The module is registered under its own name, so one
+    already imported is reused and a later ``import scipy.optimize`` finds
+    this one.  ImportError when scipy or the file is missing."""
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy and scipy.submodule_search_locations) or ():
+        finder = FileFinder(os.path.join(root, "optimize", "_highspy"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_HIGHS_CORE)
+        if spec is not None:
+            core = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_CORE] = core
+            spec.loader.exec_module(core)
+            return core
+    raise ImportError(f"No module named {_HIGHS_CORE!r}", name=_HIGHS_CORE)
+
+
 def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
             col_upper):
     """Minimize c x subject to row_lower <= A x <= row_upper and
@@ -533,11 +570,11 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
     3 unbounded, 4 anything else, with HiGHS's model status in the message.
     The result has x, eqlin.marginals (the duals of the rows whose two
     bounds are equal), ray (HiGHS's dual ray on those rows when infeasible,
-    else None), status and message.  numpy and scipy are imported at the
-    first LP: most commands never solve one, and importing scipy.optimize
-    dominates start-up."""
+    else None), status and message.  numpy and the binding are loaded at
+    the first LP, as most commands never solve one, and the binding from
+    its own file (see _highs_core): scipy.optimize is never imported."""
     import numpy as np
-    from scipy.optimize._highspy import _core as hs
+    hs = _highs_core()
     n, m = len(c), len(row_lower)
     # HiGHS reads each array to the length these sizes give
     if not (len(col_lower) == len(col_upper) == n and len(row_upper) == m
@@ -687,33 +724,40 @@ def check_farkas(W: Window, z: Cochain, D: Chain) -> bool:
 _DENOMINATOR_LADDER = (1, 2, 4, 8, 16, 64, 256, 1024, 10 ** 6)
 
 
-def _rounded(cells, values, bound: int) -> dict:
+def _fractions(cells, values) -> dict:
+    """cell -> value as the Fraction the float is, zeros dropped."""
+    return {c: Fraction(v) for c, v in zip(cells, values.tolist()) if v}
+
+
+def _rounded(exact: dict, bound: int) -> dict:
     """cell -> value as a rational of denominator <= bound, zeros dropped."""
-    return _clean({c: Fraction(float(v)).limit_denominator(bound)
-                   for c, v in zip(cells, values)})
+    return _clean({c: q.limit_denominator(bound) for c, q in exact.items()})
 
 
 def _certified(W: Window, z: Cochain, variables, faces, res):
     """Exact verdict from the HiGHS run, or LpSolverError.  At each bound
     of the ladder, y (the row duals at an optimum, the dual ray when
     infeasible) is read as a 2-chain D on the relator faces.  An optimum
-    counts once the rational m has delta m = z there and D replays through
-    check_isoperimetric_witness to max |m_j|, which proves m optimal;
-    infeasibility counts once D passes check_farkas."""
+    counts once D replays through check_isoperimetric_witness to max |m_j|
+    of the rational m and delta m = z there, which proves m optimal;
+    infeasibility counts once D passes check_farkas.  Each float is read as
+    a Fraction once, and a rung's D is checked before its delta m."""
     y = res.eqlin.marginals if res.status == 0 else res.ray
     if y is not None:
+        ys = _fractions(faces, y)
+        xs = {} if res.status == 2 else _fractions(variables, res.x[:-1])
         for bound in _DENOMINATOR_LADDER:
-            D = Chain(2, _rounded(faces, y, bound))
+            D = Chain(2, _rounded(ys, bound))
             if res.status == 2:
                 if check_farkas(W, z, D):
                     return Infeasible(witness=tuple(faces), farkas=D)
                 continue
-            m = Cochain(1, _rounded(variables, res.x[:-1], bound))
+            m = Cochain(1, _rounded(xs, bound))
             norm = Fraction(m.norm)
-            dm = coboundary(W, m)
-            if all(dm.get(f) == z.get(f) for f in faces) and \
-                    check_isoperimetric_witness(W, z, D) == norm:
-                return Primitive(m=m, norm=norm, exact=True, witness=D)
+            if check_isoperimetric_witness(W, z, D) == norm:
+                dm = coboundary(W, m)
+                if all(dm.get(f) == z.get(f) for f in faces):
+                    return Primitive(m=m, norm=norm, exact=True, witness=D)
     raise LpSolverError(f"no exact certificate for the solver result "
                         f"(status {res.status}: {res.message})")
 

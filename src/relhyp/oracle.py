@@ -224,8 +224,9 @@ class NormalFormOracle:
     element_key(w + l); its normal_form may then be left to the base.
     Queries are answered on keys: ``coset_of_key(key, lam)``,
     ``rel_length_of_key(key)`` and ``codes_of_key(key)``, by default read
-    off ``word(key)``, are what an oracle that knows more overrides.  The
-    queries on words, ``coset_key``, ``rel_length``, ``equal`` and
+    off ``word(key)``, and ``geodesic_of_key(key, n)``, by default None, are
+    what an oracle that knows more overrides.  The queries on words,
+    ``coset_key``, ``rel_length``, ``geodesic``, ``equal`` and
     ``is_trivial``, are written here once, on ``element_key(w)``.
     """
 
@@ -272,9 +273,10 @@ class NormalFormOracle:
         """The ``P.alphabet`` codes of the normal form of ``key``."""
         return self.P.alphabet.encode(self.word(key).letters)
 
-    def geodesic(self, w: Word, n: int) -> Word | None:
-        """A word of n letters equal to w, given that n is w's exact
-        relative length, or None to leave the search to the caller."""
+    def geodesic_of_key(self, key, n: int) -> Word | None:
+        """A word of n letters for the element whose key is ``key``, given
+        that n is its exact relative length, or None to leave the search to
+        the caller."""
         return None
 
     def equal(self, a: Word, b: Word) -> bool:
@@ -288,6 +290,9 @@ class NormalFormOracle:
 
     def rel_length(self, w: Word) -> RelLength:
         return self.rel_length_of_key(self.element_key(w))
+
+    def geodesic(self, w: Word, n: int) -> Word | None:
+        return self.geodesic_of_key(self.element_key(w), n)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +335,8 @@ class FreeProductOracle(NormalFormOracle):
     def codes_of_key(self, key) -> tuple:
         return key
 
-    def geodesic(self, w: Word, n: int) -> Word:
-        return self.normal_form(w)
+    def geodesic_of_key(self, key, n: int) -> Word:
+        return self.word(key)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +480,10 @@ class IntegerQuotientOracle(NormalFormOracle):
             return RelLength.exact(2)
         return RelLength(3, max(3, letter_count(self.word(key))))
 
-    def geodesic(self, w: Word, n: int) -> Word | None:
+    def geodesic_of_key(self, key, n: int) -> Word | None:
         if n != 1:
             return None
-        one = self._one_letter(self.image_vector(w))
+        one = self._one_letter(self._image(key))
         return None if one is None else Word((one,))
 
 
@@ -616,8 +621,8 @@ class FiniteQuotientOracle(NormalFormOracle):
     def rel_length_of_key(self, key) -> RelLength:
         return RelLength.exact(len(self._witness[key]))
 
-    def geodesic(self, w: Word, n: int) -> Word:
-        return self._witness[self.element_key(w)]
+    def geodesic_of_key(self, key, n: int) -> Word:
+        return self._witness[key]
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,18 @@ def test_witness_finite_quotient():
     assert len(out) == 1 and O.equal(out, xw("x"))
 
 
+def test_witness_keys_the_word_once(monkeypatch):
+    # the oracle's geodesic is asked on the key the length query used
+    P, O = x_squared()
+    keyed = []
+    element_key = O.element_key
+    monkeypatch.setattr(O, "element_key",
+                        lambda w: keyed.append(w) or element_key(w))
+    out = geodesic_witness(P, O, xw("x", "x", "x"))
+    assert keyed == [xw("x", "x", "x")]
+    assert out == xw("x")
+
+
 def test_witness_via_breadth_first_search():
     P, O = _build(_free_abelian_doc([("x", (1,))]))
     out = geodesic_witness(P, O, xw("x", "x", "x", "x-"))

@@ -552,6 +552,65 @@ def test_cli_import_leaves_scipy_unloaded():
     assert _fresh_python("-c", probe) == (0, "False False False\n", "")
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _window_lp_probe(docs, tmp_path):
+    """Source that solves window-lp's LP through cli.main, leaving the
+    binding it used as ``used``."""
+    argv = ["window-lp", "--input", docs["z"], "--radii", "4",
+            "--output", str(tmp_path / "lp.json")]
+    return (f"assert cli.main({argv!r}) == 0\n"
+            f"used = sys.modules[{_HIGHS_CORE!r}]\n")
+
+
+def test_lp_loads_the_highs_binding_alone(docs, tmp_path):
+    # the binding is loaded from its file: scipy.optimize's package, with
+    # sparse and linalg under it, is not imported; a later import of it
+    # finds the same binding, and scipy's own linprog still solves
+    probe = ("import sys\nfrom relhyp import cli\n"
+             + _window_lp_probe(docs, tmp_path)
+             + "print(*(m in sys.modules for m in ('scipy.optimize', "
+               "'scipy.sparse', 'scipy.linalg')))\n"
+               "from scipy.optimize._highspy import _core\n"
+               "from scipy.optimize import linprog\n"
+               "res = linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], "
+               "method='highs')\n"
+               "print(_core is used, res.status, res.fun)\n")
+    assert _fresh_python("-X", "dev", "-W", "error", "-c", probe) == \
+        (0, "False False False\nTrue 0 1.0\n", "")
+
+
+def test_lp_reuses_an_imported_highs_binding(docs, tmp_path):
+    probe = ("import sys\nimport scipy.optimize\n"
+             f"before = sys.modules[{_HIGHS_CORE!r}]\n"
+             "from relhyp import cli\n"
+             + _window_lp_probe(docs, tmp_path)
+             + "print(used is before)\n")
+    assert _fresh_python("-c", probe) == (0, "True\n", "")
+
+
+def test_lp_without_scipy_raises_import_error(tmp_path):
+    # no scipy, then a scipy directory without the binding's file
+    probe = ("import importlib.machinery, importlib.util, sys\n"
+             "from relhyp import cochain\n"
+             "from relhyp.presets import z_example\n"
+             "P, O = z_example()\n"
+             "W = cochain.build_window(P, O, radius=1, rho=1)\n"
+             "z = cochain.relator_indicator_family()(W)\n"
+             "empty = importlib.machinery.ModuleSpec('scipy', None, "
+             "is_package=True)\n"
+             f"empty.submodule_search_locations = [{str(tmp_path)!r}]\n"
+             "for spec in (None, empty):\n"
+             "    importlib.util.find_spec = lambda name, package=None: spec\n"
+             "    try:\n"
+             "        cochain.min_linf_primitive(W, z)\n"
+             "    except ImportError as e:\n"
+             f"        print(e.name, {_HIGHS_CORE!r} in sys.modules)\n")
+    assert _fresh_python("-c", probe) == \
+        (0, f"{_HIGHS_CORE} False\n" * 2, "")
+
+
 def test_every_imported_name_is_used():
     # the package's modules and these tests; the package __init__ is exempt:
     # it imports names to re-export them

@@ -649,8 +649,8 @@ def test_oracles_answer_on_keys_and_leave_word_forms_to_the_base():
         "FreeProductOracle", "IntegerQuotientOracle", "FiniteQuotientOracle",
         "PluginOracle"}
     for cls in oracles:
-        assert not {"coset_key", "rel_length", "equal", "is_trivial"} & \
-            set(vars(cls)), cls.__name__
+        assert not {"coset_key", "rel_length", "geodesic", "equal",
+                    "is_trivial"} & set(vars(cls)), cls.__name__
     assert not hasattr(ora.FiniteQuotientOracle, "eval_word")
 
 
