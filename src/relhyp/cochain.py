@@ -17,10 +17,12 @@ starting from the ball's walk, and every product with a letter is one
 (vertex, code); each vertex is written out as a word once, and each
 (vertex, label) pair asks the oracle for its coset once, from the key.
 Cells are numbered in sorted order, window cells first, and boundaries are
-kept as compressed rows of cell numbers and signs, on which coboundaries,
-boundary chains and the linear programs run.  That integer table is the
-window: its CellIds, and ``Window.boundary``, the same boundaries keyed by
-CellId, are made from it at their first read.
+kept as compressed rows of cell numbers and signs: that integer table is
+the window, on which (co)boundaries, linear programs and certificates run.
+CellIds are made only where cells are named to a caller: by the Window
+properties that list them, for relator_indicator_family's faces, for the
+relator faces whose z a linear program reads, and for the cells of the
+chains and cochains returned.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from importlib.machinery import (
     FileFinder,
 )
 import importlib.util
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -57,25 +60,16 @@ PERIPHERAL_EDGE = "peripheral_edge"
 RELATOR_FACE = "relator_face"
 PERIPHERAL_FACE = "peripheral_face"
 
-_DIM = {
-    BASE_VERTEX: 0,
-    COSET_VERTEX: 0,
-    GEN_EDGE: 1,
-    COSET_EDGE: 1,
-    PERIPHERAL_EDGE: 1,
-    RELATOR_FACE: 2,
-    PERIPHERAL_FACE: 2,
-}
-
-# cells belonging to the peripheral subcomplex (invisible to relative
-# cochains and carrying zero length)
-_LBAR_KINDS = frozenset({PERIPHERAL_EDGE, PERIPHERAL_FACE})
-
 # the kinds in CellId.sort_key order, (dim, kind); a window numbers its
 # cells by (kind code, vertex rank, data), which is the same order
 _KINDS = (BASE_VERTEX, COSET_VERTEX, COSET_EDGE, GEN_EDGE, PERIPHERAL_EDGE,
           PERIPHERAL_FACE, RELATOR_FACE)
 _BV, _CV, _CE, _GE, _PE, _PF, _RF = range(len(_KINDS))
+_DIM = dict(zip(_KINDS, (0, 0, 1, 1, 1, 2, 2)))
+
+# cells belonging to the peripheral subcomplex (invisible to relative
+# cochains and carrying zero length)
+_LBAR_KINDS = frozenset({PERIPHERAL_EDGE, PERIPHERAL_FACE})
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,21 +121,22 @@ def relator_face(r: int, g: Word) -> CellId:
 @dataclass(frozen=True)
 class Window:
     """A window of the complex, as one integer cell table.  Cells 0 to
-    ``size`` - 1 are the window's, dimensions 0, 1 and 2 in turn, each in
-    CellId.sort_key order; then come the rim cells that its faces reach,
-    sorted likewise.  ``cell_key[n]`` is cell n as (kind code, vertex,
-    data), and vertex v is the element ``words[v]``.  The boundary of cell n
-    is ``bd_cell``/``bd_sign`` over ``indptr[n]:indptr[n + 1]``: an edge's
-    is (head, +1), (tail, -1), a face's is summed and sorted by cell.
-    ``inner`` lists the interior 2-cells by number.  ``cells`` and
-    ``cell_ids`` are the CellIds of these numbers, made at their first read;
-    the rim's only when ``cell_ids`` is read."""
+    ``size`` - 1 are the window's, those of dimension d from ``starts[d]``
+    on, in CellId.sort_key order; then come the rim cells that its faces
+    reach, sorted likewise.  ``cell_key[n]`` is cell n as (kind code,
+    vertex, data), and vertex v is the element ``words[v]``.  The boundary
+    of cell n is ``bd_cell``/``bd_sign`` over ``indptr[n]:indptr[n + 1]``:
+    an edge's is (head, +1), (tail, -1), a face's is summed and sorted by
+    cell.  ``inner`` lists the interior 2-cells by number.  The properties
+    that give CellIds make them at their first read, the rim's only for
+    ``cell_ids`` and ``boundary``."""
 
     P: RelativePresentation = field(compare=False)
     O: object = field(compare=False)
     radius: int
     rho: int
     size: int
+    starts: tuple = field(compare=False, repr=False)
     words: tuple = field(compare=False, repr=False)
     cell_key: tuple = field(compare=False, repr=False)
     indptr: tuple = field(compare=False, repr=False)
@@ -154,29 +149,27 @@ class Window:
         a, b = self.indptr[n], self.indptr[n + 1]
         return zip(self.bd_cell[a:b], self.bd_sign[a:b])
 
-    def _ids(self, keys) -> tuple:
+    def _ids(self, numbers) -> tuple:
+        """The CellIds of these cell numbers."""
         words = self.words
-        return tuple(CellId(_KINDS[k], words[v], data) for k, v, data in keys)
+        return tuple(CellId(_KINDS[k], words[v], data) for k, v, data
+                     in map(self.cell_key.__getitem__, numbers))
+
+    def _named(self, values: dict) -> dict:
+        """{cell number: value} as {CellId: value}, in the same order."""
+        return dict(zip(self._ids(values), values.values()))
 
     @cached_property
     def cells(self) -> dict:
         """dim -> the window's CellIds of that dimension, in cell order."""
-        by_dim = {0: [], 1: [], 2: []}
-        for c in self._ids(self.cell_key[:self.size]):
-            by_dim[c.dim].append(c)
-        return {dim: tuple(cs) for dim, cs in by_dim.items()}
+        s = self.starts
+        return {d: self._ids(range(s[d], s[d + 1])) for d in range(3)}
 
     @cached_property
     def cell_ids(self) -> tuple:
         """CellId by cell number, the window's and then the rim's."""
-        cells = self.cells
-        return cells[0] + cells[1] + cells[2] + \
-            self._ids(self.cell_key[self.size:])
-
-    @cached_property
-    def numbers(self) -> dict:
-        """CellId -> cell number."""
-        return {c: n for n, c in enumerate(self.cell_ids)}
+        return sum(self.cells.values(), ()) + \
+            self._ids(range(self.size, len(self.cell_key)))
 
     @cached_property
     def boundary(self) -> dict:
@@ -189,17 +182,18 @@ class Window:
     @cached_property
     def interior(self) -> frozenset:
         """The 2-cells whose whole boundary lies in the window."""
-        ids = self.cell_ids
-        return frozenset(ids[f] for f in self.inner)
+        return frozenset(self._ids(self.inner))
 
     def cells_of_dim(self, dim: int) -> tuple:
         return self.cells.get(dim, ())
 
+    def relator_rows(self) -> list:
+        """The interior relator faces by number, in cell order."""
+        return [f for f in self.inner if self.cell_key[f][0] == _RF]
+
     @cached_property
     def interior_relator_faces(self) -> tuple:
-        ids = self.cell_ids
-        return tuple(ids[f] for f in self.inner
-                     if self.cell_key[f][0] == _RF)
+        return self._ids(self.relator_rows())
 
 
 def _inverse(perm: list) -> list:
@@ -245,27 +239,43 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
 
     # each coset met by a base vertex is represented by its least one
     order_key = [w.sort_key() for w in words]
+    by_word = sorted(range(n_base), key=order_key.__getitem__, reverse=True)
     reps: dict[int, dict] = {}      # lam -> {coset key: vertex}
-    rep_of: dict[int, dict] = {}    # lam -> {vertex: its representative}
+    base_rep: dict[int, list] = {}  # lam -> [representative of base vertex]
+    rim_rep: dict = {}              # (lam, vertex past the base) -> its own
     for lam in labels:
         cosets = [O.coset_of_key(keys[i], lam) for i in range(n_base)]
-        best: dict = {}
-        for i, k in enumerate(cosets):
-            j = best.get(k)
-            if j is None or order_key[i] < order_key[j]:
-                best[k] = i
-        reps[lam] = best
-        rep_of[lam] = {i: best[k] for i, k in enumerate(cosets)}
+        # the least vertex of a coset comes last, so it is the one kept
+        reps[lam] = best = {cosets[i]: i for i in by_word}
+        base_rep[lam] = [best[k] for k in cosets]
 
     def rep(lam: int, i: int) -> int:
-        memo = rep_of[lam]
-        r = memo.get(i)
-        if r is None:
-            r = memo[i] = reps[lam].get(O.coset_of_key(keys[i], lam), i)
-        return r
+        if i < n_base:
+            return base_rep[lam][i]
+        if (lam, i) not in rim_rep:
+            rim_rep[lam, i] = reps[lam].get(O.coset_of_key(keys[i], lam), i)
+        return rim_rep[lam, i]
 
-    number: dict = {}   # (kind code, vertex, data) -> cell number
-    raw: list = []
+    # the window's cells, each once, a dimension at a time; base vertex i
+    # is cell i
+    seen = {lam: sorted({rep(lam, i) for i in range(n_ball)})
+            for lam in labels}
+    raw: list = [(_BV, i, ()) for i in range(n_base)]
+    raw += [(_CV, r, (lam,)) for lam in labels for r in seen[lam]]
+    n0 = len(raw)
+    raw += [(_GE, i, (sym,)) for i in range(n_ball) for sym in P.x_symbols]
+    raw += [(_CE, i, (lam,)) for lam in labels for i in range(n_ball)]
+    raw += [(_PE, r, (lam, h)) for lam in labels
+            for h in P.models[lam].elements_up_to(rho) for r in seen[lam]]
+    n1 = len(raw) - n0
+    raw += [(_RF, i, (k,)) for i in range(n_ball)
+            for k in range(len(relators))]
+    finite = [(lam, P.models[lam].generators()) for lam in labels
+              if isinstance(P.models[lam], FiniteTableModel)]
+    raw += [(_PF, r, (lam, a, b)) for lam, gens in finite
+            for r in seen[lam] for a in gens for b in gens]
+    n_window = len(raw)
+    number = {c: n for n, c in enumerate(raw)}  # cell -> its index in raw
 
     def cell(c) -> int:
         n = number.get(c)
@@ -274,35 +284,8 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
             raw.append(c)
         return n
 
-    seen = {lam: sorted({rep(lam, i) for i in range(n_ball)})
-            for lam in labels}
-    for i in range(n_base):
-        cell((_BV, i, ()))
-    for lam in labels:
-        for r in seen[lam]:
-            cell((_CV, r, (lam,)))
-    for i in range(n_ball):
-        for sym in P.x_symbols:
-            cell((_GE, i, (sym,)))
-        for lam in labels:
-            cell((_CE, i, (lam,)))
-    for lam in labels:
-        elems = list(P.models[lam].elements_up_to(rho))
-        for r in seen[lam]:
-            for h in elems:
-                cell((_PE, r, (lam, h)))
-    for i in range(n_ball):
-        for k in range(len(relators)):
-            cell((_RF, i, (k,)))
-    for lam in labels:
-        model = P.models[lam]
-        if isinstance(model, FiniteTableModel):
-            gens = model.generators()
-            for r in seen[lam]:
-                for a in gens:
-                    for b in gens:
-                        cell((_PF, r, (lam, a, b)))
-    n_window = len(raw)
+    def vertex(i: int) -> int:
+        return i if i < n_base else cell((_BV, i, ()))
 
     def face(terms) -> list:
         """(cell, sign) terms summed, zeros dropped."""
@@ -313,11 +296,11 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
 
     def boundary_of(kind: int, g: int, data: tuple) -> list:
         if kind == _GE:
-            return [(cell((_BV, times(g, forward[data[0]]), ())), +1),
-                    (cell((_BV, g, ())), -1)]
+            return [(vertex(times(g, forward[data[0]])), +1),
+                    (vertex(g), -1)]
         if kind == _CE:
             return [(cell((_CV, rep(data[0], g), data)), +1),
-                    (cell((_BV, g, ())), -1)]
+                    (vertex(g), -1)]
         if kind == _RF:
             terms = []
             cur = g
@@ -333,63 +316,61 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
                               (cell((_CE, nxt, (lam,))), -1)]
                 cur = nxt
             return face(terms)
-        if kind == _PF:
-            lam, a, b = data
-            model = P.models[lam]
-            terms = [(cell((_PE, g, (lam, a))), +1),
-                     (cell((_PE, g, (lam, b))), +1)]
-            ab = model.product(a, b)
-            if not model.is_identity(ab):
-                terms.append((cell((_PE, g, (lam, ab))), -1))
-            return face(terms)
-        return []
+        lam, a, b = data
+        model = P.models[lam]
+        terms = [(cell((_PE, g, (lam, a))), +1),
+                 (cell((_PE, g, (lam, b))), +1)]
+        ab = model.product(a, b)
+        if not model.is_identity(ab):
+            terms.append((cell((_PE, g, (lam, ab))), -1))
+        return face(terms)
 
     # faces on the rim reference edges past the window; those edges get
     # their boundaries too, so that dd = 0 holds on every face
     bounds = []
     while len(bounds) < len(raw):
-        bounds.append(boundary_of(*raw[len(bounds)]))
+        c = raw[len(bounds)]
+        bounds.append(boundary_of(*c) if _CE <= c[0] != _PE else ())
 
     # cells sort as CellId.sort_key does, window cells first: vertices by
     # the rank of their word
     order_key += [w.sort_key() for w in words[len(order_key):]]
     rank = _inverse(sorted(range(len(words)), key=order_key.__getitem__))
-    order = sorted(range(len(raw)), key=lambda n: (
-        n >= n_window, raw[n][0], rank[raw[n][1]], raw[n][2]))
+    sort_key = [(n >= n_window, k, rank[v], data)
+                for n, (k, v, data) in enumerate(raw)]
+    order = sorted(range(len(raw)), key=sort_key.__getitem__)
     final = _inverse(order)
 
     indptr = [0]
-    bd_cell: list[int] = []
-    bd_sign: list[int] = []
+    flat: list = []     # every (cell, sign) term, in cell order
     inner = []
-    for n in order:
+    for k, n in enumerate(order):
         terms = [(final[c], s) for c, s in bounds[n]]
         if raw[n][0] >= _PF:
             terms.sort()
-            if all(c < n_window for c, _ in terms):
-                inner.append(final[n])
-        for c, s in terms:
-            bd_cell.append(c)
-            bd_sign.append(s)
-        indptr.append(len(bd_cell))
+            if not terms or terms[-1][0] < n_window:
+                inner.append(k)
+        flat += terms
+        indptr.append(len(flat))
+    bd_cell, bd_sign = zip(*flat) if flat else ((), ())
 
     return Window(P=P, O=O, radius=radius, rho=rho, size=n_window,
-                  words=tuple(words),
+                  starts=(0, n0, n0 + n1, n_window), words=tuple(words),
                   cell_key=tuple(raw[n] for n in order),
-                  indptr=tuple(indptr), bd_cell=tuple(bd_cell),
-                  bd_sign=tuple(bd_sign), inner=tuple(inner))
+                  indptr=tuple(indptr), bd_cell=bd_cell, bd_sign=bd_sign,
+                  inner=tuple(inner))
 
 
 def window_to_json(W: Window) -> dict:
     cell_docs = []
-    for c in W.cells_of_dim(0) + W.cells_of_dim(1) + W.cells_of_dim(2):
+    for c in W.cells[0] + W.cells[1] + W.cells[2]:
         data = [list(d) if isinstance(d, tuple) else d for d in c.data]
         cell_docs.append({"dim": c.dim, "kind": c.kind,
                           "translate": encode_word(W.P, c.translate),
                           "data": data,
                           "lbar": c.is_lbar})
     triplets = [[c, b, s]
-                for c in range(len(W.cells_of_dim(0)), W.size)
+                for c in range(W.starts[1], W.size)
                 for b, s in W.terms(c) if b < W.size]
     return {
         "radius": W.radius,
@@ -402,10 +383,6 @@ def window_to_json(W: Window) -> dict:
 
 # ---------------------------------------------------------------------------
 # chains and cochains
-
-
-def _clean(values: dict) -> dict:
-    return {c: v for c, v in values.items() if v != 0}
 
 
 @dataclass(frozen=True)
@@ -435,40 +412,37 @@ class Cochain:
         return all(v == 0 for c, v in self.values.items() if c.is_lbar)
 
 
-def boundary_chain(W: Window, D: Chain) -> Chain:
-    # summed by cell number, each boundary cell named once
+def _boundary(W: Window, chain) -> dict:
+    """The boundary of a chain given as (cell number, coefficient) pairs,
+    as {cell number: coefficient}, summed, zeros dropped."""
     out: dict[int, object] = {}
-    numbers = W.numbers
-    for cell, coef in D.coeffs.items():
-        n = numbers.get(cell)
-        if n is None:
-            continue
+    for n, coef in chain:
         for b, s in W.terms(n):
             out[b] = out.get(b, 0) + s * coef
-    ids = W.cell_ids
-    return Chain(D.dim - 1, {ids[b]: v for b, v in out.items() if v})
+    return {b: v for b, v in out.items() if v}
+
+
+def boundary_chain(W: Window, D: Chain) -> Chain:
+    return Chain(D.dim - 1, W._named(_boundary(
+        W, ((n, D.coeffs[c]) for n, c in enumerate(W.cell_ids)
+            if c in D.coeffs))))
 
 
 def coboundary(W: Window, c: Cochain) -> Cochain:
     """(delta c)(e) = c(boundary e), on window cells whose boundary stays in
     the window."""
-    n0 = len(W.cells_of_dim(0))
-    if c.dim == 0:
-        first, targets = 0, range(n0, n0 + len(W.cells_of_dim(1)))
-    elif c.dim == 1:
-        first, targets = n0, W.inner
-    else:
+    if c.dim not in (0, 1):
         return Cochain(c.dim + 1, {})
-    get = c.values.get
-    values = [get(cell, 0) for cell in W.cells_of_dim(c.dim)]
-    ids = W.cell_ids
-    out: dict[CellId, object] = {}
+    targets = W.inner if c.dim else range(W.starts[1], W.starts[2])
+    first = W.starts[c.dim]
+    values = [c.get(cell) for cell in W.cells_of_dim(c.dim)]
+    out: dict[int, object] = {}
     # by construction every boundary cell of these targets is in the window
     for e in targets:
         val = sum(s * values[b - first] for b, s in W.terms(e))
         if val:
-            out[ids[e]] = val
-    return Cochain(c.dim + 1, out)
+            out[e] = val
+    return Cochain(c.dim + 1, W._named(out))
 
 
 def pair(z: Cochain, D: Chain):
@@ -501,8 +475,9 @@ def chain_rel_length(D: Chain):
 def relator_indicator_family():
     """z assigning 1 to every relator 2-cell of the window."""
     def build(W: Window) -> Cochain:
-        return Cochain(2, {f: 1 for f in W.cells_of_dim(2)
-                           if f.kind == RELATOR_FACE})
+        keys = W.cell_key
+        return Cochain(2, dict.fromkeys(W._ids(
+            f for f in range(W.starts[2], W.size) if keys[f][0] == _RF), 1))
     return build
 
 
@@ -554,6 +529,13 @@ def _highs_core():
     raise ImportError(f"No module named {_HIGHS_CORE!r}", name=_HIGHS_CORE)
 
 
+# linprog's options; the process's HiGHS instance and its binding class
+_OPTIONS = (("output_flag", False), ("log_to_console", False),
+            ("presolve", "on"), ("highs_debug_level", 0),
+            ("simplex_strategy", 1))
+_solver = None
+
+
 def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
             col_upper):
     """Minimize c x subject to row_lower <= A x <= row_upper and
@@ -563,11 +545,14 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
     This is the call scipy's linprog(method="highs") makes into HiGHS, made
     directly through the binding scipy ships: on a window's program,
     linprog's input checks, sparse copies and per-solve option validation
-    cost more than the solve.  Each call gets a fresh HiGHS instance with
-    linprog's options (presolve on, the dual simplex, no output) and
-    linprog's statuses: 0 for an optimum whose columns and rows keep their
-    bounds within linprog's tolerance 10 sqrt(1e-9), 2 infeasible,
-    3 unbounded, 4 anything else, with HiGHS's model status in the message.
+    cost more than the solve.  The process keeps one HiGHS instance per
+    binding class, with linprog's options (presolve on, the dual simplex,
+    no output), and clears its model before each program, which solves as
+    on a fresh instance; it is not for concurrent use (relhyp runs
+    single-threaded).  The statuses are linprog's: 0 for an optimum whose
+    columns and rows keep their bounds within linprog's tolerance
+    10 sqrt(1e-9), 2 infeasible, 3 unbounded, 4 anything else, with HiGHS's
+    model status in the message.
     The result has x, eqlin.marginals (the duals of the rows whose two
     bounds are equal), ray (HiGHS's dual ray on those rows when infeasible,
     else None), status and message.  numpy and the binding are loaded at
@@ -580,12 +565,13 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
     if not (len(col_lower) == len(col_upper) == n and len(row_upper) == m
             and len(start) == m + 1 and len(index) == len(value) == start[m]):
         raise ValueError("the program's arrays have mismatched lengths")
-    highs = hs._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("log_to_console", False)
-    highs.setOptionValue("presolve", "on")
-    highs.setOptionValue("highs_debug_level", 0)
-    highs.setOptionValue("simplex_strategy", 1)
+    global _solver
+    if _solver is None or _solver[0] is not hs._Highs:
+        _solver = (hs._Highs, hs._Highs())
+        for option in _OPTIONS:
+            _solver[1].setOptionValue(*option)
+    highs = _solver[1]
+    highs.clearModel()
     # the arrays go in as buffers; every column is continuous
     passed = highs.passModel(
         n, m, len(value), int(hs.MatrixFormat.kRowwise),
@@ -641,28 +627,23 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
         raise ValueError("target must be a 2-cochain")
     if not z.is_relative:
         raise ValueError("target cochain must vanish on peripheral cells")
-    # one column per non-peripheral 1-cell, in cell order
-    n0, n1 = len(W.cells_of_dim(0)), len(W.cells_of_dim(1))
     keys = W.cell_key
-    column: dict[int, int] = {}
-    variables = []
-    for e, cell in enumerate(W.cells_of_dim(1), n0):
-        if keys[e][0] != _PE:
-            column[e] = len(variables)
-            variables.append(cell)
+    # one column per non-peripheral 1-cell, in cell order
+    edges = [e for e in range(W.starts[1], W.starts[2]) if keys[e][0] != _PE]
+    column = {e: j for j, e in enumerate(edges)}
     # one row per interior relator face, peripheral edges dropped
-    faces, indptr, cols, coefs = [], [0], [], []
-    for f in W.inner:
-        if keys[f][0] != _RF:
-            continue
-        faces.append(W.cells_of_dim(2)[f - n0 - n1])
+    rows = W.relator_rows()
+    faces = W._ids(rows)
+    zs = dict(zip(rows, map(z.get, faces)))
+    indptr, cols, coefs = [0], [], []
+    for f in rows:
         for b, s in W.terms(f):
             j = column.get(b)
             if j is not None:
                 cols.append(j)
                 coefs.append(s)
         indptr.append(len(cols))
-    n = len(variables)
+    n = len(edges)
     # box rows 2j and 2j+1 hold m_j (+1, then -1) and t (-1)
     box = np.full((n, 4), n, dtype=np.int32)
     box[:, 0] = box[:, 2] = np.arange(n)
@@ -671,7 +652,7 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
     index = np.concatenate([box.ravel(), np.array(cols, dtype=np.int32)])
     value = np.concatenate([np.tile([1.0, -1.0, -1.0, -1.0], n),
                             np.array(coefs, dtype=float)])
-    b_eq = np.array([float(z.get(f)) for f in faces])
+    b_eq = np.array([float(v) for v in zs.values()])
     row_lower = np.concatenate([np.full(2 * n, -np.inf), b_eq])
     row_upper = np.concatenate([np.zeros(2 * n), b_eq])
     col_lower = np.full(n + 1, -np.inf)
@@ -682,24 +663,37 @@ def min_linf_primitive(W: Window, z: Cochain, exact: bool = False):
                   row_lower=row_lower, row_upper=row_upper,
                   col_lower=col_lower, col_upper=np.full(n + 1, np.inf))
     if exact:
-        return _certified(W, z, variables, faces, res)
+        return _certified(W, zs, edges, faces, res)
     if res.status == 2:
-        return Infeasible(witness=tuple(faces))
+        return Infeasible(witness=faces)
     if res.status != 0:
         raise LpSolverError(f"solver failed with status {res.status}: "
                             f"{res.message}")
-    m = Cochain(1, _clean(dict(zip(variables, res.x[:n].tolist()))))
-    return Primitive(m=m, norm=float(res.x[n]), exact=False)
+    m = {e: v for e, v in zip(edges, res.x[:n].tolist()) if v}
+    return Primitive(m=Cochain(1, W._named(m)), norm=float(res.x[n]),
+                     exact=False)
 
 
-def _relative_boundary(W: Window, D: Chain):
-    """The coefficients of boundary D off the peripheral cells, or None
-    unless D is a 2-chain on interior relator faces."""
-    if D.dim != 2 or not all(f.kind == RELATOR_FACE and f in W.interior
-                             for f in D.coeffs):
+def _replay(W: Window, zs: dict, d: dict) -> tuple:
+    """(||boundary d||_1 off the peripheral cells, <z, d>) for the 2-chain d
+    given as {face number: coefficient}, zs holding z by face number.  The
+    boundary is taken on integers: d times its least common denominator."""
+    keys = W.cell_key
+    ratios = [v.as_integer_ratio() for v in d.values()]
+    scale = math.lcm(*(b for _, b in ratios))
+    bd = _boundary(W, ((f, a * (scale // b)) for f, (a, b) in zip(d, ratios)))
+    return (Fraction(sum(abs(v) for b, v in bd.items() if keys[b][0] != _PE),
+                     scale), sum(zs[f] * v for f, v in d.items()))
+
+
+def _replayed(W: Window, z: Cochain, D: Chain):
+    """_replay of D, or None unless D is a 2-chain on interior relator
+    faces."""
+    number = dict(zip(W.interior_relator_faces, W.relator_rows()))
+    if D.dim != 2 or not all(f in number for f in D.coeffs):
         return None
-    return [v for c, v in boundary_chain(W, D).coeffs.items()
-            if not c.is_lbar]
+    return _replay(W, {number[f]: z.get(f) for f in D.coeffs},
+                   {number[f]: v for f, v in D.coeffs.items()})
 
 
 def check_isoperimetric_witness(W: Window, z: Cochain, D: Chain):
@@ -707,15 +701,16 @@ def check_isoperimetric_witness(W: Window, z: Cochain, D: Chain):
     ||boundary D||_1 <= 1 off the peripheral cells, else None.  Such a D
     bounds every primitive m of z on the window from below (weak duality):
     <z, D> = <delta m, D> = <m, boundary D> <= ||m||_inf."""
-    bd = _relative_boundary(W, D)
-    return None if bd is None or sum(map(abs, bd)) > 1 else pair(z, D)
+    replay = _replayed(W, z, D)
+    return replay[1] if replay is not None and replay[0] <= 1 else None
 
 
 def check_farkas(W: Window, z: Cochain, D: Chain) -> bool:
     """Whether the 2-chain D, on interior relator faces with boundary D = 0
     off the peripheral cells, has <z, D> != 0: then z has no primitive m,
     as <z, D> = <delta m, D> = <m, boundary D> would be 0 (Farkas)."""
-    return _relative_boundary(W, D) == [] and pair(z, D) != 0
+    replay = _replayed(W, z, D)
+    return replay is not None and replay[0] == 0 and replay[1] != 0
 
 
 # denominator bounds tried, smallest first, when reading a HiGHS solution
@@ -724,40 +719,41 @@ def check_farkas(W: Window, z: Cochain, D: Chain) -> bool:
 _DENOMINATOR_LADDER = (1, 2, 4, 8, 16, 64, 256, 1024, 10 ** 6)
 
 
-def _fractions(cells, values) -> dict:
-    """cell -> value as the Fraction the float is, zeros dropped."""
-    return {c: Fraction(v) for c, v in zip(cells, values.tolist()) if v}
-
-
 def _rounded(exact: dict, bound: int) -> dict:
     """cell -> value as a rational of denominator <= bound, zeros dropped."""
-    return _clean({c: q.limit_denominator(bound) for c, q in exact.items()})
+    return {c: r for c, q in exact.items()
+            if (r := q.limit_denominator(bound))}
 
 
-def _certified(W: Window, z: Cochain, variables, faces, res):
+def _certified(W: Window, zs: dict, edges: list, faces: tuple, res):
     """Exact verdict from the HiGHS run, or LpSolverError.  At each bound
     of the ladder, y (the row duals at an optimum, the dual ray when
     infeasible) is read as a 2-chain D on the relator faces.  An optimum
-    counts once D replays through check_isoperimetric_witness to max |m_j|
+    counts once D replays, as in check_isoperimetric_witness, to max |m_j|
     of the rational m and delta m = z there, which proves m optimal;
-    infeasibility counts once D passes check_farkas.  Each float is read as
-    a Fraction once, and a rung's D is checked before its delta m."""
+    infeasibility counts once D passes check_farkas's test.  Each float is
+    read as a Fraction once, and a rung's D is checked before its delta m,
+    all on cell numbers (zs is z by relator face, edges the columns)."""
     y = res.eqlin.marginals if res.status == 0 else res.ray
     if y is not None:
-        ys = _fractions(faces, y)
-        xs = {} if res.status == 2 else _fractions(variables, res.x[:-1])
+        ys = {f: Fraction(v) for f, v in zip(zs, y.tolist()) if v}
+        xs = {} if res.status == 2 else \
+            {e: Fraction(v) for e, v in zip(edges, res.x[:-1].tolist()) if v}
         for bound in _DENOMINATOR_LADDER:
-            D = Chain(2, _rounded(ys, bound))
+            d = _rounded(ys, bound)
+            bd, value = _replay(W, zs, d)
             if res.status == 2:
-                if check_farkas(W, z, D):
-                    return Infeasible(witness=tuple(faces), farkas=D)
+                if bd == 0 and value != 0:
+                    return Infeasible(witness=faces,
+                                      farkas=Chain(2, W._named(d)))
                 continue
-            m = Cochain(1, _rounded(xs, bound))
-            norm = Fraction(m.norm)
-            if check_isoperimetric_witness(W, z, D) == norm:
-                dm = coboundary(W, m)
-                if all(dm.get(f) == z.get(f) for f in faces):
-                    return Primitive(m=m, norm=norm, exact=True, witness=D)
+            m = _rounded(xs, bound)
+            norm = Fraction(max(map(abs, m.values()), default=0))
+            if bd <= 1 and value == norm and all(
+                    sum(s * m.get(b, 0) for b, s in W.terms(f)) == v
+                    for f, v in zs.items()):
+                return Primitive(m=Cochain(1, W._named(m)), norm=norm,
+                                 exact=True, witness=Chain(2, W._named(d)))
     raise LpSolverError(f"no exact certificate for the solver result "
                         f"(status {res.status}: {res.message})")
 
@@ -777,23 +773,26 @@ class GrowthScan:
 def growth_scan(P: RelativePresentation, O, z_builder, widths, rho: int = 1,
                 exact: bool = False) -> GrowthScan:
     """Optimal primitive norms across windows of the given widths (window
-    width w means ball radius w // 2)."""
+    width w means ball radius w // 2), each window solved once.  The rows
+    keep the widths' order; the slope is fitted to them sorted by width,
+    and the verdict reads each window once, by width."""
     import numpy as np
     widths = list(widths)
-    norms = []
+    norms: dict = {}    # radius -> the optimal norm on its window
     for width in widths:
-        W = build_window(P, O, radius=width // 2, rho=rho)
-        cert = min_linf_primitive(W, z_builder(W), exact=exact)
-        if isinstance(cert, Infeasible):
-            raise LpSolverError(
-                f"no primitive exists on the window of width {width}")
-        norms.append(cert.norm)
-    rows = tuple(zip(widths, norms))
-    floats = [float(v) for v in norms]
-    if len(set(widths)) >= 2:
-        slope = float(np.polyfit([float(w) for w in widths], floats, 1)[0])
-    else:
-        slope = 0.0
+        if width // 2 not in norms:
+            W = build_window(P, O, radius=width // 2, rho=rho)
+            cert = min_linf_primitive(W, z_builder(W), exact=exact)
+            if isinstance(cert, Infeasible):
+                raise LpSolverError(
+                    f"no primitive exists on the window of width {width}")
+            norms[width // 2] = cert.norm
+    rows = tuple((w, norms[w // 2]) for w in widths)
+    fit = sorted(rows)
+    slope = float(np.polyfit([float(w) for w, _ in fit],
+                             [float(v) for _, v in fit], 1)[0]) \
+        if len(set(widths)) >= 2 else 0.0
+    floats = [float(norms[r]) for r in sorted(norms)]
     increasing = all(b > a + 1e-9 for a, b in zip(floats, floats[1:]))
     verdict = "linear-growth-witness" if increasing and len(floats) >= 2 \
         else "bounded-consistent"

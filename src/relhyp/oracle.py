@@ -147,9 +147,25 @@ def reduce_mod(ech_rows: list, vec) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _pivoted(ech_rows: list) -> tuple:
+    """Each row of an echelon basis with its pivot column, for _reduce."""
+    return tuple((next(i for i, x in enumerate(row) if x), row)
+                 for row in ech_rows)
+
+
+def _reduce(pivoted, vec) -> tuple[int, ...]:
+    """reduce_mod, the basis given with its pivots (see _pivoted)."""
+    v = list(vec)
+    for j, row in pivoted:
+        q = v[j] // row[j]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
 def _in_any(lattices, vec) -> bool:
-    """Whether vec lies in one of the lattices with these echelon bases."""
-    return any(not any(reduce_mod(ech, vec)) for ech in lattices)
+    """Whether vec lies in one of the lattices, each given _pivoted."""
+    return any(not any(_reduce(ech, vec)) for ech in lattices)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +405,8 @@ class IntegerQuotientOracle(NormalFormOracle):
         self._slots = P.slots
         self._code_vecs: dict = {}     # code -> its letter's slot vector
         self._A = [[col[i] for col in columns] for i in range(dim)]
-        self._kernel_ech = row_echelon_lattice(integer_kernel(self._A))
+        # every lattice is kept _pivoted, its pivots found once
+        self._kernel = _pivoted(row_echelon_lattice(integer_kernel(self._A)))
         # each free image's letter: the first in symbol order, +1 before -1
         self._x_letters: dict = {}
         for sym, col in sorted(self._slots.x_col.items()):
@@ -399,10 +416,11 @@ class IntegerQuotientOracle(NormalFormOracle):
         # the image lattice of each factor and of each pair of factors
         factors = {lam: columns[start:start + count]
                    for lam, (start, count) in self._slots.model_cols.items()}
-        self._perip_lattices = {lam: row_echelon_lattice(cols)
+        self._perip_lattices = {lam: _pivoted(row_echelon_lattice(cols))
                                 for lam, cols in factors.items()}
-        self._pair_lattices = [row_echelon_lattice(factors[i] + factors[j])
-                               for i in factors for j in factors if i < j]
+        self._pair_lattices = [
+            _pivoted(row_echelon_lattice(factors[i] + factors[j]))
+            for i in factors for j in factors if i < j]
         _check_relators(P, self)
 
     def _vec(self, v, what) -> tuple[int, ...]:
@@ -414,14 +432,14 @@ class IntegerQuotientOracle(NormalFormOracle):
         return v
 
     def image_vector(self, w: Word) -> tuple[int, ...]:
-        return self._image(self._slots.epsilon(w))
+        return tuple(self._image(self._slots.epsilon(w)))
 
-    def _image(self, vec) -> tuple[int, ...]:
+    def _image(self, vec) -> list[int]:
         """The image of a slot vector: A vec."""
-        return tuple(sum(a * e for a, e in zip(row, vec)) for row in self._A)
+        return [sum(map(operator.mul, row, vec)) for row in self._A]
 
     def element_key(self, w: Word):
-        return reduce_mod(self._kernel_ech, self._slots.epsilon(w))
+        return _reduce(self._kernel, self._slots.epsilon(w))
 
     def word(self, key) -> Word:
         return self._slots.word(key)
@@ -433,12 +451,12 @@ class IntegerQuotientOracle(NormalFormOracle):
         if vec is None:
             vec = self._code_vecs[c] = self._slots.epsilon(
                 Word((self.P.alphabet.letters[c],)))
-        return reduce_mod(self._kernel_ech, map(operator.add, key, vec))
+        return _reduce(self._kernel, map(operator.add, key, vec))
 
     def coset_of_key(self, key, lam: int):
         # a key differs from the word's vector by kernel vectors, which A
         # sends to 0
-        return reduce_mod(self._perip_lattices[lam], self._image(key))
+        return _reduce(self._perip_lattices[lam], self._image(key))
 
     def solve_in_model(self, lam: int, vec):
         """Nonzero model element of label lam with image vec, or None."""
@@ -469,7 +487,7 @@ class IntegerQuotientOracle(NormalFormOracle):
         """Exact up to two letters, by membership of the image: in a pair
         of factors' sum lattice, or one letter away from a free image;
         bounded below by 3 beyond."""
-        u = self._image(key)
+        u = tuple(self._image(key))
         if not any(u):
             return RelLength.exact(0)
         if self._is_letter(u):

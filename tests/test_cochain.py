@@ -168,19 +168,42 @@ def test_multiplication_face_boundary_doubles_involution_edge():
     _check_dd_zero(W)
 
 
-@pytest.mark.parametrize("build, radius", [(z_example, 16), (zmod2_star, 3)])
-def test_window_asks_for_each_coset_once(build, radius):
+@pytest.mark.parametrize("build, radius", [(z_example, 16), (zmod2_star, 3),
+                                           (z_example, 8), (z2, 3)])
+def test_window_asks_for_each_coset_once(build, radius, monkeypatch):
+    """One coset query per (vertex, label), one word per vertex and, past
+    the ball's walk, one step per (vertex, code), counting the window's own
+    calls, not the oracle's; and a float solve of the relator indicator
+    makes none of the window's CellId tables."""
     P, O = build()
-    asked = []
-    coset_of_key = O.coset_of_key
+    calls = {"coset_of_key": [], "word": [], "step": []}
+    inside = []     # the oracle or the walk is answering
 
-    def counting(key, lam):
-        asked.append((key, lam))
-        return coset_of_key(key, lam)
+    def counted(name, query):
+        def run(*args):
+            if not inside:
+                calls[name].append(args)
+            inside.append(name)
+            try:
+                return query(*args)
+            finally:
+                inside.pop()
+        return run
 
-    O.coset_of_key = counting
-    build_window(P, O, radius=radius, rho=1)
-    assert asked and len(asked) == len(set(asked))
+    for name in calls:
+        setattr(O, name, counted(name, getattr(O, name)))
+    monkeypatch.setattr(cochain, "walk_ball",
+                        counted("walk", cochain.walk_ball))
+    calls["walk"] = []
+    W = build_window(P, O, radius=radius, rho=1)
+    asked, written, stepped = (calls[name] for name in
+                               ("coset_of_key", "word", "step"))
+    assert len(asked) == len(set(asked)) and bool(asked) == bool(P.models)
+    assert len(written) == len(set(written)) == len(W.words)
+    assert len(stepped) == len(set(stepped))
+    min_linf_primitive(W, relator_indicator_family()(W))
+    assert not {"cells", "cell_ids", "numbers", "boundary",
+                "interior"} & set(W.__dict__)
 
 
 def test_window_build_is_deterministic():
@@ -737,6 +760,59 @@ def test_highs_driver_rejects_malformed_programs():
                         value=np.array([1.0]))
 
 
+def test_the_shared_highs_instance_solves_as_a_fresh_one(monkeypatch):
+    """linprog keeps one HiGHS instance and clears its model before each
+    program: the programs of every _drift_cases window, and the infeasible
+    and model-error programs above, solved twice in a shuffled order, give
+    the status, message, x, equality duals and dual ray of a fresh instance
+    per solve, to the bit."""
+    import numpy as np
+    from scipy.optimize._highspy import _core as hs
+    programs = []
+    solve = cochain.linprog
+
+    def record(c, **kwargs):
+        programs.append((c, kwargs))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(cochain, "linprog", record)
+    for _, build, radius, rho, targets in _drift_cases():
+        P, O = build()
+        W = build_window(P, O, radius=radius, rho=rho)
+        for z in targets(W):
+            min_linf_primitive(W, z)
+    monkeypatch.undo()
+    one = dict(col_lower=np.array([-np.inf]), col_upper=np.array([np.inf]))
+    rows = np.array([1.0, 2.0])
+    programs.append((np.array([1.0]), dict(**_rows([[1.0], [1.0]]), **one,
+                                           row_lower=rows, row_upper=rows)))
+    programs.append((np.array([1.0]), dict(
+        start=np.array([0, 1], dtype=np.int32),
+        index=np.array([5], dtype=np.int32), value=np.array([1.0]),
+        row_lower=np.array([1.0]), row_upper=np.array([np.inf]), **one)))
+
+    def result(c, kwargs):
+        res = cochain.linprog(c, **kwargs)
+        return res.status, res.message, *(
+            None if a is None else a.tobytes()
+            for a in (res.x, res.eqlin.marginals, res.ray))
+
+    fresh = []
+    for c, kwargs in programs:
+        # a new binding class gets a new instance
+        monkeypatch.setattr(hs, "_Highs", type("Fresh", (hs._Highs,), {}))
+        fresh.append(result(c, kwargs))
+        monkeypatch.undo()
+    assert {r[0] for r in fresh} == {0, 2, 4}
+    order = list(range(len(programs))) * 2
+    random.Random(26).shuffle(order)
+    result(*programs[order[0]])
+    shared = cochain._solver
+    for k in order:
+        assert result(*programs[k]) == fresh[k], k
+    assert cochain._solver is shared
+
+
 def test_float_primitive_raises_on_every_other_solver_outcome(monkeypatch):
     """Only an optimum that keeps the rows within linprog's tolerance, or
     infeasibility, is an answer; every other model status of HiGHS, and an
@@ -789,6 +865,25 @@ def test_growth_scan_detects_linear_growth():
                                                      (16, 4.0)]
     assert scan.verdict == "linear-growth-witness"
     assert scan.slope == pytest.approx(0.25, abs=0.01)
+
+
+def test_growth_scan_verdict_does_not_depend_on_the_order_of_widths():
+    """The verdict and slope read the windows sorted by width, each window
+    (width // 2) once; the rows keep the given order."""
+    P, O = z_example()
+    scans = {order: growth_scan(P, O, relator_indicator_family(), order)
+             for order in [(4, 8, 16), (16, 4, 8), (8, 16, 4)]}
+    for order, scan in scans.items():
+        assert [(w, float(v)) for w, v in scan.rows] == \
+            [(w, w / 4) for w in order]
+        assert scan.verdict == "linear-growth-witness"
+        assert scan.slope == scans[(4, 8, 16)].slope
+    # widths 8 and 9 are one window, of norm 2
+    scan = growth_scan(P, O, relator_indicator_family(), [9, 8, 16, 8])
+    assert [float(v) for _, v in scan.rows] == [2.0, 2.0, 4.0, 2.0]
+    assert scan.verdict == "linear-growth-witness"
+    assert growth_scan(P, O, relator_indicator_family(),
+                       [8, 9]).verdict == "bounded-consistent"
 
 
 def test_growth_scan_exact_mode():
