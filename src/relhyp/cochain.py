@@ -325,8 +325,8 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
             terms.append((cell((_PE, g, (lam, ab))), -1))
         return face(terms)
 
-    # faces on the rim reference edges past the window; those edges get
-    # their boundaries too, so that dd = 0 holds on every face
+    # rim faces reach edges past the window, whose boundaries are taken too
+    # (dd = 0 on every face); vertices and peripheral edges (loops) have none
     bounds = []
     while len(bounds) < len(raw):
         c = raw[len(bounds)]
@@ -529,7 +529,7 @@ def _highs_core():
     raise ImportError(f"No module named {_HIGHS_CORE!r}", name=_HIGHS_CORE)
 
 
-# linprog's options; the process's HiGHS instance and its binding class
+# linprog's options; (the binding's _Highs class, the process's instance)
 _OPTIONS = (("output_flag", False), ("log_to_console", False),
             ("presolve", "on"), ("highs_debug_level", 0),
             ("simplex_strategy", 1))
@@ -545,14 +545,14 @@ def linprog(c, *, start, index, value, row_lower, row_upper, col_lower,
     This is the call scipy's linprog(method="highs") makes into HiGHS, made
     directly through the binding scipy ships: on a window's program,
     linprog's input checks, sparse copies and per-solve option validation
-    cost more than the solve.  The process keeps one HiGHS instance per
-    binding class, with linprog's options (presolve on, the dual simplex,
-    no output), and clears its model before each program, which solves as
-    on a fresh instance; it is not for concurrent use (relhyp runs
-    single-threaded).  The statuses are linprog's: 0 for an optimum whose
-    columns and rows keep their bounds within linprog's tolerance
-    10 sqrt(1e-9), 2 infeasible, 3 unbounded, 4 anything else, with HiGHS's
-    model status in the message.
+    cost more than the solve.  The process keeps one HiGHS instance of the
+    binding's ``_Highs`` class (another class gets a new one) with linprog's
+    options (presolve on, the dual simplex, no output) and clears its model
+    before each program, which then solves as on a fresh instance; it is
+    not for concurrent use (relhyp runs single-threaded).  The statuses are
+    linprog's: 0 for an optimum whose columns and rows keep their bounds
+    within linprog's tolerance 10 sqrt(1e-9), 2 infeasible, 3 unbounded,
+    4 anything else, with HiGHS's model status in the message.
     The result has x, eqlin.marginals (the duals of the rows whose two
     bounds are equal), ray (HiGHS's dual ray on those rows when infeasible,
     else None), status and message.  numpy and the binding are loaded at
