@@ -20,9 +20,9 @@ Cells are numbered in sorted order, window cells first, and boundaries are
 kept as compressed rows of cell numbers and signs: that integer table is
 the window, on which (co)boundaries, linear programs and certificates run.
 CellIds are made only where cells are named to a caller: by the Window
-properties that list them, for relator_indicator_family's faces, for the
-relator faces whose z a linear program reads, and for the cells of the
-chains and cochains returned.
+properties that list them or look them up, for relator_indicator_family's
+faces, for the relator faces whose z a linear program reads, and for the
+cells of the chains and cochains returned.
 """
 
 from __future__ import annotations
@@ -60,16 +60,25 @@ PERIPHERAL_EDGE = "peripheral_edge"
 RELATOR_FACE = "relator_face"
 PERIPHERAL_FACE = "peripheral_face"
 
+_DIM = {
+    BASE_VERTEX: 0,
+    COSET_VERTEX: 0,
+    GEN_EDGE: 1,
+    COSET_EDGE: 1,
+    PERIPHERAL_EDGE: 1,
+    RELATOR_FACE: 2,
+    PERIPHERAL_FACE: 2,
+}
+
+# cells belonging to the peripheral subcomplex (invisible to relative
+# cochains and carrying zero length)
+_LBAR_KINDS = frozenset({PERIPHERAL_EDGE, PERIPHERAL_FACE})
+
 # the kinds in CellId.sort_key order, (dim, kind); a window numbers its
 # cells by (kind code, vertex rank, data), which is the same order
 _KINDS = (BASE_VERTEX, COSET_VERTEX, COSET_EDGE, GEN_EDGE, PERIPHERAL_EDGE,
           PERIPHERAL_FACE, RELATOR_FACE)
 _BV, _CV, _CE, _GE, _PE, _PF, _RF = range(len(_KINDS))
-_DIM = dict(zip(_KINDS, (0, 0, 1, 1, 1, 2, 2)))
-
-# cells belonging to the peripheral subcomplex (invisible to relative
-# cochains and carrying zero length)
-_LBAR_KINDS = frozenset({PERIPHERAL_EDGE, PERIPHERAL_FACE})
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +138,7 @@ class Window:
     an edge's is (head, +1), (tail, -1), a face's is summed and sorted by
     cell.  ``inner`` lists the interior 2-cells by number.  The properties
     that give CellIds make them at their first read, the rim's only for
-    ``cell_ids`` and ``boundary``."""
+    ``cell_ids``, ``numbers`` and ``boundary``."""
 
     P: RelativePresentation = field(compare=False)
     O: object = field(compare=False)
@@ -170,6 +179,11 @@ class Window:
         """CellId by cell number, the window's and then the rim's."""
         return sum(self.cells.values(), ()) + \
             self._ids(range(self.size, len(self.cell_key)))
+
+    @cached_property
+    def numbers(self) -> dict:
+        """CellId -> cell number, for the chains a caller passes in."""
+        return {c: n for n, c in enumerate(self.cell_ids)}
 
     @cached_property
     def boundary(self) -> dict:
@@ -423,9 +437,10 @@ def _boundary(W: Window, chain) -> dict:
 
 
 def boundary_chain(W: Window, D: Chain) -> Chain:
-    return Chain(D.dim - 1, W._named(_boundary(
-        W, ((n, D.coeffs[c]) for n, c in enumerate(W.cell_ids)
-            if c in D.coeffs))))
+    number, ids = W.numbers, W.cell_ids
+    chain = ((number.get(c), v) for c, v in D.coeffs.items())
+    bd = _boundary(W, ((n, v) for n, v in chain if n is not None))
+    return Chain(D.dim - 1, {ids[b]: v for b, v in bd.items()})
 
 
 def coboundary(W: Window, c: Cochain) -> Cochain:
@@ -689,11 +704,12 @@ def _replay(W: Window, zs: dict, d: dict) -> tuple:
 def _replayed(W: Window, z: Cochain, D: Chain):
     """_replay of D, or None unless D is a 2-chain on interior relator
     faces."""
-    number = dict(zip(W.interior_relator_faces, W.relator_rows()))
-    if D.dim != 2 or not all(f in number for f in D.coeffs):
+    if D.dim != 2 or not all(f.kind == RELATOR_FACE and f in W.interior
+                             for f in D.coeffs):
         return None
-    return _replay(W, {number[f]: z.get(f) for f in D.coeffs},
-                   {number[f]: v for f, v in D.coeffs.items()})
+    number = W.numbers
+    d = {number[f]: v for f, v in D.coeffs.items()}
+    return _replay(W, {n: z.get(f) for f, n in zip(D.coeffs, d)}, d)
 
 
 def check_isoperimetric_witness(W: Window, z: Cochain, D: Chain):
@@ -721,8 +737,8 @@ _DENOMINATOR_LADDER = (1, 2, 4, 8, 16, 64, 256, 1024, 10 ** 6)
 
 def _rounded(exact: dict, bound: int) -> dict:
     """cell -> value as a rational of denominator <= bound, zeros dropped."""
-    return {c: r for c, q in exact.items()
-            if (r := q.limit_denominator(bound))}
+    rounded = {c: q.limit_denominator(bound) for c, q in exact.items()}
+    return {c: r for c, r in rounded.items() if r}
 
 
 def _certified(W: Window, zs: dict, edges: list, faces: tuple, res):

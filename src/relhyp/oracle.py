@@ -124,39 +124,23 @@ def solve_integer(A: list[list[int]], target: list[int]):
     return tuple(sum(V[i][j] * z[j] for j in range(m)) for i in range(m))
 
 
-def row_echelon_lattice(rows: list) -> list[tuple[int, ...]]:
+def row_echelon_lattice(rows: list) -> list[tuple[int, tuple[int, ...]]]:
     """Echelon basis (positive pivots, rows sorted by pivot column) of the
-    lattice spanned by the given integer rows.  Suitable for reduce_mod."""
+    lattice spanned by the given integer rows, each row as (its pivot
+    column, the row), so that reduce_mod looks for no pivots."""
     if not rows:
         return []
     m = len(rows[0])
     A = [[rows[j][i] for j in range(len(rows))] for i in range(m)]  # transpose
     H, _, pivots = column_echelon(A)
-    return [tuple(H[i][c] for i in range(m)) for _, c in pivots]
+    return [(r, tuple(H[i][c] for i in range(m))) for r, c in pivots]
 
 
-def reduce_mod(ech_rows: list, vec) -> tuple[int, ...]:
-    """Canonical representative of vec modulo the lattice with echelon basis."""
+def reduce_mod(ech: list, vec) -> tuple[int, ...]:
+    """Canonical representative of vec modulo the lattice with echelon basis
+    ech, as row_echelon_lattice gives it."""
     v = list(vec)
-    for row in ech_rows:
-        j = next(i for i, x in enumerate(row) if x != 0)
-        q = v[j] // row[j]
-        if q:
-            for i in range(len(v)):
-                v[i] -= q * row[i]
-    return tuple(v)
-
-
-def _pivoted(ech_rows: list) -> tuple:
-    """Each row of an echelon basis with its pivot column, for _reduce."""
-    return tuple((next(i for i, x in enumerate(row) if x), row)
-                 for row in ech_rows)
-
-
-def _reduce(pivoted, vec) -> tuple[int, ...]:
-    """reduce_mod, the basis given with its pivots (see _pivoted)."""
-    v = list(vec)
-    for j, row in pivoted:
+    for j, row in ech:
         q = v[j] // row[j]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
@@ -164,8 +148,8 @@ def _reduce(pivoted, vec) -> tuple[int, ...]:
 
 
 def _in_any(lattices, vec) -> bool:
-    """Whether vec lies in one of the lattices, each given _pivoted."""
-    return any(not any(_reduce(ech, vec)) for ech in lattices)
+    """Whether vec lies in one of the lattices with these echelon bases."""
+    return any(not any(reduce_mod(ech, vec)) for ech in lattices)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +389,7 @@ class IntegerQuotientOracle(NormalFormOracle):
         self._slots = P.slots
         self._code_vecs: dict = {}     # code -> its letter's slot vector
         self._A = [[col[i] for col in columns] for i in range(dim)]
-        # every lattice is kept _pivoted, its pivots found once
-        self._kernel = _pivoted(row_echelon_lattice(integer_kernel(self._A)))
+        self._kernel_ech = row_echelon_lattice(integer_kernel(self._A))
         # each free image's letter: the first in symbol order, +1 before -1
         self._x_letters: dict = {}
         for sym, col in sorted(self._slots.x_col.items()):
@@ -416,11 +399,10 @@ class IntegerQuotientOracle(NormalFormOracle):
         # the image lattice of each factor and of each pair of factors
         factors = {lam: columns[start:start + count]
                    for lam, (start, count) in self._slots.model_cols.items()}
-        self._perip_lattices = {lam: _pivoted(row_echelon_lattice(cols))
+        self._perip_lattices = {lam: row_echelon_lattice(cols)
                                 for lam, cols in factors.items()}
-        self._pair_lattices = [
-            _pivoted(row_echelon_lattice(factors[i] + factors[j]))
-            for i in factors for j in factors if i < j]
+        self._pair_lattices = [row_echelon_lattice(factors[i] + factors[j])
+                               for i in factors for j in factors if i < j]
         _check_relators(P, self)
 
     def _vec(self, v, what) -> tuple[int, ...]:
@@ -439,7 +421,7 @@ class IntegerQuotientOracle(NormalFormOracle):
         return [sum(map(operator.mul, row, vec)) for row in self._A]
 
     def element_key(self, w: Word):
-        return _reduce(self._kernel, self._slots.epsilon(w))
+        return reduce_mod(self._kernel_ech, self._slots.epsilon(w))
 
     def word(self, key) -> Word:
         return self._slots.word(key)
@@ -451,12 +433,12 @@ class IntegerQuotientOracle(NormalFormOracle):
         if vec is None:
             vec = self._code_vecs[c] = self._slots.epsilon(
                 Word((self.P.alphabet.letters[c],)))
-        return _reduce(self._kernel, map(operator.add, key, vec))
+        return reduce_mod(self._kernel_ech, map(operator.add, key, vec))
 
     def coset_of_key(self, key, lam: int):
         # a key differs from the word's vector by kernel vectors, which A
         # sends to 0
-        return _reduce(self._perip_lattices[lam], self._image(key))
+        return reduce_mod(self._perip_lattices[lam], self._image(key))
 
     def solve_in_model(self, lam: int, vec):
         """Nonzero model element of label lam with image vec, or None."""
