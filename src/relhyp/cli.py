@@ -13,6 +13,11 @@ that can fail (the walk, the oracle's queries, letter rendering) before it
 returns; its pieces only join what is computed, so the output file is
 opened only after nothing can fail, and a failed command leaves none.
 
+Start-up imports only what every subcommand needs to read its document and
+build its oracle (``errors``, ``presentation``, ``oracle``); each subcommand
+imports the library modules it runs (``cayley``, ``filling``, ``cochain``,
+``corridor``) when it is called.
+
 Exit codes: 0 success, 2 malformed input (documents, word literals, bad
 domain data), 3 invalid oracle or automorphism data, 4 resource cap or
 truncation exhausted, 5 LP solver failure.
@@ -31,15 +36,6 @@ import random
 import sys
 
 from . import __version__
-from .cayley import ball_csv_lines, ball_json_text, rel_length, truncated_ball
-from .cochain import growth_scan, relator_indicator_family
-from .corridor import (
-    build_corridor,
-    check_separated,
-    check_uniform_flare,
-    parse_action,
-    validate_action,
-)
 from .errors import (
     GeodesicNotFoundError,
     LpSolverError,
@@ -47,7 +43,6 @@ from .errors import (
     ParseError,
     ResourceCapError,
 )
-from .filling import Unknown, dehn_profile, relative_area
 from .oracle import build_oracle
 from .presentation import (
     FiniteTableModel,
@@ -150,6 +145,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_action(P, O, args):
+    from .corridor import parse_action, validate_action
     try:
         doc = load_json(_read_text(args.action), "action")
     except json.JSONDecodeError as exc:
@@ -210,6 +206,7 @@ def _cmd_parse(args, P, O) -> Iterable[str]:
 
 
 def _cmd_ball(args, P, O) -> Iterable[str]:
+    from .cayley import ball_csv_lines, ball_json_text, truncated_ball
     ball = truncated_ball(P, O, args.radius, args.peripheral_bound,
                           max_vertices=args.max_vertices)
     if args.format == "json":
@@ -223,6 +220,7 @@ def _cmd_ball(args, P, O) -> Iterable[str]:
 
 
 def _cmd_length(args, P, O) -> Iterable[str]:
+    from .cayley import rel_length
     w = loop_literal_parse(P, args.loop)
     L = rel_length(P, O, w)
     return _json_out(args, {
@@ -235,6 +233,7 @@ def _cmd_length(args, P, O) -> Iterable[str]:
 
 
 def _cmd_area(args, P, O) -> Iterable[str]:
+    from .filling import Unknown, relative_area
     w = loop_literal_parse(P, args.loop)
     out = relative_area(P, O, w, max_area=args.max_area, max_len=args.max_len,
                         max_states=args.max_states)
@@ -247,6 +246,7 @@ def _cmd_area(args, P, O) -> Iterable[str]:
 
 
 def _cmd_dehn_profile(args, P, O) -> Iterable[str]:
+    from .filling import dehn_profile
     prof = dehn_profile(P, O, n_max=args.n_max, rho=args.peripheral_bound,
                         max_area=args.max_area, max_len=args.max_len)
     lines = _csv_head(args, {"exact": _bool(prof.exact)})
@@ -258,6 +258,7 @@ def _cmd_dehn_profile(args, P, O) -> Iterable[str]:
 
 
 def _cmd_window_lp(args, P, O) -> Iterable[str]:
+    from .cochain import growth_scan, relator_indicator_family
     scan = growth_scan(P, O, relator_indicator_family(), args.radii,
                        rho=args.peripheral_bound, exact=args.exact)
     lines = _csv_head(args, {"slope": _num(float(scan.slope)),
@@ -270,6 +271,8 @@ def _cmd_window_lp(args, P, O) -> Iterable[str]:
 
 
 def _cmd_flare(args, P, O) -> Iterable[str]:
+    from .cayley import truncated_ball
+    from .corridor import check_separated, check_uniform_flare
     action = _load_action(P, O, args)
     ball = truncated_ball(P, O, args.g_radius, args.peripheral_bound).vertices
     sample = list(ball)
@@ -308,6 +311,7 @@ def _cmd_flare(args, P, O) -> Iterable[str]:
 
 
 def _cmd_corridor(args, P, O) -> Iterable[str]:
+    from .corridor import build_corridor
     action = _load_action(P, O, args)
     g = loop_literal_parse(P, args.loop)
     corridor = build_corridor(P, O, action, g, args.depth)

@@ -757,6 +757,8 @@ def _certified(W: Window, zs: dict, edges: list, faces: tuple, res):
             {e: Fraction(v) for e, v in zip(edges, res.x[:-1].tolist()) if v}
         for bound in _DENOMINATOR_LADDER:
             d = _rounded(ys, bound)
+            if not d and (res.status == 2 or any(zs.values())):
+                continue    # <z, d> = 0: no Farkas chain, no positive norm
             bd, value = _replay(W, zs, d)
             if res.status == 2:
                 if bd == 0 and value != 0:

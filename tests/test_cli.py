@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 import relhyp
-from relhyp import cli
+from relhyp import cli, cochain
 from relhyp.cayley import truncated_ball
 from relhyp.errors import LpSolverError, OracleInvalidError, ParseError
 from relhyp.oracle import FreeProductOracle
@@ -452,7 +452,7 @@ def test_vertex_budget_exits_4(docs, capsys):
 def test_lp_failure_exits_5(docs, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise LpSolverError("backend gave up")
-    monkeypatch.setattr(cli, "growth_scan", boom)
+    monkeypatch.setattr(cochain, "growth_scan", boom)
     code, _, err = run_cli(capsys, "window-lp", "--input", docs["z"],
                            "--radii", "4")
     assert code == 5 and "backend gave up" in err
@@ -550,6 +550,44 @@ def test_cli_import_leaves_scipy_unloaded():
              "print(*(m in sys.modules for m in "
              "('scipy.optimize', 'scipy.sparse', 'numpy')))")
     assert _fresh_python("-c", probe) == (0, "False False False\n", "")
+
+
+def test_each_command_loads_only_its_modules(docs, tmp_path):
+    # start-up loads no library module a subcommand runs; each subcommand
+    # loads its own when it runs, and the package's names resolve at their
+    # first read
+    runs = (("parse", "--input", docs["z"]),
+            ("ball", "--input", docs["f2"], "--radius", "1"),
+            ("window-lp", "--input", docs["z"], "--radii", "4"),
+            ("area", "--input", docs["z"], "--loop", "h1^2 h2^2"),
+            ("corridor", "--input", docs["f2"], "--action", docs["action"],
+             "--loop", "x y", "--depth", "1"))
+    probe = ("import sys\n"
+             "def loaded():\n"
+             "    return {m for m in ('cayley', 'filling', 'cochain', "
+             "'corridor') if 'relhyp.' + m in sys.modules}\n"
+             "import relhyp\n"
+             "print(sorted(loaded()))\n"
+             "from relhyp import cli\n"
+             "print(sorted(loaded()))\n"
+             f"for argv in {runs!r}:\n"
+             "    before = loaded()\n"
+             f"    out = {str(tmp_path / 'out')!r}\n"
+             "    assert cli.main([*argv, '--output', out]) == 0\n"
+             "    print(argv[0], sorted(loaded() - before))\n")
+    assert _fresh_python("-c", probe) == (0, (
+        "[]\n[]\nparse []\nball ['cayley']\nwindow-lp ['cochain']\n"
+        "area ['filling']\ncorridor ['corridor']\n"), "")
+    probe = ("import sys, relhyp\n"
+             "print(relhyp.cochain is sys.modules['relhyp.cochain'])\n"
+             "names = {}\n"
+             "exec('from relhyp import *', names)\n"
+             "del names['__builtins__']\n"
+             "print(sorted(names) == sorted(relhyp.__all__), all(\n"
+             "    value is getattr(sys.modules['relhyp.' + module], name)\n"
+             "    for module, exports in relhyp._EXPORTS.items()\n"
+             "    for name, value in zip(exports, map(names.get, exports))))\n")
+    assert _fresh_python("-c", probe) == (0, "True\nTrue True\n", "")
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
