@@ -51,34 +51,20 @@ from .presentation import (
     encode_word,
 )
 
-# cell kinds, by dimension
-BASE_VERTEX = "base_vertex"
-COSET_VERTEX = "coset_vertex"
-GEN_EDGE = "gen_edge"
-COSET_EDGE = "coset_edge"
-PERIPHERAL_EDGE = "peripheral_edge"
-RELATOR_FACE = "relator_face"
-PERIPHERAL_FACE = "peripheral_face"
-
-_DIM = {
-    BASE_VERTEX: 0,
-    COSET_VERTEX: 0,
-    GEN_EDGE: 1,
-    COSET_EDGE: 1,
-    PERIPHERAL_EDGE: 1,
-    RELATOR_FACE: 2,
-    PERIPHERAL_FACE: 2,
-}
+# the cell kinds in CellId.sort_key order, (dim, kind); the last word of a
+# kind names its dimension.  A window numbers its cells by (kind code,
+# vertex rank, data), which is the same order.
+_KINDS = ("base_vertex", "coset_vertex", "coset_edge", "gen_edge",
+          "peripheral_edge", "peripheral_face", "relator_face")
+(BASE_VERTEX, COSET_VERTEX, COSET_EDGE, GEN_EDGE, PERIPHERAL_EDGE,
+ PERIPHERAL_FACE, RELATOR_FACE) = _KINDS
+_BV, _CV, _CE, _GE, _PE, _PF, _RF = range(len(_KINDS))
+_DIM = {k: ("vertex", "edge", "face").index(k.rpartition("_")[2])
+        for k in _KINDS}
 
 # cells belonging to the peripheral subcomplex (invisible to relative
 # cochains and carrying zero length)
 _LBAR_KINDS = frozenset({PERIPHERAL_EDGE, PERIPHERAL_FACE})
-
-# the kinds in CellId.sort_key order, (dim, kind); a window numbers its
-# cells by (kind code, vertex rank, data), which is the same order
-_KINDS = (BASE_VERTEX, COSET_VERTEX, COSET_EDGE, GEN_EDGE, PERIPHERAL_EDGE,
-          PERIPHERAL_FACE, RELATOR_FACE)
-_BV, _CV, _CE, _GE, _PE, _PF, _RF = range(len(_KINDS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,30 +85,6 @@ class CellId:
         return (self.dim, self.kind, self.translate.sort_key(), self.data)
 
 
-def base_vertex(g: Word) -> CellId:
-    return CellId(BASE_VERTEX, g)
-
-
-def coset_vertex(lam: int, rep: Word) -> CellId:
-    return CellId(COSET_VERTEX, rep, (lam,))
-
-
-def gen_edge(sym: str, g: Word) -> CellId:
-    return CellId(GEN_EDGE, g, (sym,))
-
-
-def coset_edge(lam: int, g: Word) -> CellId:
-    return CellId(COSET_EDGE, g, (lam,))
-
-
-def peripheral_edge(lam: int, rep: Word, h) -> CellId:
-    return CellId(PERIPHERAL_EDGE, rep, (lam, h))
-
-
-def relator_face(r: int, g: Word) -> CellId:
-    return CellId(RELATOR_FACE, g, (r,))
-
-
 # ---------------------------------------------------------------------------
 # windows
 
@@ -141,7 +103,6 @@ class Window:
     ``cell_ids``, ``numbers`` and ``boundary``."""
 
     P: RelativePresentation = field(compare=False)
-    O: object = field(compare=False)
     radius: int
     rho: int
     size: int
@@ -368,7 +329,7 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
         indptr.append(len(flat))
     bd_cell, bd_sign = zip(*flat) if flat else ((), ())
 
-    return Window(P=P, O=O, radius=radius, rho=rho, size=n_window,
+    return Window(P=P, radius=radius, rho=rho, size=n_window,
                   starts=(0, n0, n0 + n1, n_window), words=tuple(words),
                   cell_key=tuple(raw[n] for n in order),
                   indptr=tuple(indptr), bd_cell=bd_cell, bd_sign=bd_sign,

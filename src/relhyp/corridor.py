@@ -13,6 +13,7 @@ basis automorphism, -i its inverse).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 
 from .cayley import geodesic_witness, rel_length
@@ -27,12 +28,19 @@ from .presentation import (
     XLetter,
     decode_word,
     encode_word,
-    exact_number,
     expect_json,
     free_reduce,
     int_label,
     is_int,
 )
+
+
+def exact_number(x) -> Fraction:
+    """A user-supplied constant as a Fraction; floats go through their
+    shortest repr, so 1.1 means 11/10 and not the binary double nearest it."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return Fraction(str(x))
 
 
 # ---------------------------------------------------------------------------

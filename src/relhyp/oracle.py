@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import reduce
 import json
 import operator
-import subprocess
 
 from .errors import OracleInvalidError, ParseError
 from .presentation import (
@@ -644,7 +643,7 @@ class PluginOracle(NormalFormOracle):
             raise ParseError("plugin command must be a list of strings", "oracle")
         self.P = P
         self.command = list(command)
-        self._proc: subprocess.Popen | None = None
+        self._proc = None
         self._cache: dict[tuple, Word] = {}
         try:
             _check_relators(P, self)
@@ -654,6 +653,7 @@ class PluginOracle(NormalFormOracle):
 
     def _ensure(self):
         if self._proc is None or self._proc.poll() is not None:
+            import subprocess
             self._proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 text=True, bufsize=1)

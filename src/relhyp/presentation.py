@@ -12,21 +12,12 @@ reduce many words intern a presentation's letters as int codes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 import json
 import sys
 from typing import Iterable, Iterator, Union
 
 from .errors import ParseError
-
-
-def exact_number(x) -> Fraction:
-    """A user-supplied constant as a Fraction; floats go through their
-    shortest repr, so 1.1 means 11/10 and not the binary double nearest it."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return Fraction(str(x))
 
 
 def is_int(v) -> bool:
@@ -982,54 +973,6 @@ def serialize_presentation(P: RelativePresentation, oracle: dict | None = None) 
     return dump_json(presentation_to_doc(P, oracle))
 
 
-_json_string = json.encoder.encode_basestring_ascii
-
-
 def dump_json(obj) -> str:
-    """Exactly the text of ``json.dumps`` with sorted keys and an indent of
-    two, the form of every JSON artifact.
-
-    With any ``indent`` the standard library encodes through a pure-Python
-    generator, slow on small payloads; this writer builds None, the
-    booleans and values of class exactly int, str, list, tuple or dict (a
-    dict's keys all of class str) with ``str.join``.  Any other value is
-    handed to ``json.dumps`` and re-indented to its depth: JSON strings
-    escape newlines, so every newline in that text is an indent.  Cyclic
-    input is not detected.
-    """
-
-    def text(o, depth: int) -> str:
-        cls = o.__class__
-        if cls is int:
-            return int.__repr__(o)
-        if cls is str:
-            return _json_string(o)
-        if cls is list or cls is tuple or (
-                cls is dict and all(k.__class__ is str for k in o)):
-            return container(o, depth)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        return json.dumps(o, sort_keys=True, indent=2).replace(
-            "\n", "\n" + "  " * depth)
-
-    def container(o, depth: int) -> str:
-        is_dict = o.__class__ is dict
-        if not o:
-            return "{}" if is_dict else "[]"
-        inner = depth + 1
-        sep = "\n" + "  " * inner
-        if is_dict:
-            body = [f"{_json_string(k)}: {text(v, inner)}"
-                    for k, v in sorted(o.items())]
-            opening, closing = "{", "}"
-        else:
-            body = [text(v, inner) for v in o]
-            opening, closing = "[", "]"
-        return (opening + sep + ("," + sep).join(body) + "\n"
-                + "  " * depth + closing)
-
-    return text(obj, 0)
+    """The text of every JSON artifact: sorted keys, an indent of two."""
+    return json.dumps(obj, sort_keys=True, indent=2)

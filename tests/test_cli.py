@@ -462,7 +462,6 @@ def test_plugin_oracle_ends_with_each_command(capsys, tmp_path,
                                              monkeypatch):
     """main closes the plugin oracle it built, on success and on error:
     each child has exited and its output pipe is closed."""
-    from relhyp import oracle
     from test_oracle import PLUGIN_EXPONENT_SUM
     children = []
 
@@ -471,7 +470,7 @@ def test_plugin_oracle_ends_with_each_command(capsys, tmp_path,
             super().__init__(*args, **kwargs)
             children.append(self)
 
-    monkeypatch.setattr(oracle.subprocess, "Popen", Recording)
+    monkeypatch.setattr(subprocess, "Popen", Recording)
     script = tmp_path / "zplug.py"
     script.write_text(PLUGIN_EXPONENT_SUM)
     doc = tmp_path / "plugin.json"
@@ -544,12 +543,13 @@ def test_module_entry_point_runs_without_warnings():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize, scipy.sparse and numpy are imported at their first
-    # use, not at start-up
+    # scipy.optimize, scipy.sparse, numpy, subprocess (for a plugin oracle)
+    # and fractions (for exact numbers) are imported at their first use,
+    # not at start-up
     probe = ("import sys, relhyp.cli; "
-             "print(*(m in sys.modules for m in "
-             "('scipy.optimize', 'scipy.sparse', 'numpy')))")
-    assert _fresh_python("-c", probe) == (0, "False False False\n", "")
+             "print(*(m in sys.modules for m in ('scipy.optimize', "
+             "'scipy.sparse', 'numpy', 'subprocess', 'fractions')))")
+    assert _fresh_python("-c", probe) == (0, "False " * 4 + "False\n", "")
 
 
 def test_each_command_loads_only_its_modules(docs, tmp_path):
@@ -671,33 +671,39 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def _reads(node) -> Counter:
+    """How often each name is read in node, as a name or an attribute."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+    return out
+
+
+def _trees(*folders) -> list:
+    return [ast.parse(path.read_text()) for folder in folders
+            for path in sorted(folder.glob("*.py"))]
+
+
 def test_every_private_definition_is_used():
     # module-level private functions, classes and constants, and private
     # methods, each read somewhere in the package outside its own definition
-    trees = [ast.parse(path.read_text())
-             for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
-
-    def reads(node):
-        out = Counter()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                out[n.id] += 1
-            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                out[n.attr] += 1
-        return out
+    trees = _trees(Path(cli.__file__).parent)
 
     def private(name):
         return name.startswith("_") and not name.endswith("__")
 
-    read = sum(map(reads, trees), Counter())
+    read = sum(map(_reads, trees), Counter())
     defs = []
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
-                defs += [(t.id, node) for t in targets
-                         if isinstance(t, ast.Name) and private(t.id)]
+                defs += [(n.id, node) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and private(n.id)]
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if private(node.name):
                     defs.append((node.name, node))
@@ -706,7 +712,22 @@ def test_every_private_definition_is_used():
                              if isinstance(m, ast.FunctionDef)
                              and private(m.name)]
     unused = sorted(name for name, node in defs
-                    if read[name] == reads(node)[name])
+                    if read[name] == _reads(node)[name])
+    assert unused == []
+
+
+def test_every_public_definition_is_used():
+    # module-level public functions and classes of the package, each read
+    # somewhere in the package, these tests or perfbench outside its own
+    # definition
+    tests = Path(__file__).parent
+    trees = _trees(Path(cli.__file__).parent)
+    read = sum(map(_reads, trees + _trees(tests, tests.parent / "perfbench")),
+               Counter())
+    unused = sorted(node.name for tree in trees for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and read[node.name] == _reads(node)[node.name])
     assert unused == []
 
 

@@ -17,26 +17,21 @@ from relhyp.cochain import (
     GEN_EDGE,
     PERIPHERAL_EDGE,
     PERIPHERAL_FACE,
+    RELATOR_FACE,
     CellId,
     Chain,
     Cochain,
     Infeasible,
     Primitive,
-    base_vertex,
     boundary_chain,
     build_window,
     chain_rel_length,
     check_farkas,
     check_isoperimetric_witness,
     coboundary,
-    coset_edge,
-    coset_vertex,
-    gen_edge,
     growth_scan,
     min_linf_primitive,
     pair,
-    peripheral_edge,
-    relator_face,
     relator_indicator_family,
     rel_weight,
     window_to_json,
@@ -77,9 +72,10 @@ def test_radius_zero_window_on_one_relator_one_generator():
     W = build_window(P, O, radius=0, rho=0)
     e = O.normal_form(EMPTY_WORD)
     x = O.normal_form(Word((P.relators[0][0],)))
-    assert set(W.cells_of_dim(0)) == {base_vertex(e), base_vertex(x)}
-    assert set(W.cells_of_dim(1)) == {gen_edge("x", e)}
-    assert set(W.cells_of_dim(2)) == {relator_face(0, e)}
+    assert set(W.cells_of_dim(0)) == {CellId(BASE_VERTEX, e),
+                                      CellId(BASE_VERTEX, x)}
+    assert set(W.cells_of_dim(1)) == {CellId(GEN_EDGE, e, ("x",))}
+    assert set(W.cells_of_dim(2)) == {CellId(RELATOR_FACE, e, (0,))}
     assert W.interior == frozenset()
 
 
@@ -87,9 +83,11 @@ def test_radius_zero_window_on_peripheral_presentation():
     P, O = z_example()
     W = build_window(P, O, radius=0, rho=0)
     e = O.normal_form(EMPTY_WORD)
-    assert set(W.cells_of_dim(0)) == {base_vertex(e), coset_vertex(1, e),
-                                      coset_vertex(2, e)}
-    assert set(W.cells_of_dim(1)) == {coset_edge(1, e), coset_edge(2, e)}
+    assert set(W.cells_of_dim(0)) == {CellId(BASE_VERTEX, e),
+                                      CellId(COSET_VERTEX, e, (1,)),
+                                      CellId(COSET_VERTEX, e, (2,))}
+    assert set(W.cells_of_dim(1)) == {CellId(COSET_EDGE, e, (1,)),
+                                      CellId(COSET_EDGE, e, (2,))}
     assert W.interior == frozenset()
 
 
@@ -125,17 +123,17 @@ def test_face_boundary_matches_hand_computation():
     W = build_window(P, O, radius=1, rho=1)
     e = O.normal_form(EMPTY_WORD)
     g1 = O.normal_form(Word((hz(1, 1),)))
-    assert {coset_vertex(1, e), coset_vertex(2, e)} <= \
+    assert {CellId(COSET_VERTEX, e, (1,)), CellId(COSET_VERTEX, e, (2,))} <= \
         set(W.cells_of_dim(0))
     expected = {
-        coset_edge(1, e): 1,
-        peripheral_edge(1, e, (1,)): 1,
-        coset_edge(1, g1): -1,
-        coset_edge(2, g1): 1,
-        peripheral_edge(2, e, (1,)): 1,
-        coset_edge(2, e): -1,
+        CellId(COSET_EDGE, e, (1,)): 1,
+        CellId(PERIPHERAL_EDGE, e, (1, (1,))): 1,
+        CellId(COSET_EDGE, g1, (1,)): -1,
+        CellId(COSET_EDGE, g1, (2,)): 1,
+        CellId(PERIPHERAL_EDGE, e, (2, (1,))): 1,
+        CellId(COSET_EDGE, e, (2,)): -1,
     }
-    assert dict(W.boundary[relator_face(0, e)]) == expected
+    assert dict(W.boundary[CellId(RELATOR_FACE, e, (0,))]) == expected
 
 
 def test_coset_representative_is_least_normal_form():
@@ -151,8 +149,8 @@ def test_coset_representative_is_least_normal_form():
     assert e in reps and a not in reps
     assert b in reps
     # a's coset edge ends at the vertex of its coset, e H_1
-    assert dict(W.boundary[coset_edge(1, a)]) == {coset_vertex(1, e): 1,
-                                                  base_vertex(a): -1}
+    assert dict(W.boundary[CellId(COSET_EDGE, a, (1,))]) == {
+        CellId(COSET_VERTEX, e, (1,)): 1, CellId(BASE_VERTEX, a): -1}
 
 
 def test_multiplication_face_boundary_doubles_involution_edge():
@@ -163,7 +161,8 @@ def test_multiplication_face_boundary_doubles_involution_edge():
     for f in faces:
         lam, a, b = f.data
         assert a == b == 1  # only nonidentity element of Z/2
-        assert dict(W.boundary[f]) == {peripheral_edge(lam, f.translate, 1): 2}
+        assert dict(W.boundary[f]) == {
+            CellId(PERIPHERAL_EDGE, f.translate, (lam, 1)): 2}
         assert f in W.interior
     _check_dd_zero(W)
 
@@ -287,19 +286,19 @@ def test_weights_per_edge_kind():
     P, O = z_example()
     W = build_window(P, O, radius=1, rho=1)
     e = O.normal_form(EMPTY_WORD)
-    assert rel_weight(coset_edge(1, e)) == Fraction(1, 2)
-    assert rel_weight(peripheral_edge(1, e, (1,))) == 0
+    assert rel_weight(CellId(COSET_EDGE, e, (1,))) == Fraction(1, 2)
+    assert rel_weight(CellId(PERIPHERAL_EDGE, e, (1, (1,)))) == 0
     P2, O2 = x_squared()
     e2 = O2.normal_form(EMPTY_WORD)
-    assert rel_weight(gen_edge("x", e2)) == 1
+    assert rel_weight(CellId(GEN_EDGE, e2, ("x",))) == 1
     with pytest.raises(ValueError):
-        rel_weight(base_vertex(e))
+        rel_weight(CellId(BASE_VERTEX, e))
 
 
 def test_cochain_norm_and_arithmetic():
     P, O = x_squared()
     e = O.normal_form(EMPTY_WORD)
-    c = Cochain(1, {gen_edge("x", e): -3})
+    c = Cochain(1, {CellId(GEN_EDGE, e, ("x",)): -3})
     assert c.norm == 3
     assert Cochain(1, {}).norm == 0
 

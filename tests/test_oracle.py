@@ -444,7 +444,7 @@ def test_plugin_oracle_bad_reply_is_an_oracle_error(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
             children.append(self)
 
-    monkeypatch.setattr(ora.subprocess, "Popen", Recording)
+    monkeypatch.setattr(subprocess, "Popen", Recording)
     # not JSON, and lists nested deeper than json.loads recurses
     for reply, message in (("'not json'", "Expecting value"),
                            ("'[' * 100000 + ']' * 100000",

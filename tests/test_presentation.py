@@ -1,5 +1,3 @@
-from collections import OrderedDict
-from fractions import Fraction
 import json
 
 import pytest
@@ -11,7 +9,7 @@ from relhyp import (
     free_reduce, cyclically_reduce, letter_count,
     parse_presentation, serialize_presentation, ParseError,
 )
-from relhyp.presentation import dump_json, letter_key, parse_document
+from relhyp.presentation import letter_key, parse_document
 
 
 Z_EXAMPLE_DOC = json.dumps({
@@ -328,77 +326,3 @@ def test_model_image_folds_generator_images(model, e, target, images, spec):
         want = target.product(
             want, images[i] if s > 0 else target.inverse(images[i]))
     assert model.image(e, images, target) == want
-
-
-# ---------------------------------------------------------------------------
-# the JSON writer
-
-
-def _stdlib(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
-class _Str(str):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-class _List(list):
-    pass
-
-
-# subclasses of the JSON types are written by json.dumps itself
-_json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers().map(_Int),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")]),
-    st.text(), st.text().map(_Str),
-    st.sampled_from(['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é ☃ 𝄞",
-                     "\ud800"]),
-)
-_json_values = st.recursive(_json_scalars, lambda inner: st.one_of(
-    st.lists(inner, max_size=4),
-    st.lists(inner, max_size=4).map(tuple),
-    st.lists(inner, max_size=4).map(_List),
-    st.dictionaries(st.text(max_size=3), inner, max_size=4),
-    st.dictionaries(st.text(max_size=3), inner, max_size=4).map(OrderedDict),
-    st.dictionaries(st.integers(-5, 5), inner, max_size=4),
-), max_leaves=20)
-
-
-@st.composite
-def _shared_at_two_depths(draw):
-    """One sub-object placed at depths 1, 2 and 3, next to other values."""
-    shared = draw(_json_values)
-    return {"a": shared, "b": [shared, {"c": shared}],
-            "d": draw(_json_values)}
-
-
-@given(st.one_of(_json_values, _shared_at_two_depths()))
-@settings(deadline=None)
-def test_dump_json_equals_sorted_indented_json_dumps(obj):
-    assert dump_json(obj) == _stdlib(obj)
-
-
-def test_dump_json_renders_a_shared_object_at_each_depth():
-    letter = {"x": "x", "sign": -1}
-    empty = {}
-    obj = {"edges": [[0, letter, 1], [1, letter, 0]], "letter": letter,
-           "vertices": [[letter, letter], [empty], empty]}
-    assert dump_json(obj) == _stdlib(obj)
-    assert dump_json([letter, [letter, [letter]]]) == \
-        _stdlib([letter, [letter, [letter]]])
-
-
-@pytest.mark.parametrize("obj", [
-    Fraction(1, 2), [1, Fraction(1, 2)], {"a": {1, 2}}, {(1, 2): 0},
-    {1: 0, "a": 1}])
-def test_dump_json_rejects_what_json_dumps_rejects(obj):
-    with pytest.raises(TypeError) as stdlib:
-        _stdlib(obj)
-    with pytest.raises(TypeError) as ours:
-        dump_json(obj)
-    assert str(ours.value) == str(stdlib.value)
