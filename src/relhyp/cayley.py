@@ -1,20 +1,19 @@
 """Truncated relative Cayley graph: balls, relative length, geodesics.
 
 The graph on G with edge letters X union all nonidentity peripheral elements
-is locally infinite whenever a peripheral model is.  Everything here is
-therefore parameterized by a truncation bound rho (only peripheral letters of
-model length <= rho are instantiated) and reports exactness honestly:
+is locally infinite whenever a peripheral model is.  A ball is therefore
+parameterized by a truncation bound rho (only peripheral letters of model
+length <= rho are instantiated), and every answer reports exactness honestly:
 length queries answer with a closed interval that collapses to a point
 whenever the oracle can answer exactly.  Each oracle answers relative length
 and geodesics itself, on element keys (``rel_length_of_key`` and
-``geodesic_of_key``); this module adds the breadth-first geodesic search for
-oracles that give no geodesic themselves.
-Balls and searches walk element keys by ``P.alphabet`` letter codes, one
-``O.step`` per edge, and write a key out as a word only for what they
-return.  A ball keeps its walk, keys and code edges, so that it holds ints
-only (the collector untracks them); its words and letters are decoded at
-their first read, and its CSV and JSON writers render each code once,
-decode nothing, and give their text in pieces for the caller to write.
+``geodesic_of_key``): a geodesic is the oracle's word at the exact length.
+Balls walk element keys by ``P.alphabet`` letter codes, one ``O.step`` per
+edge, and write a key out as a word only for what they return.  A ball
+keeps its walk, keys and code edges, so that it holds ints only (the
+collector untracks them); its words and letters are decoded at their first
+read, and its CSV and JSON writers render each code once, decode nothing,
+and give their text in pieces for the caller to write.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .presentation import (
     XLetter,
     dump_json,
     encode_letter,
-    free_reduce,
     letter_key,
 )
 
@@ -214,74 +212,17 @@ def rel_length(P: RelativePresentation, O, w: Word) -> RelLength:
 # geodesic witnesses
 
 
-def geodesic_witness(P: RelativePresentation, O, w: Word, rho: int = 4,
-                     max_states: int = 200000) -> Word:
-    """A word of minimal letter count representing the same element as w.
-
-    Oracles that know a geodesic answer directly; otherwise a BFS over the
-    truncated alphabet, enriched with syllables taken from the relators and
-    from w's canonical form, must reach the target at the certified
-    distance.  The syllables of each label, with their inverses, are closed
-    under model products to a fixed depth of 2: two rounds of pairwise
-    products.
-    """
-    target = O.element_key(w)
-    length = O.rel_length_of_key(target)
+def geodesic_witness(P: RelativePresentation, O, w: Word) -> Word:
+    """A word of minimal letter count representing the same element as w:
+    the oracle's geodesic at its exact relative length."""
+    key = O.element_key(w)
+    length = O.rel_length_of_key(key)
     if not length.is_exact:
         raise GeodesicNotFoundError(
             f"relative length only bounded to [{length.lower}, "
-            f"{length.upper}] under truncation {rho}", rho)
-    n = length.value
-    if n == 0:
-        return EMPTY_WORD
-    direct = O.geodesic_of_key(target, n)
-    if direct is not None:
-        return direct
-    alphabet = _witness_alphabet(P, w, O.word(target), rho)
-    steps = list(zip(alphabet, P.alphabet.encode(alphabet)))
-    home = O.element_key(EMPTY_WORD)
-    frontier = [((), home)]
-    seen = {home}
-    states = 1
-    for depth in range(1, n + 1):
-        nxt = []
-        for path, key in frontier:
-            for l, c in steps:
-                k = O.step(key, c)
-                if k in seen:
-                    continue
-                if k == target:
-                    return free_reduce(P, Word(path + (l,)))
-                states += 1
-                if states > max_states:
-                    raise GeodesicNotFoundError(
-                        f"geodesic search exceeded {max_states} states "
-                        f"under truncation {rho}", rho)
-                seen.add(k)
-                nxt.append((path + (l,), k))
-        frontier = nxt
-    raise GeodesicNotFoundError(
-        f"no representative of length {n} found under truncation {rho}", rho)
-
-
-def _witness_alphabet(P: RelativePresentation, w: Word, nf: Word, rho: int):
-    letters = list(ball_alphabet(P, rho))
-    extra: dict[int, set] = {lam: set() for lam in P.models}
-    for source in [w, nf, *P.relators]:
-        for l in source:
-            if isinstance(l, HLetter):
-                extra[l.lam].add(l.elem)
-    for lam, elems in extra.items():
-        model = P.models[lam]
-        closed = set(elems)
-        for e in list(closed):
-            closed.add(model.inverse(e))
-        for _ in range(2):
-            for a in list(closed):
-                for b in list(closed):
-                    closed.add(model.product(a, b))
-        for e in sorted(closed, key=lambda e: (model.length(e), repr(e))):
-            if not model.is_identity(e):
-                letters.append(HLetter(lam, e))
-    # letter_key is injective, so the order does not depend on the set's
-    return sorted(set(letters), key=letter_key)
+            f"{length.upper}]")
+    out = O.geodesic_of_key(key, length.value)
+    if out is None:
+        raise GeodesicNotFoundError(
+            f"the oracle gives no geodesic of length {length.value}")
+    return out

@@ -38,8 +38,5 @@ class LpSolverError(RelhypError):
 
 
 class GeodesicNotFoundError(RelhypError):
-    """No geodesic representative was produced under the current truncation."""
-
-    def __init__(self, message: str, rho: int | None = None):
-        self.rho = rho
-        super().__init__(message)
+    """No geodesic representative: the oracle bounds the relative length
+    without fixing it, or gives no word at its exact length."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+import itertools
 import json
 import operator
 
@@ -222,9 +223,13 @@ class NormalFormOracle:
     normal_form(w) and step(element_key(w), P.alphabet.intern(l)) ==
     element_key(w + l); its normal_form may then be left to the base.
     Queries are answered on keys: ``coset_of_key(key, lam)``,
-    ``rel_length_of_key(key)`` and ``codes_of_key(key)``, by default read
-    off ``word(key)``, and ``geodesic_of_key(key, n)``, by default None, are
-    what an oracle that knows more overrides.  The queries on words,
+    ``rel_length_of_key(key)``, ``codes_of_key(key)`` and
+    ``geodesic_of_key(key, n)``, by default read off ``word(key)``, are
+    what an oracle that knows more overrides.  An oracle proves each exact
+    length from a word it can name, and its geodesic gives that word: the
+    default length is exact only at 0 or at a one-letter normal form, and
+    the default geodesic is the normal form when it has n letters.  The
+    queries on words,
     ``coset_key``, ``rel_length``, ``geodesic``, ``equal`` and
     ``is_trivial``, are written here once, on ``element_key(w)``.
     """
@@ -274,9 +279,10 @@ class NormalFormOracle:
 
     def geodesic_of_key(self, key, n: int) -> Word | None:
         """A word of n letters for the element whose key is ``key``, given
-        that n is its exact relative length, or None to leave the search to
-        the caller."""
-        return None
+        that n is its exact relative length: by default the normal form
+        when it has n letters, else None."""
+        nf = self.word(key)
+        return nf if letter_count(nf) == n else None
 
     def equal(self, a: Word, b: Word) -> bool:
         return self.element_key(a) == self.element_key(b)
@@ -480,10 +486,30 @@ class IntegerQuotientOracle(NormalFormOracle):
         return RelLength(3, max(3, letter_count(self.word(key))))
 
     def geodesic_of_key(self, key, n: int) -> Word | None:
-        if n != 1:
-            return None
-        one = self._one_letter(self._image(key))
-        return None if one is None else Word((one,))
+        """The witness of each membership test that made n exact: one
+        letter; the normal form; a free letter and one more letter; or a
+        letter from each of a pair of factors.  An exact 3 is a normal form
+        of 3 letters."""
+        u = self._image(key)
+        if n == 1:
+            one = self._one_letter(u)
+            return None if one is None else Word((one,))
+        nf = super().geodesic_of_key(key, n)
+        if nf is not None or n != 2:
+            return nf
+        for a, l in self._x_letters.items():
+            one = self._one_letter(tuple(map(operator.sub, u, a)))
+            if one is not None:
+                return Word((l, one))
+        cols, element = self._slots.model_cols, self._slots.model_element
+        for i, j in itertools.combinations(sorted(cols), 2):
+            (si, ci), (sj, cj) = cols[i], cols[j]
+            sol = solve_integer([row[si:si + ci] + row[sj:sj + cj]
+                                 for row in self._A], u)
+            if sol is not None:
+                return Word((HLetter(i, element(i, sol[:ci])),
+                             HLetter(j, element(j, sol[ci:]))))
+        return None
 
 
 # ---------------------------------------------------------------------------

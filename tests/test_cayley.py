@@ -361,18 +361,24 @@ def test_witness_finite_quotient():
 
 
 def test_witness_keys_the_word_once(monkeypatch):
-    # the oracle's geodesic is asked on the key the length query used
-    P, O = x_squared()
-    keyed = []
-    element_key = O.element_key
-    monkeypatch.setattr(O, "element_key",
-                        lambda w: keyed.append(w) or element_key(w))
-    out = geodesic_witness(P, O, xw("x", "x", "x"))
-    assert keyed == [xw("x", "x", "x")]
-    assert out == xw("x")
+    # the oracle's geodesic is asked on the key the length query used, by a
+    # built-in oracle and by a plugin-style one (its one-letter normal form)
+    for build, w, geodesic in [
+            (x_squared, xw("x", "x", "x"), xw("x")),
+            (_base_default,
+             Word((HLetter(1, 1), HLetter(2, 1), HLetter(2, 1))),
+             Word((HLetter(1, 1),)))]:
+        P, O = build()
+        keyed = []
+        element_key = O.element_key
+        monkeypatch.setattr(O, "element_key",
+                            lambda w: keyed.append(w) or element_key(w))
+        out = geodesic_witness(P, O, w)
+        assert keyed == [w]
+        assert out == geodesic
 
 
-def test_witness_via_breadth_first_search():
+def test_witness_is_the_two_letter_normal_form():
     P, O = _build(_free_abelian_doc([("x", (1,))]))
     out = geodesic_witness(P, O, xw("x", "x", "x", "x-"))
     assert len(out) == 2 and O.equal(out, xw("x", "x"))
@@ -381,9 +387,19 @@ def test_witness_via_breadth_first_search():
 def test_witness_requires_exact_length():
     P, O = _build(_free_abelian_doc([("a", (1, 0, 0)), ("b", (0, 1, 0)),
                                      ("c", (0, 0, 1))], dim=3))
-    with pytest.raises(GeodesicNotFoundError) as err:
-        geodesic_witness(P, O, xw("a", "a", "b", "b", "c", "c"), rho=2)
-    assert err.value.rho == 2
+    with pytest.raises(GeodesicNotFoundError):
+        geodesic_witness(P, O, xw("a", "a", "b", "b", "c", "c"))
+
+
+def test_witness_needs_the_oracles_word():
+    # an outside oracle that proves a length without naming a word for it
+    class ExactTwo(_NormalFormsOnly):
+        def rel_length_of_key(self, key):
+            return ora.RelLength.exact(2)
+
+    P, _ = zmod2_star()
+    with pytest.raises(GeodesicNotFoundError):
+        geodesic_witness(P, ExactTwo(P), Word((HLetter(1, 1),)))
 
 
 def test_witness_found_through_lattice_alphabet():
@@ -391,5 +407,28 @@ def test_witness_found_through_lattice_alphabet():
                                     models=(1,),
                                     model_images={1: [(2, 2)]}, dim=2))
     w = xw("a", "a", "a", "b", "b", "b")
-    out = geodesic_witness(P, O, w, rho=2)
+    out = geodesic_witness(P, O, w)
     assert len(out) == 3 and O.equal(out, w)
+
+
+def test_witness_of_a_pair_of_factors_is_immediate():
+    """Length 2 with long peripheral syllables (the normal form is an F_2
+    syllable of 30 letters and a Z syllable): the oracle's two-letter word,
+    at once."""
+    P, O = _build(parse_document(json.dumps({
+        "x": ["a"],
+        "models": [{"label": 1, "kind": "F_k", "rank": 2},
+                   {"label": 2, "kind": "F_k", "rank": 2},
+                   {"label": 3, "kind": "Z^d", "rank": 1}],
+        "relators": [],
+        "oracle": {"kind": "integer_quotient", "dim": 3,
+                   "x_images": {"a": [2, 0, -1]},
+                   "model_images": {"1": [[1, 0, -1], [-1, -2, -2]],
+                                    "2": [[-1, -1, 1], [2, 1, 0]],
+                                    "3": [[2, 1, -1]]}},
+    })))
+    w = xw("a", "a") + Word((HLetter(1, (1, 2, 2, 2)),
+                             HLetter(2, (1, 1, 1, 2, 2)), hz(3, 2)))
+    assert rel_length(P, O, w).value == 2
+    out = geodesic_witness(P, O, w)
+    assert len(out) == 2 and O.equal(out, w)

@@ -298,6 +298,21 @@ def test_integer_quotient_answers_are_pinned():
         "040f37e9414a78f3977405dfd6f483403b11abe7294736a56798178548eb7ce3"
 
 
+def test_integer_quotient_geodesics_have_the_exact_length():
+    """Every element of seeded random integer quotients whose length is
+    exact gets a witness of exactly that many letters, equal to it."""
+    rng = random.Random(29)
+    for _ in range(150):
+        P, O = _random_integer_quotient(rng)
+        for _ in range(40):
+            w = P.slots.word([rng.randint(-3, 3)
+                              for _ in range(P.slots.size)])
+            n = O.rel_length(w)
+            if n.is_exact:
+                out = geodesic_witness(P, O, w)
+                assert len(out) == n.value and O.equal(out, w), (w, out)
+
+
 # ---------------------------------------------------------------------------
 # finite-quotient oracle
 

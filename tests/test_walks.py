@@ -1,6 +1,6 @@
-"""The walks that step group elements one letter at a time: truncated balls,
-the loop classes of Dehn profiles and the breadth-first geodesic search,
-pinned over every oracle kind."""
+"""The walks that step group elements one letter at a time, truncated balls
+and the loop classes of Dehn profiles, pinned over every oracle kind with
+the geodesic witnesses of the radius-2 balls."""
 
 import hashlib
 import json
@@ -80,7 +80,7 @@ def test_walks_are_pinned():
                 out = f"{type(exc).__name__}: {exc}"
             digest.update(out.encode())
     assert digest.hexdigest() == \
-        "732af35ebcbfb023fe8ce47ae7d05d3c700440e545f059038766321f1b3f2b91"
+        "f850da3f831431cade456a5fd286178f958de5d67db286018e7445ecb2d9fbce"
 
 
 def test_rel_length_lower_end_is_at_most_the_ball_depth():
