@@ -209,6 +209,8 @@ def _describe_letter(l) -> str:
 class FreeAction:
     basis: int
     automorphisms: tuple            # one RelAutomorphism per basis letter
+    # (P, columns, tables), kept by _letter_images
+    _images: tuple = field(default=(None,) * 3, init=False, repr=False)
 
     @property
     def group(self) -> FreeGroupModel:
@@ -265,12 +267,16 @@ class Corridor:
 
 
 def _letter_images(P: RelativePresentation, action: FreeAction, order,
-                   parent, l, columns: dict, tables: dict) -> list:
+                   parent, l) -> list:
     """Reduced ``P.alphabet`` codes of alpha_{a^-1}(l) for each tree node a
     of ``order`` (``action.ball(n)``; node k's parent is ``parent[k]``):
-    alpha_{-a[-1]} of the image at a's parent, letter by letter.  Kept in
-    ``columns`` by letter code, with each alpha_b's images of single
-    letters in ``tables[b]``."""
+    alpha_{-a[-1]} of the image at a's parent, letter by letter.  Kept on
+    the action across calls with each alpha_b's images of single letters;
+    a larger ball extends a smaller one, so deeper calls append."""
+    held, columns, tables = action._images
+    if held is not P:
+        columns, tables = {}, {}
+        action._images = (P, columns, tables)
     A = P.alphabet
     c = A.intern(l)
     column = columns.setdefault(c, [(c,)])
@@ -303,7 +309,6 @@ def _corridor_keys(P: RelativePresentation, O, action: FreeAction, order,
     index = {a: k for k, a in enumerate(order)}
     parent = [None] + [index[a[:-1]] for a in order[1:]]
     step = O.step
-    columns, tables = {}, {}
     known = {(): [O.element_key(EMPTY_WORD)] * len(order)}
     for g in g_sample:
         letters = g.letters
@@ -312,8 +317,7 @@ def _corridor_keys(P: RelativePresentation, O, action: FreeAction, order,
             i -= 1
         keys = known[letters[:i]]
         for j in range(i, len(letters)):
-            column = _letter_images(P, action, order, parent, letters[j],
-                                    columns, tables)
+            column = _letter_images(P, action, order, parent, letters[j])
             keys = [reduce(step, img, key)
                     for key, img in zip(keys, column)]
             known[letters[:j + 1]] = keys

@@ -5,7 +5,7 @@ answers on keys; each derives from NormalFormOracle, whose defaults read
 the answers off normal forms.  ``element_key`` names the element of a word,
 ``word`` writes a key back as the normal form, and ``step(key, c)`` is the
 key of the element times the letter whose ``P.alphabet`` code is c: the
-one move of every ball, loop and geodesic walk, which therefore runs on
+one move of every ball walk, loop and corridor sweep, which therefore run on
 ints.  ``coset_of_key``, ``rel_length_of_key`` and ``codes_of_key`` give a
 key's peripheral coset, relative length and normal form as codes; the
 queries on words (``coset_key``, ``rel_length``, ``equal``, ``is_trivial``)
@@ -107,21 +107,25 @@ def integer_kernel(A: list[list[int]]) -> list[tuple[int, ...]]:
     return [tuple(V[i][j] for i in range(m)) for j in range(len(pivots), m)]
 
 
-def solve_integer(A: list[list[int]], target: list[int]):
-    """One integer solution y of A y = target, or None."""
+def integer_solver(A: list[list[int]]):
+    """``solve(target)``: one integer solution y of A y = target, or None,
+    on the column echelon form of A, computed once here."""
     H, V, pivots = column_echelon(A)
     m = len(V)
-    t = list(target)
-    z = [0] * m
-    for row, col in pivots:
-        if t[row] % H[row][col] != 0:
+
+    def solve(target):
+        t = list(target)
+        z = [0] * m
+        for row, col in pivots:
+            if t[row] % H[row][col] != 0:
+                return None
+            z[col] = t[row] // H[row][col]
+            for i in range(len(t)):
+                t[i] -= z[col] * H[i][col]
+        if any(t):
             return None
-        z[col] = t[row] // H[row][col]
-        for i in range(len(t)):
-            t[i] -= z[col] * H[i][col]
-    if any(t):
-        return None
-    return tuple(sum(V[i][j] * z[j] for j in range(m)) for i in range(m))
+        return tuple(sum(V[i][j] * z[j] for j in range(m)) for i in range(m))
+    return solve
 
 
 def row_echelon_lattice(rows: list) -> list[tuple[int, tuple[int, ...]]]:
@@ -145,11 +149,6 @@ def reduce_mod(ech: list, vec) -> tuple[int, ...]:
         if q:
             v = [a - q * b for a, b in zip(v, row)]
     return tuple(v)
-
-
-def _in_any(lattices, vec) -> bool:
-    """Whether vec lies in one of the lattices with these echelon bases."""
-    return any(not any(reduce_mod(ech, vec)) for ech in lattices)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +400,18 @@ class IntegerQuotientOracle(NormalFormOracle):
             for s in (1, -1):
                 self._x_letters.setdefault(tuple(s * a for a in columns[col]),
                                            XLetter(sym, s))
-        # the image lattice of each factor and of each pair of factors
-        factors = {lam: columns[start:start + count]
-                   for lam, (start, count) in self._slots.model_cols.items()}
-        self._perip_lattices = {lam: row_echelon_lattice(cols)
-                                for lam, cols in factors.items()}
-        self._pair_lattices = [row_echelon_lattice(factors[i] + factors[j])
-                               for i in factors for j in factors if i < j]
+        # the image lattice of each factor, and a solver for the images of
+        # each factor and of each pair of factors
+        cols = self._slots.model_cols
+        self._perip_lattices = {lam: row_echelon_lattice(columns[s:s + c])
+                                for lam, (s, c) in cols.items()}
+
+        def solver(lams):
+            return integer_solver([[v for s, c in map(cols.get, lams)
+                                    for v in row[s:s + c]] for row in self._A])
+        self._solvers = {lam: solver((lam,)) for lam in cols}
+        self._pair_solvers = {ij: solver(ij)
+                              for ij in itertools.combinations(cols, 2)}
         _check_relators(P, self)
 
     def _vec(self, v, what) -> tuple[int, ...]:
@@ -447,9 +451,7 @@ class IntegerQuotientOracle(NormalFormOracle):
 
     def solve_in_model(self, lam: int, vec):
         """Nonzero model element of label lam with image vec, or None."""
-        start, count = self._slots.model_cols[lam]
-        sub = [row[start:start + count] for row in self._A]
-        sol = solve_integer(sub, list(vec))
+        sol = self._solvers[lam](vec)
         if sol is None or not any(sol):
             return None
         return self._slots.model_element(lam, sol)
@@ -459,57 +461,51 @@ class IntegerQuotientOracle(NormalFormOracle):
         one = self._x_letters.get(tuple(u))
         if one is not None:
             return one
-        for lam in sorted(self.P.models):
+        for lam in self._solvers:
             e = self.solve_in_model(lam, u)
             if e is not None:
                 return HLetter(lam, e)
         return None
 
-    def _is_letter(self, u) -> bool:
-        """Whether u is a free letter's image or in a factor's lattice."""
-        return u in self._x_letters or \
-            _in_any(self._perip_lattices.values(), u)
+    def _two_letters(self, u) -> Word | None:
+        """Two letters with image u, for u of no single letter: a free
+        letter and one more letter, else a letter from each of a pair of
+        factors; or None."""
+        for a, l in self._x_letters.items():
+            one = self._one_letter(tuple(map(operator.sub, u, a)))
+            if one is not None:
+                return Word((l, one))
+        element = self._slots.model_element
+        for (i, j), solve in self._pair_solvers.items():
+            sol = solve(u)
+            if sol is not None:
+                ci = self._slots.model_cols[i][1]
+                return Word((HLetter(i, element(i, sol[:ci])),
+                             HLetter(j, element(j, sol[ci:]))))
+        return None
 
     def rel_length_of_key(self, key) -> RelLength:
-        """Exact up to two letters, by membership of the image: in a pair
-        of factors' sum lattice, or one letter away from a free image;
-        bounded below by 3 beyond."""
+        """Exact up to two letters, by the witnesses of ``_one_letter`` and
+        ``_two_letters``; bounded below by 3 beyond."""
         u = tuple(self._image(key))
         if not any(u):
             return RelLength.exact(0)
-        if self._is_letter(u):
+        if self._one_letter(u) is not None:
             return RelLength.exact(1)
-        if _in_any(self._pair_lattices, u) or any(
-                self._is_letter(tuple(map(operator.sub, u, a)))
-                for a in self._x_letters):
+        if self._two_letters(u) is not None:
             return RelLength.exact(2)
         return RelLength(3, max(3, letter_count(self.word(key))))
 
     def geodesic_of_key(self, key, n: int) -> Word | None:
-        """The witness of each membership test that made n exact: one
-        letter; the normal form; a free letter and one more letter; or a
-        letter from each of a pair of factors.  An exact 3 is a normal form
-        of 3 letters."""
+        """The witness that made n exact in ``rel_length_of_key``, after
+        the normal form at n = 2.  An exact 3 is a normal form of 3
+        letters."""
         u = self._image(key)
         if n == 1:
             one = self._one_letter(u)
             return None if one is None else Word((one,))
         nf = super().geodesic_of_key(key, n)
-        if nf is not None or n != 2:
-            return nf
-        for a, l in self._x_letters.items():
-            one = self._one_letter(tuple(map(operator.sub, u, a)))
-            if one is not None:
-                return Word((l, one))
-        cols, element = self._slots.model_cols, self._slots.model_element
-        for i, j in itertools.combinations(sorted(cols), 2):
-            (si, ci), (sj, cj) = cols[i], cols[j]
-            sol = solve_integer([row[si:si + ci] + row[sj:sj + cj]
-                                 for row in self._A], u)
-            if sol is not None:
-                return Word((HLetter(i, element(i, sol[:ci])),
-                             HLetter(j, element(j, sol[ci:]))))
-        return None
+        return self._two_letters(u) if nf is None and n == 2 else nf
 
 
 # ---------------------------------------------------------------------------

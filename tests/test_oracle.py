@@ -66,9 +66,10 @@ def test_integer_kernel_saturated():
 
 
 def test_solve_integer():
-    assert ora.solve_integer([[2], [0]], [4, 0]) == (2,)
-    assert ora.solve_integer([[2], [0]], [3, 0]) is None
-    sol = ora.solve_integer([[1, 2]], [5])
+    solve = ora.integer_solver([[2], [0]])
+    assert solve([4, 0]) == (2,)
+    assert solve([3, 0]) is None
+    sol = ora.integer_solver([[1, 2]])([5])
     assert sol is not None and sol[0] + 2 * sol[1] == 5
 
 
