@@ -89,7 +89,7 @@ class CellId:
 # windows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window:
     """A window of the complex, as one integer cell table.  Cells 0 to
     ``size`` - 1 are the window's, those of dimension d from ``starts[d]``
@@ -102,17 +102,17 @@ class Window:
     that give CellIds make them at their first read, the rim's only for
     ``cell_ids``, ``numbers`` and ``boundary``."""
 
-    P: RelativePresentation = field(compare=False)
+    P: RelativePresentation
     radius: int
     rho: int
     size: int
-    starts: tuple = field(compare=False, repr=False)
-    words: tuple = field(compare=False, repr=False)
-    cell_key: tuple = field(compare=False, repr=False)
-    indptr: tuple = field(compare=False, repr=False)
-    bd_cell: tuple = field(compare=False, repr=False)
-    bd_sign: tuple = field(compare=False, repr=False)
-    inner: tuple = field(compare=False, repr=False)
+    starts: tuple = field(repr=False)
+    words: tuple = field(repr=False)
+    cell_key: tuple = field(repr=False)
+    indptr: tuple = field(repr=False)
+    bd_cell: tuple = field(repr=False)
+    bd_sign: tuple = field(repr=False)
+    inner: tuple = field(repr=False)
 
     def terms(self, n: int):
         """The boundary of cell n as (cell number, sign) pairs."""

@@ -1,6 +1,7 @@
 """Automorphisms preserving the peripheral structure, free actions by such
 automorphisms, corridor length fields, flare separation checks, and the
-corridor pairing identity.
+corridor pairing identity, which checks the sweep that builds the length
+fields against images worked out letter by letter.
 
 An automorphism is given by images of the free generators plus, per
 peripheral factor, a model isomorphism onto the image factor and a
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .cayley import geodesic_witness, rel_length
-from .errors import GeodesicNotFoundError, ParseError
+from .errors import ParseError
 from .presentation import (
     EMPTY_WORD,
     FiniteTableModel,
@@ -255,11 +255,11 @@ def _basis_automorphism(action: FreeAction, l: int) -> RelAutomorphism:
 # corridors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corridor:
-    g: Word = field(compare=False)
+    g: Word
     N: int
-    entries: dict = field(compare=False)    # fn word -> RelLength
+    entries: dict                   # fn word -> RelLength
 
     @property
     def all_exact(self) -> bool:
@@ -418,35 +418,23 @@ class PairingReport:
 
 def corridor_cocycle_pairing(P: RelativePresentation, O, action: FreeAction,
                              g: Word, u, v) -> PairingReport:
-    """Sum of corridor lengths along the tree geodesic from u to v versus
-    the same quantity recomputed through telescoping distance increments of
-    independently found geodesic witnesses."""
+    """Sum of corridor lengths along the tree geodesic from u to v, v left
+    out, two ways: lhs reads them off the sweep (``build_corridor``), rhs
+    asks the oracle the length of each alpha_{w^-1}(g) worked out letter by
+    letter (``apply_action``).  Every vertex of the path has length at most
+    max(|u|, |v|), so the sweep's ball of that radius holds it."""
     G = action.group
     u = G.product(u, ())
     v = G.product(v, ())
     s = G.product(G.inverse(u), v)
-    vertices = [G.product(u, s[:i]) for i in range(len(s) + 1)]
-    lhs = 0
-    rhs = 0
-    for w in vertices[:-1]:
-        h = apply_action(P, action, G.inverse(w), g)
-        L = rel_length(P, O, h)
-        if not L.is_exact:
-            return PairingReport(None, None, None, indeterminate=True)
-        rhs += L.value
-        try:
-            wit = geodesic_witness(P, O, h)
-        except GeodesicNotFoundError:
-            return PairingReport(None, None, None, indeterminate=True)
-        prev = 0
-        fsum = 0
-        for j in range(1, len(wit) + 1):
-            Lp = rel_length(P, O, wit[:j])
-            if not Lp.is_exact:
-                return PairingReport(None, None, None, indeterminate=True)
-            fsum += Lp.value - prev
-            prev = Lp.value
-        lhs += fsum
+    path = [G.product(u, s[:i]) for i in range(len(s))]
+    entries = build_corridor(P, O, action, g, max(len(u), len(v))).entries
+    sides = ([entries[w] for w in path],
+             [O.rel_length(apply_action(P, action, G.inverse(w), g))
+              for w in path])
+    if not all(L.is_exact for side in sides for L in side):
+        return PairingReport(None, None, None, indeterminate=True)
+    lhs, rhs = (sum(L.value for L in side) for side in sides)
     return PairingReport(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

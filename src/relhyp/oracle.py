@@ -228,8 +228,7 @@ class NormalFormOracle:
     length from a word it can name, and its geodesic gives that word: the
     default length is exact only at 0 or at a one-letter normal form, and
     the default geodesic is the normal form when it has n letters.  The
-    queries on words,
-    ``coset_key``, ``rel_length``, ``geodesic``, ``equal`` and
+    queries on words, ``coset_key``, ``rel_length``, ``equal`` and
     ``is_trivial``, are written here once, on ``element_key(w)``.
     """
 
@@ -294,9 +293,6 @@ class NormalFormOracle:
 
     def rel_length(self, w: Word) -> RelLength:
         return self.rel_length_of_key(self.element_key(w))
-
-    def geodesic(self, w: Word, n: int) -> Word | None:
-        return self.geodesic_of_key(self.element_key(w), n)
 
 
 # ---------------------------------------------------------------------------

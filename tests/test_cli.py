@@ -557,11 +557,11 @@ def test_each_command_loads_only_its_modules(docs, tmp_path):
     # loads its own when it runs, and the package's names resolve at their
     # first read
     runs = (("parse", "--input", docs["z"]),
+            ("corridor", "--input", docs["f2"], "--action", docs["action"],
+             "--loop", "x y", "--depth", "1"),
             ("ball", "--input", docs["f2"], "--radius", "1"),
             ("window-lp", "--input", docs["z"], "--radii", "4"),
-            ("area", "--input", docs["z"], "--loop", "h1^2 h2^2"),
-            ("corridor", "--input", docs["f2"], "--action", docs["action"],
-             "--loop", "x y", "--depth", "1"))
+            ("area", "--input", docs["z"], "--loop", "h1^2 h2^2"))
     probe = ("import sys\n"
              "def loaded():\n"
              "    return {m for m in ('cayley', 'filling', 'cochain', "
@@ -576,8 +576,8 @@ def test_each_command_loads_only_its_modules(docs, tmp_path):
              "    assert cli.main([*argv, '--output', out]) == 0\n"
              "    print(argv[0], sorted(loaded() - before))\n")
     assert _fresh_python("-c", probe) == (0, (
-        "[]\n[]\nparse []\nball ['cayley']\nwindow-lp ['cochain']\n"
-        "area ['filling']\ncorridor ['corridor']\n"), "")
+        "[]\n[]\nparse []\ncorridor ['corridor']\nball ['cayley']\n"
+        "window-lp ['cochain']\narea ['filling']\n"), "")
     probe = ("import sys, relhyp\n"
              "print(relhyp.cochain is sys.modules['relhyp.cochain'])\n"
              "names = {}\n"

@@ -8,6 +8,7 @@ import pytest
 
 from relhyp import corridor as cor
 from relhyp.cayley import ball_alphabet, rel_length, truncated_ball
+from relhyp.cochain import build_window, window_to_json
 from relhyp.corridor import (
     FreeAction,
     RelAutomorphism,
@@ -392,6 +393,21 @@ def test_corridor_sweep_matches_reference_for_mixed_and_peripheral_actions():
     _assert_sweep_matches(Pz, Oz, conj, sample, 2)
 
 
+def test_windows_and_corridors_compare_by_identity():
+    # a window's radius, rho and size, and a corridor's depth, do not make
+    # its contents: results of the same shape are still different results
+    W1, W2 = (build_window(P, O, radius=1, rho=1)
+              for P, O in (zmod2_star(), f2()))
+    assert (W1.radius, W1.rho, W1.size) == (W2.radius, W2.rho, W2.size)
+    assert window_to_json(W1) != window_to_json(W2)
+    P, O, action = _stretch()
+    C1, C2 = (build_corridor(P, O, action, g, 2)
+              for g in (xw("x"), xw("y", "y", "y")))
+    assert C1.entries != C2.entries
+    assert W1 != W2 and C1 != C2
+    assert W1 == W1 and C1 == C1
+
+
 # ---------------------------------------------------------------------------
 # separation checks
 
@@ -544,6 +560,21 @@ def test_pairing_randomized_batch():
         v = G.product(rng.choices([-1, 1], k=rng.randrange(4)), ())
         report = corridor_cocycle_pairing(P, O, action, g, u, v)
         assert report.equal and report.lhs == report.rhs
+
+
+def test_pairing_reports_a_sweep_that_inverts_the_wrong_letter(monkeypatch):
+    # the sweep made to apply alpha_{a[-1]} at node a, not its inverse: the
+    # pairing compares it with apply_action and must see the difference
+    sweep = cor._letter_images
+
+    def flipped(P, action, order, parent, l):
+        order = [a[:-1] + (-a[-1],) if a else a for a in order]
+        return sweep(P, action, order, parent, l)
+
+    P, O, action = _stretch()
+    monkeypatch.setattr(cor, "_letter_images", flipped)
+    report = corridor_cocycle_pairing(P, O, action, xw("x"), (-1,), (1,))
+    assert (report.lhs, report.rhs, report.equal) == (2, 3, False)
 
 
 # ---------------------------------------------------------------------------
