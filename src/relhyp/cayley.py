@@ -8,12 +8,14 @@ length queries answer with a closed interval that collapses to a point
 whenever the oracle can answer exactly.  Each oracle answers relative length
 and geodesics itself, on element keys (``rel_length_of_key`` and
 ``geodesic_of_key``): a geodesic is the oracle's word at the exact length.
-Balls walk element keys by ``P.alphabet`` letter codes, one ``O.step`` per
-edge, and write a key out as a word only for what they return.  A ball
-keeps its walk, keys and code edges, so that it holds ints only (the
+A ball is the oracle's ``walk`` over element keys by ``P.alphabet`` letter
+codes (one ``O.step`` per edge unless the oracle walks its own, as the free
+product does), and writes a key out as a word only for what it returns.  A
+ball keeps its walk, keys and code edges, so that it holds ints only (the
 collector untracks them); its words and letters are decoded at their first
 read, and its CSV and JSON writers render each code once, decode nothing,
-and give their text in pieces for the caller to write.
+and give their text in pieces of at most 256 edges, vertices or depths for
+the caller to write.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from functools import cached_property
 import itertools
 import json
 
-from .errors import GeodesicNotFoundError, ResourceCapError
+from .errors import GeodesicNotFoundError
 from .oracle import RelLength
 from .presentation import (
-    EMPTY_WORD,
     HLetter,
     RelativePresentation,
     Word,
@@ -85,35 +86,18 @@ class BallGraph:
 
 
 def walk_ball(O, codes, radius: int, max_vertices: int | None = None):
-    """Breadth-first walk from the identity by one ``O.step`` per edge,
-    stepping by the given ``P.alphabet`` codes.
+    """Breadth-first walk from the identity, stepping by the given
+    ``P.alphabet`` codes: ``O.walk``, which is one ``O.step`` per edge
+    unless the oracle walks its own ball (the free product does).
 
     Returns (index, depths, edges): index maps each element key reached to
     its vertex number, in discovery order; edges are (source, code, target)
     by vertex number, the last layer adding only edges back into the ball.
+    More than max_vertices vertices raise ResourceCapError naming
+    ``max_vertices``; the identity counts, so a budget below one fails at
+    radius 0.
     """
-    step = O.step
-    index = {O.element_key(EMPTY_WORD): 0}
-    keys = list(index)
-    depths = [0]
-    edges = []
-    # keys grows while it is scanned, so it is the BFS queue
-    for i, key in enumerate(keys):
-        depth = depths[i] + 1
-        for c in codes:
-            t = step(key, c)
-            j = index.get(t)
-            if j is None and depth <= radius:
-                if max_vertices is not None and len(keys) >= max_vertices:
-                    raise ResourceCapError(
-                        f"ball exceeded the vertex budget {max_vertices} "
-                        f"at radius {depth}", "max_vertices", max_vertices)
-                j = index[t] = len(keys)
-                keys.append(t)
-                depths.append(depth)
-            if j is not None:
-                edges.append((i, c, j))
-    return index, depths, edges
+    return O.walk(codes, radius, max_vertices)
 
 
 def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
@@ -137,43 +121,58 @@ def ball_to_json(P: RelativePresentation, ball: BallGraph) -> dict:
     }
 
 
+# the most edges, vertices or depths in one piece of a writer's text: 256
+# vertices of the F_2 radius-8 ball are some 130 KB of JSON
+_CHUNK = 256
+
+
+def _chunks(rows) -> Iterator:
+    return (rows[k:k + _CHUNK] for k in range(0, len(rows), _CHUNK))
+
+
 def ball_json_text(P: RelativePresentation, ball: BallGraph,
                    depth: int) -> Iterator[str]:
     """Pieces of exactly the text ``dump_json`` gives ``ball_to_json(P,
-    ball)`` where it sits ``depth`` levels deep in a document: one piece
-    per depth, edge and vertex, each with the separator before it.  Every
+    ball)`` where it sits ``depth`` levels deep in a document: each piece
+    holds at most 256 depths, edges or vertices, joined at once.  Every
     letter sits three levels below the ball, so each code of ``P.alphabet``
-    is rendered once, into a list indexed by code.  The oracle is read and
-    the letters rendered before this returns; the pieces only join them."""
+    is rendered once, into a list indexed by code, with an edge's text
+    between its two ends.  The oracle is read and the letters rendered
+    before this returns; the pieces only join them."""
     n0, n1, n2, n3 = ("\n" + "  " * (depth + k) for k in range(4))
-    c1, c3 = "," + n1, "," + n3
+    c1, c2, c3 = ("," + n for n in (n1, n2, n3))
     # codes_of_key may intern letters, so the codes come before the texts
     codes = list(map(ball.O.codes_of_key, ball.keys))
     # JSON strings escape newlines, so a letter's newlines are all indents
     text = [dump_json(encode_letter(P, l)).replace("\n", n3)
             for l in P.alphabet.letters]
+    mid = [c3 + t + c3 for t in text]
 
-    def block(items):
-        # items each start with "," + n2; the first opens the list instead
-        first = next(items, None)
+    def block(chunks):
+        # a list from the texts of its chunks of items; the first opens it
+        first = next(chunks, None)
         if first is None:
             yield "[]"
             return
-        yield "[" + first[1:]
-        yield from items
+        yield "[" + n2 + first
+        for chunk in chunks:
+            yield c2 + chunk
         yield n1 + "]"
 
     def pieces():
         yield "{" + n1 + '"depths": '
-        yield from block(f",{n2}{d}" for d in ball.depths)
+        yield from block(c2.join(map(str, ds))
+                         for ds in _chunks(ball.depths))
         yield c1 + '"edges": '
-        yield from block(f",{n2}[{n3}{s}{c3}{text[c]}{c3}{t}{n2}]"
-                         for s, c, t in ball.code_edges)
+        yield from block(
+            c2.join([f"[{n3}{s}{mid[c]}{t}{n2}]" for s, c, t in es])
+            for es in _chunks(ball.code_edges))
         yield (f'{c1}"peripheral_bound": {ball.rho}{c1}"radius": '
                f'{ball.radius}{c1}"vertices": ')
         yield from block(
-            f",{n2}[{n3}{c3.join(map(text.__getitem__, v))}{n2}]" if v
-            else f",{n2}[]" for v in codes)
+            c2.join([f"[{n3}{c3.join(map(text.__getitem__, v))}{n2}]"
+                     if v else "[]" for v in vs])
+            for vs in _chunks(codes))
         yield n0 + "}"
 
     return pieces()
@@ -181,16 +180,18 @@ def ball_json_text(P: RelativePresentation, ball: BallGraph,
 
 def ball_csv_lines(P: RelativePresentation,
                    ball: BallGraph) -> Iterator[str]:
-    """The lines of ``ball_to_csv``, each ending in a newline: a header,
-    then one line per code edge, its letter a quoted compact JSON cell.
-    Each code of ``P.alphabet`` is rendered once, into a list indexed by
-    code, before this returns."""
-    cell = ['"' + json.dumps(encode_letter(P, l), sort_keys=True,
-                             separators=(",", ":")).replace('"', '""') + '"'
-            for l in P.alphabet.letters]
+    """The text of ``ball_to_csv`` in pieces of whole lines: a header, then
+    one line per code edge, its letter a quoted compact JSON cell, at most
+    256 edges to a piece.  Each code of ``P.alphabet`` is rendered once,
+    into a list indexed by code, with the commas on either side, before
+    this returns."""
+    mid = [',"' + json.dumps(encode_letter(P, l), sort_keys=True,
+                             separators=(",", ":")).replace('"', '""') + '",'
+           for l in P.alphabet.letters]
     return itertools.chain(
         ("source,letter,target\n",),
-        (f"{s},{cell[c]},{t}\n" for s, c, t in ball.code_edges))
+        ("".join([f"{s}{mid[c]}{t}\n" for s, c, t in chunk])
+         for chunk in _chunks(ball.code_edges)))
 
 
 def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:

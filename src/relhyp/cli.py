@@ -7,11 +7,12 @@ Curves are CSV with ``#``-prefixed metadata lines; certificates and reports
 are JSON with a ``meta`` object.
 
 Each subcommand returns its artifact as an iterable of text pieces, which
-``main`` writes with one ``writelines`` call, so that a ball is written
-piece by piece and never held as one string.  A subcommand runs everything
-that can fail (the walk, the oracle's queries, letter rendering) before it
-returns; its pieces only join what is computed, so the output file is
-opened only after nothing can fail, and a failed command leaves none.
+``main`` writes with one ``writelines`` call, so that a ball is written in
+bounded chunks (at most 256 edges, vertices or depths each) and never held
+as one string.  A subcommand runs everything that can fail (the walk, the
+oracle's queries, letter rendering) before it returns; its pieces only join
+what is computed, so the output file is opened only after nothing can fail,
+and a failed command leaves none.
 
 Start-up imports only what every subcommand needs to read its document and
 build its oracle (``errors``, ``presentation``, ``oracle``); each subcommand

@@ -356,40 +356,49 @@ def check_separated(P: RelativePresentation, O, action: FreeAction,
     """For each sampled g and each corridor position w with length >= M,
     every opposite pair of tree directions at distance N must stretch the
     length by the given factor.  Positions w range over the radius-N tree
-    ball by default; w_radius overrides that range."""
+    ball by default; w_radius overrides that range.
+
+    The test runs on integers: per g, the exact lengths (None where only
+    bounded) in the order of the sweep's ball, with every position and
+    pair resolved to indices into it once per call, and with factor =
+    num/den a pair violates when max(lu, lv) * den < num * lw."""
     if not (factor > 1 and N >= 1 and M >= 1):
         raise ValueError("need factor > 1, N >= 1, M >= 1")
     if w_radius is None:
         w_radius = N
     lam = exact_number(factor)
+    num, den = lam.numerator, lam.denominator
     G = action.group
     sphere = [s for s in action.ball(N) if len(s) == N]
     pairs = [(s, t) for i, s in enumerate(sphere) for t in sphere[i + 1:]
              if s[0] != t[0]]
-    positions = [(w, [(G.product(w, s), G.product(w, t)) for s, t in pairs])
-                 for w in action.ball(w_radius)]
     order = action.ball(w_radius + N)
+    at = {a: k for k, a in enumerate(order)}
+    positions = []
+    for w in action.ball(w_radius):
+        uvs = [(G.product(w, s), G.product(w, t)) for s, t in pairs]
+        positions.append((w, at[w], [(u, v, at[u], at[v]) for u, v in uvs]))
     violations: list = []
     indeterminate: list = []
     count = 0
     for g, keys in _corridor_keys(P, O, action, order, g_sample):
         count += 1
-        entries = dict(zip(order, map(O.rel_length_of_key, keys)))
-        for w, uvs in positions:
-            Lw = entries[w]
-            if not Lw.is_exact:
+        lengths = [L.lower if L.is_exact else None
+                   for L in map(O.rel_length_of_key, keys)]
+        for w, k, uvs in positions:
+            lw = lengths[k]
+            if lw is None:
                 indeterminate.append((g, w, None, None))
                 continue
-            if Lw.value < M:
+            if lw < M:
                 continue
-            for u, v in uvs:
-                Lu, Lv = entries[u], entries[v]
-                if not (Lu.is_exact and Lv.is_exact):
+            bound = num * lw
+            for u, v, i, j in uvs:
+                lu, lv = lengths[i], lengths[j]
+                if lu is None or lv is None:
                     indeterminate.append((g, w, u, v))
-                    continue
-                if max(Lu.value, Lv.value) < lam * Lw.value:
-                    violations.append((g, w, u, v,
-                                       (Lw.value, Lu.value, Lv.value)))
+                elif max(lu, lv) * den < bound:
+                    violations.append((g, w, u, v, (lw, lu, lv)))
     return SeparationReport(
         factor=factor, N=N, M=M, w_radius=w_radius,
         verdict="violated" if violations else "separated",

@@ -25,12 +25,12 @@ to the identity; everything else is the caller's trust boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 import itertools
 import json
 import operator
 
-from .errors import OracleInvalidError, ParseError
+from .errors import OracleInvalidError, ParseError, ResourceCapError
 from .presentation import (
     APART,
     CANCEL,
@@ -177,7 +177,9 @@ class RelLength:
             raise ValueError("lower bound exceeds upper bound")
 
     @classmethod
+    @cache
     def exact(cls, n: int) -> "RelLength":
+        """The length n: one shared instance per n."""
         return cls(n, n)
 
     @property
@@ -230,6 +232,11 @@ class NormalFormOracle:
     the default geodesic is the normal form when it has n letters.  The
     queries on words, ``coset_key``, ``rel_length``, ``equal`` and
     ``is_trivial``, are written here once, on ``element_key(w)``.
+    ``walk(codes, radius, max_vertices)`` is the breadth-first ball walk,
+    by default one ``step`` per edge; an oracle that can step faster on its
+    own keys overrides it (the free product does).  Callers reach it as an
+    attribute, never by ``kind``, so a proxy that forwards attributes walks
+    the same way.
     """
 
     def close(self):
@@ -294,6 +301,51 @@ class NormalFormOracle:
     def rel_length(self, w: Word) -> RelLength:
         return self.rel_length_of_key(self.element_key(w))
 
+    def walk(self, codes, radius: int, max_vertices: int | None = None):
+        """Breadth-first walk from the identity by one ``step`` per edge,
+        stepping by the given ``P.alphabet`` codes.
+
+        Returns (index, depths, edges): index maps each element key reached
+        to its vertex number, in discovery order; edges are (source, code,
+        target) by vertex number, the last layer adding only edges back into
+        the ball.  More than max_vertices vertices raise ResourceCapError.
+        """
+        step = self.step
+        cap = _vertex_cap(max_vertices)
+        index = {self.element_key(EMPTY_WORD): 0}
+        keys = list(index)
+        depths = [0]
+        edges = []
+        # keys grows while it is scanned, so it is the BFS queue
+        for i, key in enumerate(keys):
+            depth = depths[i] + 1
+            for c in codes:
+                t = step(key, c)
+                j = index.get(t)
+                if j is None and depth <= radius:
+                    if len(keys) >= cap:
+                        raise _over_budget(cap, depth)
+                    j = index[t] = len(keys)
+                    keys.append(t)
+                    depths.append(depth)
+                if j is not None:
+                    edges.append((i, c, j))
+        return index, depths, edges
+
+
+def _vertex_cap(max_vertices) -> float:
+    """A walk's vertex budget as a number, which the identity must fit."""
+    cap = float("inf") if max_vertices is None else max_vertices
+    if cap < 1:
+        raise _over_budget(cap, 0)
+    return cap
+
+
+def _over_budget(cap, depth: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"ball exceeded the vertex budget {cap} at radius {depth}",
+        "max_vertices", cap)
+
 
 # ---------------------------------------------------------------------------
 # free product oracle
@@ -328,6 +380,46 @@ class FreeProductOracle(NormalFormOracle):
             if r != APART:
                 return key[:-1] if r == CANCEL else key[:-1] + (r,)
         return key + (c,)
+
+    def walk(self, codes, radius: int, max_vertices: int | None = None):
+        # the base walk, each step read off the combine row of the key's
+        # last code, built at its first use.  A key's depth is the sum of
+        # its syllables' depths, so a code apart from its last one leads a
+        # layer deeper: the last layer steps only by codes that cancel or
+        # merge, the ones that can land back in the ball
+        combine = self._combine
+        rows = {}
+        cap = _vertex_cap(max_vertices)
+        index = {(): 0}
+        keys = [()]
+        depths = [0]
+        edges = []
+        for i, key in enumerate(keys):
+            depth = depths[i] + 1
+            last = key[-1] if key else None
+            row = rows.get(last)
+            if row is None:
+                steps = [(c, APART if last is None else combine(last, c))
+                         for c in codes]
+                row = rows[last] = (steps, [s for s in steps if s[1] != APART])
+            head = key[:-1]
+            grow = depth <= radius
+            for c, r in row[0] if grow else row[1]:
+                if r == APART:
+                    t = key + (c,)
+                else:
+                    t = head if r == CANCEL else head + (r,)
+                j = index.get(t)
+                if j is None:
+                    if not grow:
+                        continue
+                    if len(keys) >= cap:
+                        raise _over_budget(cap, depth)
+                    j = index[t] = len(keys)
+                    keys.append(t)
+                    depths.append(depth)
+                edges.append((i, c, j))
+        return index, depths, edges
 
     def rel_length_of_key(self, key) -> RelLength:
         return RelLength.exact(len(key))

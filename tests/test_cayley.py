@@ -143,6 +143,7 @@ BALL_GROUPS["named_zmod2_star"] = _named_zmod2_star
        st.integers(0, 2))
 @example("f2", 0, 1)
 @example("named_zmod2_star", 3, 1)
+@example("free_product_zz", 4, 2)
 def test_ball_json_text_is_the_dumped_ball_at_each_depth(group, radius, rho):
     P, O = BALL_GROUPS[group]()
     ball = truncated_ball(P, O, radius, rho)
@@ -189,6 +190,7 @@ def _csv_from_letters(P, ball) -> str:
        st.integers(0, 2))
 @example("named_zmod2_star", 3, 1)
 @example("base_default", 3, 2)
+@example("free_product_zz", 4, 2)
 def test_ball_to_csv_is_the_csv_of_the_decoded_edges(group, radius, rho):
     P, O = WRITER_GROUPS[group]()
     ball = truncated_ball(P, O, radius, rho)

@@ -4,6 +4,7 @@ grammar, exit codes, and byte-determinism of artifacts."""
 import ast
 from collections import Counter
 import functools
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -449,6 +450,19 @@ def test_vertex_budget_exits_4(docs, capsys):
     assert code == 4 and "budget" in err
 
 
+def test_a_budget_of_no_vertex_exits_4(docs, capsys, tmp_path):
+    """The identity alone is one vertex, so a budget of none is exceeded at
+    radius 0 and no artifact is written."""
+    target = tmp_path / "ball.out"
+    for radius in ("0", "2"):
+        code, out, err = run_cli(capsys, "ball", "--input", docs["f2"],
+                                 "--radius", radius, "--max-vertices", "0",
+                                 "--output", str(target))
+        assert (code, out) == (4, "")
+        assert "budget 0 at radius 0" in err
+    assert not target.exists()
+
+
 def test_lp_failure_exits_5(docs, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise LpSolverError("backend gave up")
@@ -828,6 +842,32 @@ def test_writing_a_ball_adds_no_memory_to_its_walk(docs, tmp_path):
     walk_peak = _traced_peak(walk)
     for fmt, run in runs.items():
         assert _traced_peak(run) - walk_peak < 2**20, fmt
+
+
+# SHA-256s of three of the benchmark's heavy invocations, from its frozen
+# answers; the documents keep the benchmark's names, because the config
+# echo of an artifact holds its input paths
+HEAVY_ARTIFACTS = {
+    ("ball", "--input", "f2.json", "--radius", "8"):
+        "5b331bc0d8b2641c019db38e995d18c84840e23adc8a5c50cac1f50a39957457",
+    ("ball", "--input", "f2.json", "--radius", "8", "--format", "csv"):
+        "c98e3da66c923a4ee8a93fd64b9f8935598c97b5524c1859eebe364f665fd1b1",
+    ("flare", "--input", "f2.json", "--action", "action.json",
+     "--min-length", "3", "--factor", "1.2", "--distance", "2",
+     "--g-radius", "6"):
+        "05aa09532864812b518f515557be028ceef471f168af002ce309132e83c6ae1b",
+}
+
+
+@pytest.mark.parametrize("argv", HEAVY_ARTIFACTS,
+                         ids=("ball-json", "ball-csv", "flare"))
+def test_heavy_artifacts_are_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("f2.json").write_text(json.dumps(f2_doc()))
+    Path("action.json").write_text(json.dumps(f2_stretch_action_doc()))
+    assert cli.main([*argv, "--output", "out.txt"]) == 0
+    digest = hashlib.sha256(Path("out.txt").read_bytes()).hexdigest()
+    assert digest == HEAVY_ARTIFACTS[argv]
 
 
 def _codes_fail(self, key):

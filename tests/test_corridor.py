@@ -2,11 +2,12 @@
 flare separation checks, and the corridor pairing identity."""
 
 import copy
+from fractions import Fraction
 import random
 
 import pytest
 
-from relhyp import corridor as cor
+from relhyp import corridor as cor, oracle as ora
 from relhyp.cayley import ball_alphabet, rel_length, truncated_ball
 from relhyp.cochain import build_window, window_to_json
 from relhyp.corridor import (
@@ -438,6 +439,97 @@ def test_separation_parameter_validation():
     for bad in ((1.0, 1, 1), (1.5, 0, 1), (1.5, 1, 0)):
         with pytest.raises(ValueError):
             check_separated(P, O, action, [], *bad)
+
+
+def _fraction_separation(P, O, action, g_sample, factor, N, M, w_radius,
+                         entries):
+    """check_separated with one Fraction product per pair over a dict of
+    RelLengths, entries[g] being g's corridor: the reference for the
+    integer test."""
+    lam = cor.exact_number(factor)
+    G = action.group
+    sphere = [s for s in action.ball(N) if len(s) == N]
+    pairs = [(s, t) for i, s in enumerate(sphere) for t in sphere[i + 1:]
+             if s[0] != t[0]]
+    violations, indeterminate = [], []
+    for g in g_sample:
+        for w in action.ball(w_radius):
+            Lw = entries[g][w]
+            if not Lw.is_exact:
+                indeterminate.append((g, w, None, None))
+                continue
+            if Lw.value < M:
+                continue
+            for s, t in pairs:
+                u, v = G.product(w, s), G.product(w, t)
+                Lu, Lv = entries[g][u], entries[g][v]
+                if not (Lu.is_exact and Lv.is_exact):
+                    indeterminate.append((g, w, u, v))
+                elif max(Lu.value, Lv.value) < lam * Lw.value:
+                    violations.append((g, w, u, v,
+                                       (Lw.value, Lu.value, Lv.value)))
+    return cor.SeparationReport(
+        factor=factor, N=N, M=M, w_radius=w_radius,
+        verdict="violated" if violations else "separated",
+        violations=tuple(violations), indeterminate=tuple(indeterminate),
+        sample_size=len(g_sample))
+
+
+class _NormalFormsOnly(ora.NormalFormOracle):
+    """Free reduction and nothing else: lengths past one letter are only
+    bounded, so the checks meet indeterminate pairs."""
+
+    def __init__(self, P):
+        self.P = P
+
+    def normal_form(self, w):
+        return free_reduce(self.P, w)
+
+
+def _stretch_sample():
+    P, O, action = _stretch()
+    return P, O, action, truncated_ball(P, O, 4, 1).vertices
+
+
+def _identity_sample():
+    P, O = f2()
+    return P, O, identity_action(P), truncated_ball(P, O, 3, 1).vertices
+
+
+def _conjugation_sample():
+    P, O, action = _conjugation_action()
+    return P, O, action, truncated_ball(P, O, 2, 2).vertices
+
+
+def _bounded_sample():
+    P, O, action = _stretch()
+    return P, _NormalFormsOnly(P), action, truncated_ball(P, O, 3, 1).vertices
+
+
+@pytest.mark.parametrize("build, outcomes", (
+    (_stretch_sample, {("violated", False)}),
+    (_identity_sample, {("violated", False), ("separated", False)}),
+    (_conjugation_sample, {("violated", False), ("separated", False)}),
+    (_bounded_sample, {("separated", True)}),
+), ids=("stretch", "identity", "conjugation", "bounded"))
+def test_separation_compares_integers_as_the_fraction_rule(build, outcomes):
+    """The check's integer test, max(lu, lv) * den < num * lw, reports what
+    the Fraction rule max(Lu, Lv) < factor * Lw reports, at factors just
+    above 1, between integers and a Fraction and at the bound itself (lw
+    even at 3/2), with violations, separations and indeterminate pairs."""
+    P, O, action, sample = build()
+    entries = {g: build_corridor(P, O, action, g, 4).entries
+               for g in sample}
+    seen = set()
+    for factor in (1.01, 1.1, 1.2, 1.5, 2, 10, Fraction(3, 2)):
+        for N in (1, 2):
+            for M in (1, 2, 3, 4):
+                for w_radius in (0, 1, 2):
+                    args = (P, O, action, sample, factor, N, M, w_radius)
+                    got = check_separated(*args)
+                    assert got == _fraction_separation(*args, entries)
+                    seen.add((got.verdict, bool(got.indeterminate)))
+    assert seen == outcomes
 
 
 def test_flare_base_check_isolates_the_periodic_commutator_orbit():

@@ -5,9 +5,11 @@ the geodesic witnesses of the radius-2 balls."""
 import hashlib
 import json
 
+from hypothesis import example, given, settings, strategies as st
+
 from relhyp import oracle as ora
-from relhyp.cayley import geodesic_witness, truncated_ball
-from relhyp.errors import GeodesicNotFoundError
+from relhyp.cayley import ball_alphabet, geodesic_witness, truncated_ball
+from relhyp.errors import GeodesicNotFoundError, ResourceCapError
 from relhyp.filling import _loop_classes
 from relhyp.presentation import Word, free_reduce, parse_document
 from relhyp.presets import (
@@ -93,6 +95,62 @@ def test_rel_length_lower_end_is_at_most_the_ball_depth():
         for key, word, depth in zip(ball.keys, ball.vertices, ball.depths):
             assert O.rel_length_of_key(key).lower <= depth, (word, depth)
             assert O.rel_length(word).lower <= depth, (word, depth)
+
+
+FREE_PRODUCTS = {build.__name__: build
+                 for build in (f2, free_product_zz, zmod2_star)}
+
+
+def _walk(walk, build, radius, rho, budget):
+    """One walk of a ball on a fresh oracle: (index order, depths, edges),
+    or the budget error's text and cap."""
+    P, O = build()
+    codes = P.alphabet.encode(ball_alphabet(P, rho))
+    try:
+        index, depths, edges = walk(O, codes, radius, budget)
+    except ResourceCapError as exc:
+        return str(exc), exc.cap_name, exc.cap_value
+    return list(index), depths, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FREE_PRODUCTS)), st.integers(0, 6),
+       st.integers(0, 3), st.integers(0, 6), st.sampled_from((-1, 0, 1)))
+@example("f2", 0, 1, 0, -1)
+@example("f2", 6, 1, 6, 0)
+@example("free_product_zz", 6, 3, 3, 0)
+@example("zmod2_star", 6, 2, 6, 1)
+def test_free_product_walk_is_the_walk_by_steps(group, radius, rho, layer,
+                                                offset):
+    """The free product walks its own ball, by combine rows: it gives what
+    one step per edge gives, the same vertices in the same order, depths
+    and edges, or the same budget error.  The budget is the vertex count of
+    the ball of radius ``layer`` (its largest radius under 4,000 vertices)
+    plus offset, so that it runs out at, or just fits, each layer."""
+    build = FREE_PRODUCTS[group]
+    P, O = build()
+    codes = P.alphabet.encode(ball_alphabet(P, rho))
+    budget = 1
+    for k in range(layer + 1):
+        try:
+            budget = len(O.walk(codes, k, 4000)[0])
+        except ResourceCapError:
+            break
+    budget += offset
+    assert _walk(ora.FreeProductOracle.walk, build, radius, rho, budget) \
+        == _walk(ora.NormalFormOracle.walk, build, radius, rho, budget)
+
+
+def test_no_vertex_budget_fits_no_ball():
+    """The identity alone is one vertex, so both walks reject a budget of
+    none at radius 0; a budget of one fits the radius-0 ball."""
+    for walk in (ora.FreeProductOracle.walk, ora.NormalFormOracle.walk):
+        assert _walk(walk, f2, 0, 1, 0) == (
+            "ball exceeded the vertex budget 0 at radius 0", "max_vertices",
+            0)
+        assert _walk(walk, f2, 0, 1, 1) == ([()], [0], [])
+        assert _walk(walk, f2, 1, 1, 1)[0] == \
+            "ball exceeded the vertex budget 1 at radius 1"
 
 
 def _steps_of_loop_classes(build, n_max, rho):
