@@ -14,8 +14,7 @@ _EXPORTS = {
     "presentation": (
         "FreeAbelianModel", "FiniteTableModel", "FreeGroupModel", "XLetter",
         "HLetter", "Word", "EMPTY_WORD", "RelativePresentation",
-        "free_reduce", "cyclically_reduce", "letter_count",
-        "parse_presentation", "parse_document", "serialize_presentation",
+        "free_reduce", "cyclically_reduce", "parse_document",
     ),
     "errors": (
         "RelhypError", "ParseError", "OracleInvalidError",
@@ -27,8 +26,8 @@ _EXPORTS = {
         "build_oracle", "budgeted_word_problem",
     ),
     "cayley": (
-        "BallGraph", "ball_to_csv", "ball_to_json", "geodesic_witness",
-        "rel_length", "truncated_ball",
+        "BallGraph", "ball_to_json", "geodesic_witness", "rel_length",
+        "truncated_ball",
     ),
     "filling": (
         "DehnProfile", "FillingCertificate", "Unknown", "dehn_profile",
@@ -38,14 +37,14 @@ _EXPORTS = {
         "CellId", "Chain", "Cochain", "GrowthScan", "Infeasible",
         "Primitive", "Window", "boundary_chain", "build_window",
         "coboundary", "growth_scan", "min_linf_primitive", "pair",
-        "relator_indicator_family", "window_to_json",
+        "relator_indicator_family",
     ),
     "corridor": (
         "Corridor", "FreeAction", "RelAutomorphism", "SeparationReport",
         "apply_action", "apply_automorphism", "build_corridor",
         "check_separated", "check_uniform_flare", "corridor_cocycle_pairing",
-        "encode_action", "identity_automorphism", "parse_action",
-        "validate_action", "validate_relaut",
+        "identity_automorphism", "parse_action", "validate_action",
+        "validate_relaut",
     ),
 }
 

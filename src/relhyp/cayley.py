@@ -13,9 +13,10 @@ codes (one ``O.step`` per edge unless the oracle walks its own, as the free
 product does), and writes a key out as a word only for what it returns.  A
 ball keeps its walk, keys and code edges, so that it holds ints only (the
 collector untracks them); its words and letters are decoded at their first
-read, and its CSV and JSON writers render each code once, decode nothing,
-and give their text in pieces of at most 256 edges, vertices or depths for
-the caller to write.
+read.  Its writers, ``ball_json_text`` and ``ball_csv_lines``, render each
+code once, decode nothing, and give their text in pieces of at most 256
+edges, vertices or depths for the caller to write; ``ball_to_json`` is the
+same JSON document as a dict, built from the decoded words and letters.
 """
 
 from __future__ import annotations
@@ -85,27 +86,12 @@ class BallGraph:
         return tuple((s, letters[c], t) for s, c, t in self.code_edges)
 
 
-def walk_ball(O, codes, radius: int, max_vertices: int | None = None):
-    """Breadth-first walk from the identity, stepping by the given
-    ``P.alphabet`` codes: ``O.walk``, which is one ``O.step`` per edge
-    unless the oracle walks its own ball (the free product does).
-
-    Returns (index, depths, edges): index maps each element key reached to
-    its vertex number, in discovery order; edges are (source, code, target)
-    by vertex number, the last layer adding only edges back into the ball.
-    More than max_vertices vertices raise ResourceCapError naming
-    ``max_vertices``; the identity counts, so a budget below one fails at
-    radius 0.
-    """
-    return O.walk(codes, radius, max_vertices)
-
-
 def truncated_ball(P: RelativePresentation, O, radius: int, rho: int,
                    max_vertices: int | None = None) -> BallGraph:
     """BFS ball around the identity using free letters and peripheral
     letters of model length <= rho, vertices deduplicated by element key."""
-    index, depths, edges = walk_ball(
-        O, P.alphabet.encode(ball_alphabet(P, rho)), radius, max_vertices)
+    index, depths, edges = O.walk(
+        P.alphabet.encode(ball_alphabet(P, rho)), radius, max_vertices)
     return BallGraph(keys=tuple(index), depths=tuple(depths),
                      code_edges=tuple(edges), radius=radius, rho=rho,
                      P=P, O=O)
@@ -180,8 +166,8 @@ def ball_json_text(P: RelativePresentation, ball: BallGraph,
 
 def ball_csv_lines(P: RelativePresentation,
                    ball: BallGraph) -> Iterator[str]:
-    """The text of ``ball_to_csv`` in pieces of whole lines: a header, then
-    one line per code edge, its letter a quoted compact JSON cell, at most
+    """The ball's edges as CSV, in pieces of whole lines: a header, then one
+    line per code edge, its letter a quoted compact JSON cell, at most
     256 edges to a piece.  Each code of ``P.alphabet`` is rendered once,
     into a list indexed by code, with the commas on either side, before
     this returns."""
@@ -192,11 +178,6 @@ def ball_csv_lines(P: RelativePresentation,
         ("source,letter,target\n",),
         ("".join([f"{s}{mid[c]}{t}\n" for s, c, t in chunk])
          for chunk in _chunks(ball.code_edges)))
-
-
-def ball_to_csv(P: RelativePresentation, ball: BallGraph) -> str:
-    """The ball's edges as CSV: the join of ``ball_csv_lines``."""
-    return "".join(ball_csv_lines(P, ball))
 
 
 # ---------------------------------------------------------------------------

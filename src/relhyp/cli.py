@@ -38,7 +38,6 @@ import sys
 
 from . import __version__
 from .errors import (
-    GeodesicNotFoundError,
     LpSolverError,
     OracleInvalidError,
     ParseError,
@@ -225,7 +224,7 @@ def _cmd_length(args, P, O) -> Iterable[str]:
     w = loop_literal_parse(P, args.loop)
     L = rel_length(P, O, w)
     return _json_out(args, {
-        "letters": sum(1 for _ in w),
+        "letters": len(w),
         "lower": L.lower,
         "upper": L.upper,
         "exact": L.is_exact,
@@ -477,7 +476,7 @@ def main(argv=None) -> int:
         return _fail(2, exc)
     except OracleInvalidError as exc:
         return _fail(3, exc)
-    except (ResourceCapError, GeodesicNotFoundError) as exc:
+    except ResourceCapError as exc:
         return _fail(4, exc)
     except LpSolverError as exc:
         return _fail(5, exc)

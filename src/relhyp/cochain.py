@@ -41,14 +41,13 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .cayley import ball_alphabet, walk_ball
+from .cayley import ball_alphabet
 from .errors import LpSolverError
 from .presentation import (
     FiniteTableModel,
     RelativePresentation,
     Word,
     XLetter,
-    encode_word,
 )
 
 # the cell kinds in CellId.sort_key order, (dim, kind); the last word of a
@@ -184,8 +183,8 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
     """All cell translates over the ball of the given radius; peripheral
     edges carry only elements of model length <= rho."""
     A = P.alphabet
-    index, _, ball_edges = walk_ball(O, A.encode(ball_alphabet(P, rho)),
-                                     radius, max_vertices)
+    index, _, ball_edges = O.walk(A.encode(ball_alphabet(P, rho)), radius,
+                                  max_vertices)
     keys = list(index)
     words = list(map(O.word, keys))
     n_ball = len(keys)
@@ -334,26 +333,6 @@ def build_window(P: RelativePresentation, O, radius: int, rho: int,
                   cell_key=tuple(raw[n] for n in order),
                   indptr=tuple(indptr), bd_cell=bd_cell, bd_sign=bd_sign,
                   inner=tuple(inner))
-
-
-def window_to_json(W: Window) -> dict:
-    cell_docs = []
-    for c in W.cells[0] + W.cells[1] + W.cells[2]:
-        data = [list(d) if isinstance(d, tuple) else d for d in c.data]
-        cell_docs.append({"dim": c.dim, "kind": c.kind,
-                          "translate": encode_word(W.P, c.translate),
-                          "data": data,
-                          "lbar": c.is_lbar})
-    triplets = [[c, b, s]
-                for c in range(W.starts[1], W.size)
-                for b, s in W.terms(c) if b < W.size]
-    return {
-        "radius": W.radius,
-        "peripheral_bound": W.rho,
-        "cells": cell_docs,
-        "boundary": triplets,
-        "interior": list(W.inner),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .presentation import (
     Word,
     XLetter,
     decode_word,
-    encode_word,
     expect_json,
     free_reduce,
     int_label,
@@ -515,29 +514,3 @@ def parse_action(P: RelativePresentation, doc) -> FreeAction:
         automorphisms=tuple(
             _decode_automorphism(P, a, f"action.automorphisms[{i}]")
             for i, a in enumerate(autos)))
-
-
-def _encode_automorphism(P: RelativePresentation, alpha: RelAutomorphism,
-                         with_inverse: bool = True) -> dict:
-    doc = {
-        "x_images": {s: encode_word(P, w)
-                     for s, w in sorted(alpha.x_images.items())},
-        "sigma": {str(k): v for k, v in sorted(alpha.sigma.items())},
-        "peripheral_maps": {
-            str(lam): [P.models[alpha.sigma[lam]].encode(e) for e in images]
-            for lam, images in sorted(alpha.peripheral_maps.items())},
-        "conjugators": {str(k): encode_word(P, w)
-                        for k, w in sorted(alpha.conjugators.items())},
-    }
-    if with_inverse and alpha.inverse is not None:
-        doc["inverse"] = _encode_automorphism(P, alpha.inverse,
-                                              with_inverse=False)
-    return doc
-
-
-def encode_action(P: RelativePresentation, action: FreeAction) -> dict:
-    return {
-        "basis": action.basis,
-        "automorphisms": [_encode_automorphism(P, a)
-                          for a in action.automorphisms],
-    }

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import heapq
 import itertools
 
-from .cayley import ball_alphabet, walk_ball
+from .cayley import ball_alphabet
 from .oracle import reduce_mod, row_echelon_lattice
 from .presentation import (
     HLetter,
@@ -47,7 +47,6 @@ from .presentation import (
     XLetter,
     combinable,
     free_reduce,
-    letter_count,
     letter_key,
 )
 
@@ -239,11 +238,11 @@ def _candidates(table: SearchTable, state: tuple):
 
 
 def relative_area(P: RelativePresentation, O, c: Word, max_area: int = 16,
-                  max_len: int = 64, max_states: int | None = None,
-                  check_trivial: bool = True):
+                  max_len: int = 64, max_states: int | None = None):
     """Minimal number of relator cells filling the trivial loop c, within
-    caps.  Returns a FillingCertificate or Unknown."""
-    if check_trivial and O is not None and not O.is_trivial(c):
+    caps.  Returns a FillingCertificate or Unknown.  O, when given, only
+    checks that c is trivial."""
+    if O is not None and not O.is_trivial(c):
         raise ValueError("loop does not represent the identity")
     start = free_reduce(P, c)
     table = P.search_table
@@ -426,8 +425,8 @@ def _loop_classes(P: RelativePresentation, O, n_max: int, rho: int):
     the vertex numbers of the ball's walk, vertex 0 the identity.  The walk
     lists every edge between ball vertices, each vertex's in code order, so
     a loop never leaves the ball and steps nothing the walk did not."""
-    _, depths, edges = walk_ball(
-        O, P.alphabet.encode(ball_alphabet(P, rho)), (n_max + 1) // 2)
+    _, depths, edges = O.walk(
+        P.alphabet.encode(ball_alphabet(P, rho)), (n_max + 1) // 2)
     letters = P.alphabet.letters
     out = [[] for _ in depths]
     for i, c, j in edges:
@@ -478,7 +477,7 @@ def dehn_profile(P: RelativePresentation, O, n_max: int, rho: int,
     per_len_count: dict[int, int] = {}
     per_len_exact: dict[int, bool] = {}
     for word in classes.values():
-        n = letter_count(word)
+        n = len(word)
         per_len_count[n] = per_len_count.get(n, 0) + 1
         out = relative_area(P, O, word, max_area=max_area, max_len=max_len,
                             max_states=max_states)

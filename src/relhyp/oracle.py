@@ -50,7 +50,6 @@ from .presentation import (
     int_label,
     int_tuple,
     is_int,
-    letter_count,
     load_json,
 )
 
@@ -276,7 +275,7 @@ class NormalFormOracle:
         nf = self.word(key)
         if nf.is_empty:
             return RelLength.exact(0)
-        return RelLength(1, letter_count(nf))
+        return RelLength(1, len(nf))
 
     def codes_of_key(self, key) -> tuple:
         """The ``P.alphabet`` codes of the normal form of ``key``."""
@@ -287,7 +286,7 @@ class NormalFormOracle:
         that n is its exact relative length: by default the normal form
         when it has n letters, else None."""
         nf = self.word(key)
-        return nf if letter_count(nf) == n else None
+        return nf if len(nf) == n else None
 
     def equal(self, a: Word, b: Word) -> bool:
         return self.element_key(a) == self.element_key(b)
@@ -308,7 +307,9 @@ class NormalFormOracle:
         Returns (index, depths, edges): index maps each element key reached
         to its vertex number, in discovery order; edges are (source, code,
         target) by vertex number, the last layer adding only edges back into
-        the ball.  More than max_vertices vertices raise ResourceCapError.
+        the ball.  More than max_vertices vertices raise ResourceCapError
+        naming ``max_vertices``; the identity counts, so a budget below one
+        fails at radius 0.
         """
         step = self.step
         cap = _vertex_cap(max_vertices)
@@ -582,7 +583,7 @@ class IntegerQuotientOracle(NormalFormOracle):
             return RelLength.exact(1)
         if self._two_letters(u) is not None:
             return RelLength.exact(2)
-        return RelLength(3, max(3, letter_count(self.word(key))))
+        return RelLength(3, max(3, len(self.word(key))))
 
     def geodesic_of_key(self, key, n: int) -> Word | None:
         """The witness that made n exact in ``rel_length_of_key``, after
@@ -864,9 +865,8 @@ def budgeted_word_problem(P: RelativePresentation, w: Word, max_area: int,
         nf = oracle.normal_form(w)
         if not nf.is_empty:
             return NontrivialCertified(nf)
-    out = filling.relative_area(P, oracle, w, max_area=max_area,
-                                max_len=max_len, max_states=max_states,
-                                check_trivial=False)
+    out = filling.relative_area(P, None, w, max_area=max_area,
+                                max_len=max_len, max_states=max_states)
     if isinstance(out, filling.FillingCertificate):
         return Trivial(out.area)
     return out

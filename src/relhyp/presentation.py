@@ -404,11 +404,6 @@ class Word:
 EMPTY_WORD = Word()
 
 
-def letter_count(w: Word) -> int:
-    """Relative length of a word: every letter counts 1, peripheral or not."""
-    return len(w)
-
-
 # ---------------------------------------------------------------------------
 # presentation
 
@@ -954,23 +949,12 @@ def parse_document(text: str) -> tuple[RelativePresentation, dict | None]:
     return P, oracle
 
 
-def parse_presentation(text: str) -> RelativePresentation:
-    return parse_document(text)[0]
-
-
-def presentation_to_doc(P: RelativePresentation, oracle: dict | None = None) -> dict:
-    doc = {
+def presentation_to_doc(P: RelativePresentation) -> dict:
+    return {
         "x": list(P.x_symbols),
         "models": [_encode_model(lam, m) for lam, m in sorted(P.models.items())],
         "relators": [encode_word(P, r) for r in P.relators],
     }
-    if oracle is not None:
-        doc["oracle"] = oracle
-    return doc
-
-
-def serialize_presentation(P: RelativePresentation, oracle: dict | None = None) -> str:
-    return dump_json(presentation_to_doc(P, oracle))
 
 
 def dump_json(obj) -> str:

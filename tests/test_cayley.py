@@ -11,8 +11,8 @@ import pytest
 from relhyp import cayley, oracle as ora
 from relhyp import presets
 from relhyp.cayley import (
+    ball_csv_lines,
     ball_json_text,
-    ball_to_csv,
     ball_to_json,
     geodesic_witness,
     rel_length,
@@ -117,8 +117,7 @@ def test_ball_vertex_budget_cap():
 def test_ball_exports():
     P, O = z_example()
     ball = truncated_ball(P, O, radius=1, rho=2)
-    csv = ball_to_csv(P, ball)
-    lines = csv.strip().split("\n")
+    lines = "".join(ball_csv_lines(P, ball)).strip().split("\n")
     assert lines[0] == "source,letter,target"
     assert len(lines) == 1 + len(ball.edges)
     doc = ball_to_json(P, ball)
@@ -191,10 +190,10 @@ def _csv_from_letters(P, ball) -> str:
 @example("named_zmod2_star", 3, 1)
 @example("base_default", 3, 2)
 @example("free_product_zz", 4, 2)
-def test_ball_to_csv_is_the_csv_of_the_decoded_edges(group, radius, rho):
+def test_ball_csv_lines_are_the_csv_of_the_decoded_edges(group, radius, rho):
     P, O = WRITER_GROUPS[group]()
     ball = truncated_ball(P, O, radius, rho)
-    assert ball_to_csv(P, ball) == _csv_from_letters(P, ball)
+    assert "".join(ball_csv_lines(P, ball)) == _csv_from_letters(P, ball)
 
 
 def test_ball_words_and_letters_are_decoded_from_the_walk():

@@ -730,19 +730,57 @@ def test_every_private_definition_is_used():
     assert unused == []
 
 
+def _unread_public(trees, readers) -> list:
+    """The module-level public functions and classes of trees that no tree
+    of readers reads outside their own definitions."""
+    read = sum(map(_reads, readers), Counter())
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and read[node.name] == _reads(node)[node.name])
+
+
 def test_every_public_definition_is_used():
     # module-level public functions and classes of the package, each read
     # somewhere in the package, these tests or perfbench outside its own
     # definition
     tests = Path(__file__).parent
     trees = _trees(Path(cli.__file__).parent)
-    read = sum(map(_reads, trees + _trees(tests, tests.parent / "perfbench")),
-               Counter())
-    unused = sorted(node.name for tree in trees for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and read[node.name] == _reads(node)[node.name])
-    assert unused == []
+    assert _unread_public(
+        trees, trees + _trees(tests, tests.parent / "perfbench")) == []
+
+
+# the public definitions that no module of the package and no perfbench job
+# reads, each kept for the reader named here: (file, what it reads it for)
+TEST_ONLY_READERS = {
+    "ball_to_json": ("tests/test_cayley.py",
+                     "the reference that ball_json_text is tested against"),
+    "geodesic_witness": ("perfbench/tracing.py",
+                         "a traced span, which install looks up by name"),
+    "rho_escalation": ("tests/test_acceptance.py", "criterion 2"),
+    "boundary_chain": ("tests/test_acceptance.py", "criterion 4"),
+    "coboundary": ("tests/test_acceptance.py", "criterion 4"),
+    "pair": ("tests/test_acceptance.py", "criterion 4"),
+    "chain_rel_length": ("tests/test_acceptance.py", "criterion 4"),
+    "check_isoperimetric_witness": ("README.md",
+                                    "the check of an exact primitive"),
+    "check_farkas": ("README.md", "the check of an infeasibility verdict"),
+}
+
+
+def test_definitions_read_only_by_tests_are_pinned():
+    # a public definition that only tests read is pinned here with the
+    # reader it is kept for; the presets are the tests' fixtures
+    root = Path(__file__).parent.parent
+    package = Path(cli.__file__).parent
+    trees = _trees(package)
+    library = [ast.parse(path.read_text())
+               for path in sorted(package.glob("*.py"))
+               if path.name != "presets.py"]
+    assert _unread_public(library, trees + _trees(root / "perfbench")) == \
+        sorted(TEST_ONLY_READERS)
+    for name, (reader, _) in TEST_ONLY_READERS.items():
+        assert name in (root / reader).read_text(), (name, reader)
 
 
 PACKAGE_EXPORTS = frozenset("""
@@ -753,21 +791,18 @@ PACKAGE_EXPORTS = frozenset("""
     NontrivialCertified OracleInvalidError ParseError PluginOracle Primitive
     RelAutomorphism RelLength RelativePresentation RelhypError
     ResourceCapError SeparationReport Trivial Unknown Window Word XLetter
-    apply_action apply_automorphism ball_to_csv ball_to_json boundary_chain
+    apply_action apply_automorphism ball_to_json boundary_chain
     budgeted_word_problem build_corridor build_oracle build_window
     check_separated check_uniform_flare coboundary corridor_cocycle_pairing
-    cyclically_reduce dehn_profile encode_action free_reduce geodesic_witness
-    growth_scan identity_automorphism letter_count min_linf_primitive pair
-    parse_action
-    parse_document parse_presentation rel_length relative_area
-    relator_indicator_family replay_certificate
-    rho_escalation serialize_presentation truncated_ball validate_action
-    validate_relaut window_to_json
+    cyclically_reduce dehn_profile free_reduce geodesic_witness growth_scan
+    identity_automorphism min_linf_primitive pair parse_action parse_document
+    rel_length relative_area relator_indicator_family replay_certificate
+    rho_escalation truncated_ball validate_action validate_relaut
 """.split())
 
 
 def test_package_exports_are_pinned():
-    assert len(PACKAGE_EXPORTS) == 73
+    assert len(PACKAGE_EXPORTS) == 67
     assert sorted(relhyp.__all__) == sorted(PACKAGE_EXPORTS)
     for name in relhyp.__all__:
         assert hasattr(relhyp, name), name

@@ -34,9 +34,8 @@ from relhyp.cochain import (
     pair,
     relator_indicator_family,
     rel_weight,
-    window_to_json,
 )
-from relhyp.cayley import ball_to_csv, ball_to_json, truncated_ball
+from relhyp.cayley import ball_csv_lines, ball_to_json, truncated_ball
 from relhyp.errors import LpSolverError
 from relhyp.presentation import EMPTY_WORD, HLetter, Word
 from relhyp.presets import (
@@ -169,13 +168,13 @@ def test_multiplication_face_boundary_doubles_involution_edge():
 
 @pytest.mark.parametrize("build, radius", [(z_example, 16), (zmod2_star, 3),
                                            (z_example, 8), (z2, 3)])
-def test_window_asks_for_each_coset_once(build, radius, monkeypatch):
-    """One coset query per (vertex, label), one word per vertex and, past
-    the ball's walk, one step per (vertex, code), counting the window's own
-    calls, not the oracle's; and a float solve of the relator indicator
-    makes none of the window's CellId tables."""
+def test_window_asks_for_each_coset_once(build, radius):
+    """One walk of the ball, one coset query per (vertex, label), one word
+    per vertex and, past the walk, one step per (vertex, code), counting
+    the window's own calls, not the oracle's; and a float solve of the
+    relator indicator makes none of the window's CellId tables."""
     P, O = build()
-    calls = {"coset_of_key": [], "word": [], "step": []}
+    calls = {"coset_of_key": [], "word": [], "step": [], "walk": []}
     inside = []     # the oracle or the walk is answering
 
     def counted(name, query):
@@ -191,12 +190,9 @@ def test_window_asks_for_each_coset_once(build, radius, monkeypatch):
 
     for name in calls:
         setattr(O, name, counted(name, getattr(O, name)))
-    monkeypatch.setattr(cochain, "walk_ball",
-                        counted("walk", cochain.walk_ball))
-    calls["walk"] = []
     W = build_window(P, O, radius=radius, rho=1)
-    asked, written, stepped = (calls[name] for name in
-                               ("coset_of_key", "word", "step"))
+    asked, written, stepped, walked = calls.values()
+    assert len(walked) == 1
     assert len(asked) == len(set(asked)) and bool(asked) == bool(P.models)
     assert len(written) == len(set(written)) == len(W.words)
     assert len(stepped) == len(set(stepped))
@@ -212,7 +208,15 @@ def test_window_build_is_deterministic():
     assert W1.cells == W2.cells
     assert W1.boundary == W2.boundary
     assert W1.interior == W2.interior
-    assert window_to_json(W1) == window_to_json(W2)
+    assert W1.cell_ids == W2.cell_ids
+
+
+def _cell_view(W) -> str:
+    """The window's CellId view: its cells and the rim's by number, the
+    boundary of every 1- and 2-cell, and the interior faces."""
+    return repr((W.radius, W.rho, W.size, W.cell_ids,
+                 list(W.boundary.items()),
+                 sorted(W.interior, key=CellId.sort_key)))
 
 
 def _solution_text(cert) -> str:
@@ -233,7 +237,7 @@ def test_window_and_lp_outputs_are_pinned():
     for build, radius, rho in cases:
         P, O = build()
         W = build_window(P, O, radius=radius, rho=rho)
-        digest.update(json.dumps(window_to_json(W), sort_keys=True).encode())
+        digest.update(_cell_view(W).encode())
         faces = sorted(W.interior_relator_faces, key=lambda c: c.sort_key())
         targets = [relator_indicator_family()(W),
                    Cochain(2, {f: 1 + i % 2 for i, f in enumerate(faces)})]
@@ -242,11 +246,11 @@ def test_window_and_lp_outputs_are_pinned():
                 digest.update(_solution_text(
                     min_linf_primitive(W, z, exact=exact)).encode())
     assert digest.hexdigest() == \
-        "a8cf5d68d98af82fd1c483b82c32056926ca839730472c43f6962db3fa9ed6d8"
+        "d271900f76e7eb9b919dca503f1bb35eae141e9cdc5b58ff98249f53be56605e"
     P, O = f2()
     ball = truncated_ball(P, O, 5, 1)
     text = json.dumps(ball_to_json(P, ball), sort_keys=True) + \
-        ball_to_csv(P, ball)
+        "".join(ball_csv_lines(P, ball))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "7779d4d9b15d131cccd8f297ae834027ada22b7c667dd88dbb685f9fb766fe6b"
 
@@ -264,18 +268,19 @@ def test_cells_keep_the_hash_of_their_fields():
         assert repr(fresh) == repr(c)
 
 
-def test_window_json_export_shape():
+def test_window_cell_view_shape():
     P, O = z_example()
     W = build_window(P, O, radius=1, rho=1)
-    doc = window_to_json(W)
-    n = sum(len(W.cells_of_dim(d)) for d in (0, 1, 2))
-    assert len(doc["cells"]) == n
-    assert doc["radius"] == 1 and doc["peripheral_bound"] == 1
-    for idx in doc["interior"]:
-        assert doc["cells"][idx]["dim"] == 2
-    for row, col, s in doc["boundary"]:
-        assert doc["cells"][row]["dim"] == doc["cells"][col]["dim"] + 1
-        assert s in (-2, -1, 1, 2)
+    assert (W.radius, W.rho) == (1, 1)
+    assert W.cell_ids[:W.size] == sum(map(W.cells_of_dim, (0, 1, 2)), ())
+    assert set(W.cell_ids[W.starts[1]:W.size]) <= set(W.boundary)
+    for c, terms in W.boundary.items():
+        for b, s in terms:
+            assert b.dim == c.dim - 1
+            assert s in (-2, -1, 1, 2)
+    for f in W.interior:
+        assert f.dim == 2 and W.numbers[f] < W.size
+        assert all(W.numbers[b] < W.size for b, _ in W.boundary[f])
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,7 @@ def test_results_do_not_depend_on_earlier_searches():
         for i in order:
             text, kw = calls[i]
             out[i] = relative_area(P, None, loop_literal_parse(P, text),
-                                   **{"max_area": 6, "max_len": 8, **kw},
-                                   check_trivial=False)
+                                   **{"max_area": 6, "max_len": 8, **kw})
         return [out[i] for i in range(len(calls))]
 
     P, _ = z_example()

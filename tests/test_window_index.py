@@ -5,7 +5,6 @@ may change how it computes these, not what."""
 
 from fractions import Fraction
 import hashlib
-import json
 
 from relhyp import oracle as ora
 from relhyp.cochain import (
@@ -18,7 +17,6 @@ from relhyp.cochain import (
     coboundary,
     min_linf_primitive,
     relator_indicator_family,
-    window_to_json,
 )
 from relhyp.errors import LpSolverError
 from relhyp.presentation import Word
@@ -61,9 +59,16 @@ def _cochain_text(c: Cochain) -> str:
                                for cell, v in c.values.items())))
 
 
+def _cell_view(W) -> str:
+    """The window's CellId view: its cells and the rim's by number, the
+    boundary of every 1- and 2-cell, and the interior faces."""
+    return repr((W.radius, W.rho, W.size, W.cell_ids,
+                 list(W.boundary.items()),
+                 sorted(W.interior, key=CellId.sort_key)))
+
+
 def _window_text(W) -> list:
-    parts = [json.dumps(window_to_json(W), sort_keys=True),
-             repr(sorted(f.sort_key() for f in W.interior))]
+    parts = [_cell_view(W), repr(sorted(f.sort_key() for f in W.interior))]
     zero = Cochain(0, {v: i % 5 - 2
                        for i, v in enumerate(W.cells_of_dim(0)) if i % 5 != 2})
     one = Cochain(1, {e: Fraction(i % 7 - 3, 2)
@@ -98,4 +103,4 @@ def test_windows_at_benchmark_sizes_are_pinned():
         for part in _window_text(W):
             digest.update(part.encode())
     assert digest.hexdigest() == \
-        "9df4b0910f2fa38231dd8ecbca6ed65f2754af5d0dd521efe4ae53b76f35102c"
+        "7343628fdc262535a85e6873fdea1c46026c1a2eab98ed4557cc041240c58b3c"
